@@ -154,19 +154,28 @@ def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
     return CayleyGraph(group, connection, tuple(adjacency))
 
 
-def is_connected(graph: CayleyGraph) -> bool:
-    """BFS reachability; cross-checked against subgroup closure of S."""
-    full = (1 << graph.order) - 1
+def bfs_layers(adjacency: Sequence[int]) -> tuple[int, ...]:
+    """BFS layer masks N_0, N_1, ... from vertex 0, over its component only."""
+    layers = [1]
     visited = 1
     frontier = 1
-    while frontier:
+    while True:
         nxt = 0
         for v in iter_bits(frontier):
-            nxt |= graph.adjacency[v]
-        frontier = nxt & ~visited
-        visited |= frontier
-    by_bfs = visited == full
-    by_closure = closure_mask(graph.group, graph.connection.mask) == full
+            nxt |= adjacency[v]
+        nxt &= ~visited
+        if not nxt:
+            return tuple(layers)
+        layers.append(nxt)
+        visited |= nxt
+        frontier = nxt
+
+
+def is_connected(graph: CayleyGraph) -> bool:
+    """BFS reachability; cross-checked against subgroup closure of S."""
+    reached = sum(m.bit_count() for m in bfs_layers(graph.adjacency))
+    by_bfs = reached == graph.order
+    by_closure = closure_mask(graph.group, graph.connection.mask) == (1 << graph.order) - 1
     if by_bfs != by_closure:
         raise AssertionError("BFS reachability disagrees with subgroup closure")
     return by_bfs
@@ -208,25 +217,13 @@ class DistancePartition:
 
 def distance_partition(graph: CayleyGraph) -> DistancePartition:
     """Exact BFS layers from the identity; raises on disconnected input."""
-    full = (1 << graph.order) - 1
-    layers = [1]
-    visited = 1
-    frontier = 1
-    while True:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= graph.adjacency[v]
-        nxt &= ~visited
-        if not nxt:
-            break
-        layers.append(nxt)
-        visited |= nxt
-        frontier = nxt
-    if visited != full:
+    layers = bfs_layers(graph.adjacency)
+    reached = sum(m.bit_count() for m in layers)
+    if reached != graph.order:
         raise DisconnectedGraphError(
-            f"graph is disconnected ({visited.bit_count()} of {graph.order} reached)"
+            f"graph is disconnected ({reached} of {graph.order} reached)"
         )
-    return DistancePartition(graph.group, tuple(layers))
+    return DistancePartition(graph.group, layers)
 
 
 def common_neighbors(graph: CayleyGraph, target: int) -> int:

@@ -33,7 +33,7 @@ from .groups import (
     pair_permutations,
     subgroups_of_order,
 )
-from .kernels import census_scan, is_drg_pairmask
+from .kernels import census_scan
 from .structure import (
     antipodal_classes,
     identity_antipodal_subgroup,
@@ -154,20 +154,20 @@ def _split_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
 
 
 def _classify_hit(
-    desc: GroupDescriptor, mask: int, p: int, s: int, run_schur: bool
-) -> tuple[CensusRecord | None, list[str], dict]:
+    desc: GroupDescriptor, mask: int, s: int, run_schur: bool
+) -> tuple[CensusRecord | None, list[str]]:
     """Library-exact verification of one kernel hit; returns record + anomalies."""
     anomalies: list[str] = []
     sset = SymmetricSet(desc, mask)
     graph = build(desc, sset)
     if not is_connected(graph):
         anomalies.append(f"kernel hit is disconnected: {sset.member_strs()}")
-        return None, anomalies, {}
+        return None, anomalies
     part = distance_partition(graph)
     array = check_drg(graph, part)
     if array is None:
         anomalies.append(f"kernel hit fails library DRG check: {sset.member_strs()}")
-        return None, anomalies, {}
+        return None, anomalies
     d = part.diameter
     bip = is_bipartite(graph) is not None
     classes = antipodal_classes(graph, part) if d >= 2 else None
@@ -231,7 +231,7 @@ def _classify_hit(
         primitive=primitive,
         schur_verified=schur_ok,
     )
-    return record, anomalies, {"family": str(family), "array": str(array)}
+    return record, anomalies
 
 
 def _assemble_report(
@@ -241,7 +241,7 @@ def _assemble_report(
     scanned: int,
     schur_checks: str | int,
 ) -> CensusReport:
-    p, s = desc.prime_power_pair
+    _, s = desc.prime_power_pair
     pairs = inverse_pairs(desc)
     schur_all = schur_checks == "all"
     schur_limit = 0 if schur_all else int(schur_checks)
@@ -249,7 +249,7 @@ def _assemble_report(
     by_mask: dict[int, CensusRecord] = {}
     for i, mask in enumerate(sorted(hit_masks, key=lambda m: tuple(iter_bits(m)))):
         run_schur = schur_all or i < schur_limit
-        record, probs, _ = _classify_hit(desc, mask, p, s, run_schur)
+        record, probs = _classify_hit(desc, mask, s, run_schur)
         anomalies.extend(probs)
         if record is not None:
             by_mask[mask] = record
@@ -319,7 +319,6 @@ def census(
     threads: int = 1,
     scan: str = "kernel",
     schur_checks: str | int = "all",
-    backend: str | None = None,
     max_pairs: int = DEFAULT_MAX_PAIRS,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> CensusReport:
@@ -329,7 +328,7 @@ def census(
     exact check on every subset with no pruning (identical output required);
     scan="orbit" enumerates lex-leader orbit representatives only.
     """
-    p, s = _require_census_group(desc)
+    _require_census_group(desc)
     pairs = inverse_pairs(desc)
     P = len(pairs)
     if scan == "orbit":
@@ -356,10 +355,10 @@ def census(
         if threads > 1 and len(ranges) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(
-                    pool.map(lambda rg: census_scan(desc, rg[0], rg[1], backend), ranges)
+                    pool.map(lambda rg: census_scan(desc, rg[0], rg[1]), ranges)
                 )
         else:
-            results = [census_scan(desc, lo, hi, backend) for lo, hi in ranges]
+            results = [census_scan(desc, lo, hi) for lo, hi in ranges]
         for res in results:
             hit_masks.extend(expand(int(g)) for g in res.hits)
             connected += res.connected
@@ -385,9 +384,7 @@ def census(
 # -- orbit-first enumeration (experimental) ----------------------------------
 
 
-def _leader_children(
-    sorted_perms: tuple[tuple[int, ...], ...], leader: tuple[int, ...], P: int
-) -> Iterator[tuple[int, ...]]:
+def _leader_children(leader: tuple[int, ...], P: int) -> Iterator[tuple[int, ...]]:
     start = leader[-1] + 1 if leader else 0
     for t in range(start, P):
         yield leader + (t,)
@@ -421,7 +418,7 @@ def orbit_leaders(
             raise CensusBudgetError(f"orbit enumeration exceeded budget {budget}")
         yield leader
         children = []
-        for child in _leader_children(perms, leader, P):
+        for child in _leader_children(leader, P):
             if _is_leader(perms, child):
                 children.append(child)
         stack.extend(reversed(children))

@@ -15,8 +15,7 @@ import sys
 from . import classify, designs, fourier
 from .cayley import SymmetricSet, build, distance_partition, edge_list, is_connected, to_graph6
 from .drg import check_drg, recognize, srg_params
-from .groups import GroupFormatError, parse_group
-from .kernels import active_backend
+from .groups import GroupFormatError, pair_group, parse_group
 from .schur import distance_module, is_primitive, is_schur_ring
 from .structure import is_antipodal, is_bipartite
 
@@ -37,14 +36,27 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(ENV_THREADS, "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _thread_count(flag: int | None) -> int:
+    """--threads, else DRGCAYLEY_THREADS, else 1; anything below 1 is refused."""
+    if flag is not None:
+        source, value = "--threads", flag
+    else:
+        raw = os.environ.get(ENV_THREADS, "").strip()
+        if not raw:
+            return 1
+        try:
+            source, value = ENV_THREADS, int(raw)
+        except ValueError:
+            raise UsageError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
+    if value < 1:
+        raise UsageError(f"{source} must be >= 1, got {value}")
+    return value
+
+
+def _require(args, family: str, *names: str) -> None:
+    missing = [f"--{n}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise UsageError(f"--family {family} needs {', '.join(missing)}")
 
 
 def _emit(payload: dict, fmt: str, out) -> None:
@@ -109,7 +121,7 @@ def cmd_census(args, out) -> int:
     report = classify.census(
         desc,
         partitions=args.partitions,
-        threads=args.threads,
+        threads=_thread_count(args.threads),
         scan="orbit" if args.orbit_first else "kernel",
         schur_checks="all" if args.schur == "all" else int(args.schur),
         max_pairs=args.max_pairs,
@@ -128,16 +140,17 @@ def cmd_census(args, out) -> int:
 def cmd_construct(args, out) -> int:
     design = None
     if args.family == "td-line":
-        from .groups import pair_group
-
+        _require(args, "td-line", "p", "r")
         desc = pair_group(args.p, 1)
         graph, array = classify.construct_family(desc, "td-line", r=args.r)
         pcp = designs.pcp_enumerate(desc, args.r)[0]
         design = designs.td_from_pcp(pcp)
     elif args.family == "complete":
+        _require(args, "complete", "group")
         desc = parse_group(args.group)
         graph, array = classify.construct_family(desc, "complete")
     elif args.family == "multipartite":
+        _require(args, "multipartite", "group", "t", "m")
         desc = parse_group(args.group)
         graph, array = classify.construct_family(desc, "multipartite", t=args.t, m=args.m)
     else:
@@ -256,7 +269,9 @@ def build_parser() -> _Parser:
     p_census = subs.add_parser("census", help="scan all symmetric subsets of a group")
     p_census.add_argument("--group", required=True)
     p_census.add_argument("--partitions", type=int, default=1)
-    p_census.add_argument("--threads", type=int, default=_default_threads())
+    p_census.add_argument(
+        "--threads", type=int, default=None, help=f"worker threads (default: ${ENV_THREADS} or 1)"
+    )
     p_census.add_argument("--out", default=None, help="write the JSON report here")
     p_census.add_argument("--orbit-first", action="store_true")
     p_census.add_argument("--schur", default="all", help='"all" or a sample count')
@@ -292,9 +307,6 @@ def build_parser() -> _Parser:
     p_bd.add_argument("--r1", default=None)
     p_bd.add_argument("--auto-search", action="store_true")
     p_bd.set_defaults(fn=cmd_bipartite_drg)
-
-    p_info = subs.add_parser("backend", help="print the active kernel backend")
-    p_info.set_defaults(fn=lambda args, out: (out.write(active_backend() + "\n"), EXIT_OK)[1])
 
     return parser
 

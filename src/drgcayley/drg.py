@@ -12,6 +12,7 @@ from .cayley import (
     iter_bits,
     verify_translation_invariance,
 )
+from .groups import _is_prime
 
 
 @dataclass(frozen=True)
@@ -147,17 +148,6 @@ def srg_params(array: IntersectionArray) -> SrgParams | None:
     return SrgParams(
         n=sum(array.k), k=array.b[0], lam=array.a[1], mu=array.c[1]
     )
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    i = 2
-    while i * i <= n:
-        if n % i == 0:
-            return False
-        i += 1
-    return True
 
 
 def _td_line_match(p: SrgParams) -> tuple[int, int] | None:

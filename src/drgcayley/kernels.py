@@ -1,100 +1,53 @@
-"""Census scan kernels: numba bit-twiddling with a vectorized numpy fallback.
+"""Census scan: a vectorized numpy pre-filter with an exact integer recheck.
 
 The scan walks the 2^P inverse-pair subsets of a group in Gray-code order,
 filters by connectivity (containment in a prime-index subgroup) and by
 first-layer common-neighbor constancy, and runs the full layer check on the
-survivors.  Backend selection:
-
-    DRGCAYLEY_BACKEND=numba   force the @njit kernel (error if unavailable)
-    DRGCAYLEY_BACKEND=numpy   force the pure-numpy path
-    unset                     numba when importable, else numpy
-
-Both backends must produce identical hit sets; tests compare them directly.
-The numpy path screens candidates with an FFT autocorrelation (counts are
-small integers, so rounding fp64 values is exact with enormous margin) and
-re-checks every survivor in exact integer arithmetic.
+survivors.  The common-neighbor counts come from an FFT autocorrelation
+(counts are small integers, so rounding fp64 values is exact with enormous
+margin); every survivor is then re-checked in exact integer arithmetic by
+the library's own distance-regularity check.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .cayley import SymmetricSet, build
+from .drg import check_drg
 from .groups import (
     GroupDescriptor,
-    group_tables,
     inverse_pairs,
     iter_bits,
     mask_of,
     maximal_subgroup_masks,
 )
 
-ENV_BACKEND = "DRGCAYLEY_BACKEND"
-
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-class BackendError(RuntimeError):
-    pass
+BATCH = 1 << 14  # subsets per vectorized pre-filter step
 
 
 def active_backend() -> str:
-    choice = os.environ.get(ENV_BACKEND, "").strip().lower()
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAS_NUMBA:
-            raise BackendError("DRGCAYLEY_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice not in ("", "auto"):
-        raise BackendError(f"unrecognized {ENV_BACKEND} value {choice!r}")
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_DEBRUIJN = np.array(
-    [
-        0, 1, 48, 2, 57, 49, 28, 3, 61, 58, 50, 42, 38, 29, 17, 4,
-        62, 55, 59, 36, 53, 51, 43, 22, 45, 39, 33, 30, 24, 18, 12, 5,
-        63, 47, 56, 27, 60, 41, 37, 16, 54, 35, 52, 21, 44, 32, 23, 11,
-        46, 26, 40, 15, 34, 20, 31, 10, 25, 14, 19, 9, 13, 8, 7, 6,
-    ],
-    dtype=np.int64,
-)
+    """Name of the scan implementation, for callers that record it."""
+    return "numpy"
 
 
 @dataclass(frozen=True)
 class ScanContext:
-    group: GroupDescriptor
     n: int
     pair_count: int
     pair_masks: np.ndarray  # int64 (P,)
     pair_matrix: np.ndarray  # uint8 (P, n): indicator of each pair
     comp_masks: np.ndarray  # int64 (#maximal,) complements of maximal subgroups
-    add_flat: np.ndarray  # int64 (n*n,)
-    rep_flags: np.ndarray  # uint8 (n,): 1 on the smaller member of each pair
 
 
 @lru_cache(maxsize=None)
 def scan_context(desc: GroupDescriptor) -> ScanContext:
     n = desc.order
     if n > 62:
-        raise BackendError(f"scan kernels handle order <= 62, got {n}")
+        raise ValueError(f"the census scan handles order <= 62, got {n}")
     pairs = inverse_pairs(desc)
     pm = np.array([mask_of(cell) for cell in pairs], dtype=np.int64)
     mat = np.zeros((len(pairs), n), dtype=np.uint8)
@@ -105,19 +58,12 @@ def scan_context(desc: GroupDescriptor) -> ScanContext:
     comp = np.array(
         [full ^ m for m in maximal_subgroup_masks(desc)], dtype=np.int64
     )
-    add = group_tables(desc).add.astype(np.int64).reshape(-1)
-    reps = np.zeros(n, dtype=np.uint8)
-    for cell in pairs:
-        reps[cell[0]] = 1
     return ScanContext(
-        group=desc,
         n=n,
         pair_count=len(pairs),
         pair_masks=pm,
         pair_matrix=mat,
         comp_masks=comp,
-        add_flat=add,
-        rep_flags=reps,
     )
 
 
@@ -128,163 +74,8 @@ class ScanResult:
     scanned: int
 
 
-# -- numba kernel ------------------------------------------------------------
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _popcount(x):
-    u = np.uint64(x)
-    u = u - ((u >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    u = (u & np.uint64(0x3333333333333333)) + (
-        (u >> np.uint64(2)) & np.uint64(0x3333333333333333)
-    )
-    u = (u + (u >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return np.int64((u * np.uint64(0x0101010101010101)) >> np.uint64(56))
-
-
-@njit(cache=True, nogil=True, inline="always")
-def _bit_index(low, table):
-    u = np.uint64(low) * np.uint64(0x03F79D71B4CB0A89)
-    return table[np.int64(u >> np.uint64(58))]
-
-
-@njit(cache=True, nogil=True)
-def _scan_range_numba(
-    start, stop, pair_masks, comp_masks, add_flat, rep_flags, n, table, hits
-):
-    P = pair_masks.shape[0]
-    g = np.int64(start) ^ (np.int64(start) >> np.int64(1))
-    smask = np.int64(0)
-    for j in range(P):
-        if (g >> j) & np.int64(1):
-            smask ^= pair_masks[j]
-    adjbuf = np.zeros(n, dtype=np.int64)
-    layers = np.zeros(n + 1, dtype=np.int64)
-    connected = np.int64(0)
-    nhits = 0
-    i = np.int64(start)
-    one = np.int64(1)
-    while i < stop:
-        if smask != 0:
-            contained = False
-            for t in range(comp_masks.shape[0]):
-                if smask & comp_masks[t] == 0:
-                    contained = True
-                    break
-            if not contained:
-                connected += one
-                # first-layer constancy of common-neighbor counts
-                ok = True
-                lam = np.int64(-1)
-                m = smask
-                while m != 0:
-                    low = m & (-m)
-                    m ^= low
-                    v = _bit_index(low, table)
-                    if rep_flags[v] == 0:
-                        continue
-                    adj = np.int64(0)
-                    mm = smask
-                    base = v * n
-                    while mm != 0:
-                        low2 = mm & (-mm)
-                        mm ^= low2
-                        t2 = _bit_index(low2, table)
-                        adj |= one << add_flat[base + t2]
-                    cn = _popcount(smask & adj)
-                    if lam < 0:
-                        lam = cn
-                    elif cn != lam:
-                        ok = False
-                        break
-                if ok:
-                    # full adjacency and BFS layer check
-                    for v in range(n):
-                        adj = np.int64(0)
-                        mm = smask
-                        base = v * n
-                        while mm != 0:
-                            low2 = mm & (-mm)
-                            mm ^= low2
-                            t2 = _bit_index(low2, table)
-                            adj |= one << add_flat[base + t2]
-                        adjbuf[v] = adj
-                    layers[0] = one
-                    visited = one
-                    frontier = one
-                    d = 0
-                    while True:
-                        nxt = np.int64(0)
-                        mm = frontier
-                        while mm != 0:
-                            low2 = mm & (-mm)
-                            mm ^= low2
-                            nxt |= adjbuf[_bit_index(low2, table)]
-                        nxt &= ~visited
-                        if nxt == 0:
-                            break
-                        d += 1
-                        layers[d] = nxt
-                        visited |= nxt
-                        frontier = nxt
-                    drg = True
-                    for li in range(d + 1):
-                        prev = layers[li - 1] if li > 0 else np.int64(0)
-                        cur = layers[li]
-                        ref_c = np.int64(-1)
-                        ref_a = np.int64(-1)
-                        mm = cur
-                        while mm != 0:
-                            low2 = mm & (-mm)
-                            mm ^= low2
-                            v = _bit_index(low2, table)
-                            cc = _popcount(adjbuf[v] & prev)
-                            aa = _popcount(adjbuf[v] & cur)
-                            if ref_c < 0:
-                                ref_c = cc
-                                ref_a = aa
-                            elif cc != ref_c or aa != ref_a:
-                                drg = False
-                                break
-                        if not drg:
-                            break
-                    if drg:
-                        hits[nhits] = g
-                        nhits += 1
-        i += one
-        if i < stop:
-            low = i & (-i)
-            j = _bit_index(low, table)
-            g ^= one << j
-            smask ^= pair_masks[j]
-    return nhits, connected
-
-
-def _scan_numba(ctx: ScanContext, start: int, stop: int) -> ScanResult:
-    cap = 1 << 16
-    hits = np.zeros(cap, dtype=np.int64)
-    nhits, connected = _scan_range_numba(
-        np.int64(start),
-        np.int64(stop),
-        ctx.pair_masks,
-        ctx.comp_masks,
-        ctx.add_flat,
-        ctx.rep_flags,
-        np.int64(ctx.n),
-        _DEBRUIJN,
-        hits,
-    )
-    if nhits >= cap:
-        raise BackendError("hit buffer overflow; raise the cap")
-    out = np.sort(hits[:nhits])
-    return ScanResult(hits=out, connected=int(connected), scanned=stop - start)
-
-
-# -- numpy fallback ----------------------------------------------------------
-
-
 def is_drg_pairmask(desc: GroupDescriptor, pair_bits: int) -> bool:
-    """Exact integer-arithmetic verdict for one pair-subset (shared oracle)."""
+    """Exact verdict for one pair-subset: connected and distance-regular."""
     ctx = scan_context(desc)
     smask = 0
     for j in iter_bits(pair_bits):
@@ -294,44 +85,12 @@ def is_drg_pairmask(desc: GroupDescriptor, pair_bits: int) -> bool:
     for comp in ctx.comp_masks:
         if smask & int(comp) == 0:
             return False
-    n = ctx.n
-    add = ctx.add_flat
-    adj = [0] * n
-    for v in range(n):
-        a = 0
-        base = v * n
-        for t in iter_bits(smask):
-            a |= 1 << int(add[base + t])
-        adj[v] = a
-    layers = [1]
-    visited = 1
-    frontier = 1
-    while True:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        nxt &= ~visited
-        if not nxt:
-            break
-        layers.append(nxt)
-        visited |= nxt
-        frontier = nxt
-    if visited != (1 << n) - 1:
-        return False
-    for li, cur in enumerate(layers):
-        prev = layers[li - 1] if li > 0 else 0
-        ref = None
-        for v in iter_bits(cur):
-            trip = ((adj[v] & prev).bit_count(), (adj[v] & cur).bit_count())
-            if ref is None:
-                ref = trip
-            elif trip != ref:
-                return False
-    return True
+    return check_drg(build(desc, SymmetricSet(desc, smask))) is not None
 
 
-def _scan_numpy(ctx: ScanContext, start: int, stop: int, batch: int = 1 << 14) -> ScanResult:
-    desc = ctx.group
+def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
+    """Hits and connected count over the Gray-code indices [start, stop)."""
+    ctx = scan_context(desc)
     n = ctx.n
     m, q = desc.first_modulus, desc.second_modulus
     P = ctx.pair_count
@@ -342,8 +101,8 @@ def _scan_numpy(ctx: ScanContext, start: int, stop: int, batch: int = 1 << 14) -
     ]
     hits: list[int] = []
     connected = 0
-    for lo in range(start, stop, batch):
-        hi = min(lo + batch, stop)
+    for lo in range(start, stop, BATCH):
+        hi = min(lo + BATCH, stop)
         idx = np.arange(lo, hi, dtype=np.uint64)
         gray = idx ^ (idx >> np.uint64(1))
         bits = ((gray[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.float64)
@@ -373,23 +132,3 @@ def _scan_numpy(ctx: ScanContext, start: int, stop: int, batch: int = 1 << 14) -
     out = np.sort(np.array(hits, dtype=np.int64))
     return ScanResult(hits=out, connected=connected, scanned=stop - start)
 
-
-def census_scan(
-    desc: GroupDescriptor, start: int, stop: int, backend: str | None = None
-) -> ScanResult:
-    ctx = scan_context(desc)
-    chosen = backend or active_backend()
-    if chosen == "numba":
-        return _scan_numba(ctx, start, stop)
-    if chosen == "numpy":
-        return _scan_numpy(ctx, start, stop)
-    raise BackendError(f"unknown backend {chosen!r}")
-
-
-def warmup() -> str:
-    """Compile/then cache the kernel on a trivial range; returns the backend."""
-    from .groups import pair_group
-
-    backend = active_backend()
-    census_scan(pair_group(3, 1), 0, 16, backend=backend)
-    return backend

@@ -1,8 +1,8 @@
 """Imprimitivity analysis: bipartitions, antipodal classes, quotients, halves.
 
 Everything here is exact and deliberately oracle-grade: antipodality is
-decided by verifying transitivity of the distance-{0,d} relation from every
-vertex, not by parameter shortcuts.
+decided by verifying that the distance-{0,d} relation is an equivalence,
+not by parameter shortcuts.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from math import isqrt
 
 from .cayley import (
     CayleyGraph,
-    DisconnectedGraphError,
     DistancePartition,
     PlainGraph,
     SymmetricSet,
+    bfs_layers,
     build,
-    distance_partition,
     iter_bits,
+    verify_translation_invariance,
 )
 from .groups import GroupDescriptor, Subgroup, all_subgroups, group_tables, product_group
 
@@ -41,44 +41,19 @@ class VertexPartition:
         raise ValueError(f"vertex {v} not covered")
 
 
-def _bfs_dist(adjacency: tuple[int, ...], start: int, n: int) -> list[int]:
-    dist = [-1] * n
-    dist[start] = 0
-    visited = 1 << start
-    frontier = visited
-    d = 0
-    while frontier:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adjacency[v]
-        nxt &= ~visited
-        d += 1
-        for v in iter_bits(nxt):
-            dist[v] = d
-        visited |= nxt
-        frontier = nxt
-    return dist
-
-
 def is_bipartite(graph: CayleyGraph) -> tuple[int, int] | None:
-    """Two color-class masks by BFS parity, or None on an odd cycle."""
-    n = graph.order
-    color = [-1] * n
-    color[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in iter_bits(graph.adjacency[v]):
-                if color[w] < 0:
-                    color[w] = color[v] ^ 1
-                    nxt.append(w)
-                elif color[w] == color[v]:
-                    return None
-        frontier = nxt
-    even = sum(1 << v for v in range(n) if color[v] == 0)
-    odd = sum(1 << v for v in range(n) if color[v] == 1)
-    return (even, odd)
+    """Two color-class masks by BFS parity, or None on an odd cycle.
+
+    Only the component of the identity is colored.  BFS edges join equal or
+    adjacent layers, so the component has an odd cycle exactly when some
+    layer contains an edge.
+    """
+    layers = bfs_layers(graph.adjacency)
+    for layer in layers:
+        for v in iter_bits(layer):
+            if graph.adjacency[v] & layer:
+                return None
+    return (sum(layers[0::2]), sum(layers[1::2]))  # disjoint masks
 
 
 def antipodal_classes(
@@ -86,35 +61,35 @@ def antipodal_classes(
 ) -> VertexPartition | None:
     """Classes of the distance-{0, d} relation, when it is an equivalence.
 
-    Transitivity is checked exhaustively: the class of every vertex is
-    computed from its own BFS and the classes must coincide or be disjoint.
-    Requires diameter >= 2.
+    Translations are graph automorphisms (verify_translation_invariance), so
+    dist(v, u) = dist(0, u - v) and the class of v is v + A, where
+    A = N_0 | N_d is read off the identity-rooted partition.  The classes
+    v + A coincide or are disjoint exactly when a + A = A for every a in A,
+    i.e. when A is a subgroup; the classes are then its cosets.  Requires
+    diameter >= 2.
     """
     d = partition.diameter
     if d < 2:
         raise ValueError("antipodal classes need diameter >= 2")
-    n = graph.order
-    classes: list[int] = []
-    for v in range(n):
-        dist = _bfs_dist(graph.adjacency, v, n)
-        mask = 0
-        for u in range(n):
-            if dist[u] == 0 or dist[u] == d:
-                mask |= 1 << u
-        classes.append(mask)
-    distinct: list[int] = []
-    for mask in classes:
-        for other in distinct:
-            if mask == other:
-                break
-            if mask & other:
-                return None
-        else:
-            distinct.append(mask)
-    sizes = {m.bit_count() for m in distinct}
-    if len(sizes) != 1:
+    verify_translation_invariance(graph.group)
+    add = group_tables(graph.group).add
+    anti = partition.layer_masks[0] | partition.layer_masks[d]
+    members = tuple(iter_bits(anti))
+
+    def translate(v: int) -> int:
+        row = add[v]
+        return sum(1 << int(row[a]) for a in members)
+
+    if any(translate(a) != anti for a in members):
         return None
-    return VertexPartition(tuple(sorted(distinct)))
+    classes: list[int] = []
+    covered = 0
+    for v in range(graph.order):
+        if not covered >> v & 1:
+            coset = translate(v)
+            classes.append(coset)
+            covered |= coset
+    return VertexPartition(tuple(sorted(classes)))
 
 
 def is_antipodal(graph: CayleyGraph, partition: DistancePartition) -> bool:

@@ -2,8 +2,7 @@
 
 Each test prints one `[A##] ... : PASS` line (visible with `pytest -s`);
 a failed assertion marks that criterion failed.  Census runtimes are
-measured after the session-wide kernel warmup, so JIT compilation is not
-billed against the runtime bounds.
+measured on the first call per group and cached for the later criteria.
 """
 
 import random

@@ -75,7 +75,7 @@ def test_census_family_maps():
 
 
 def test_census_modes_agree_bytewise():
-    for spec in ("3^1x3", "3^2x3"):
+    for spec in ("3^1x3", "3^2x3", "5^1x5"):
         d = G.parse_group(spec)
         base = CL.census(d).to_json()
         assert CL.census(d, scan="library").to_json() == base

@@ -115,13 +115,29 @@ def test_usage_errors_exit_64():
     assert code == 64
     code, _ = run(["bipartite-drg", "--n", "16"])  # no rows, no search
     assert code == 64
+    for argv in (
+        ["construct", "--family", "td-line", "--r", "2"],
+        ["construct", "--family", "multipartite", "--group", "3^1x3"],
+        ["construct", "--family", "complete"],
+        ["census", "--group", "3^1x3", "--threads", "0"],
+    ):
+        code, _ = run(argv)
+        assert code == 64, argv
+
+
+def test_bad_thread_count_exits_64(monkeypatch, capsys):
+    monkeypatch.setenv(cli.ENV_THREADS, "two")
+    code, _ = run(["census", "--group", "3^1x3"])
+    assert code == 64
+    assert cli.ENV_THREADS in capsys.readouterr().err
+    monkeypatch.setenv(cli.ENV_THREADS, "0")
+    code, _ = run(["census", "--group", "3^1x3"])
+    assert code == 64
+    monkeypatch.setenv(cli.ENV_THREADS, "2")
+    code, _ = run(["census", "--group", "3^1x3"])
+    assert code == 0
 
 
 def test_budget_exit_65():
     code, _ = run(["census", "--group", "3^3x3"])
     assert code == 65
-
-
-def test_backend_command():
-    code, text = run(["backend"])
-    assert code == 0 and text.strip() in ("numba", "numpy")
