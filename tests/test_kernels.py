@@ -18,6 +18,24 @@ def _library_verdict(d, bits):
     return True, D.check_drg(graph) is not None
 
 
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5"])
+def test_backends_agree_on_full_scans(spec):
+    # the scan backend against the exact library verdict, over every pair-subset
+    d = G.parse_group(spec)
+    total = 1 << len(G.inverse_pairs(d))
+    res = K.census_scan(d, 0, total)
+    hits = []
+    connected = 0
+    for bits in range(total):
+        conn, drg = _library_verdict(d, bits)
+        connected += conn
+        if drg:
+            hits.append(bits)
+    assert res.hits.tolist() == hits
+    assert res.connected == connected
+    assert res.scanned == total
+
+
 def test_scan_matches_library_on_z7z7_slices():
     d = G.pair_group(7, 1)
     width = 1 << 12
