@@ -39,7 +39,8 @@ def test_backends_agree_on_full_scans(spec):
 def test_scan_matches_library_on_z7z7_slices():
     d = G.pair_group(7, 1)
     width = 1 << 12
-    for lo in (0, 9_000_000, (1 << 24) - width):
+    # slices 67, 156 and 4088 hold 2, 2 and 1 of the 247 hits
+    for lo in (274_432, 638_976, 16_744_448):
         res = K.census_scan(d, lo, lo + width)
         hits = []
         connected = 0
@@ -49,9 +50,46 @@ def test_scan_matches_library_on_z7z7_slices():
             connected += conn
             if drg:
                 hits.append(bits)
+        assert hits
         assert res.hits.tolist() == sorted(hits)
         assert res.connected == connected
         assert res.scanned == width
+
+
+def _brute_prefilter(d, bits):
+    """Connected and lambda(g) = |S & (g + S)| constant on S, on adjacency masks."""
+    sset = C.SymmetricSet.from_pair_bits(d, bits)
+    if sset.mask == 0:
+        return False
+    adj = C.build(d, sset).adjacency
+    reached = 1
+    while True:
+        grown = reached
+        for v in G.iter_bits(reached):
+            grown |= adj[v]
+        if grown == reached:
+            break
+        reached = grown
+    if reached != (1 << d.order) - 1:
+        return False
+    return len({(adj[0] & adj[g]).bit_count() for g in G.iter_bits(sset.mask)}) == 1
+
+
+@pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
+def test_prefilter_survivors_are_connected_constant_lambda_sets(spec, monkeypatch):
+    # the pre-filter hands is_drg_pairmask exactly {connected S : lambda constant on S}
+    d = G.parse_group(spec)
+    total = 1 << len(G.inverse_pairs(d))
+    seen = []
+    recheck = K.is_drg_pairmask
+
+    def counted(desc, bits):
+        seen.append(bits)
+        return recheck(desc, bits)
+
+    monkeypatch.setattr(K, "is_drg_pairmask", counted)
+    K.census_scan(d, 0, total)
+    assert sorted(seen) == [bits for bits in range(total) if _brute_prefilter(d, bits)]
 
 
 def test_partitioned_scan_equals_whole_scan():

@@ -5,10 +5,14 @@ and unions of subgroups so that distance-regular, antipodal and (over the
 even-order group) bipartite graphs are drawn often enough to matter.  The
 oracle below computes the full distance matrix with one independent BFS
 per vertex and decides every property straight from its definition.
+The census scan's spectral common-neighbor counts are checked against
+adjacency-mask intersections, and scans over random partitions of the
+range against one whole scan.
 """
 
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -154,3 +158,41 @@ def test_is_drg_pairmask_matches_check_drg(case):
     assert K.is_drg_pairmask(desc, bits) == verdict
     if connected:
         assert verdict == brute_is_drg(dist, nbrs)
+
+
+@PROPS
+@given(st.sampled_from(("3^2x3", "5^1x5", "7^1x7", "6x2", "Zn:12")), st.data())
+def test_spectral_lambda_counts_common_neighbors(spec, data):
+    desc = G.parse_group(spec)
+    pairs = G.inverse_pairs(desc)
+    bits = data.draw(st.integers(0, (1 << len(pairs)) - 1))
+    row = np.array([[bits >> j & 1 for j in range(len(pairs))]], dtype=np.float64)
+    lam = K.common_neighbors(K.scan_context(desc), row)[0]
+    adj = C.build(desc, C.SymmetricSet.from_pair_bits(desc, bits)).adjacency
+    for j, cell in enumerate(pairs):
+        for g in cell:
+            assert lam[j] == (adj[0] & adj[g]).bit_count()
+
+
+@PROPS
+@given(
+    st.lists(
+        st.one_of(
+            st.integers(0, (1 << 13) - 1),
+            st.integers(0, (1 << 13) // K.BATCH).map(lambda k: k * K.BATCH),
+        ),
+        max_size=6,
+    )
+)
+def test_random_partitions_of_the_scan_range(cuts):
+    desc = G.pair_group(3, 2)
+    whole = K.census_scan(desc, 0, 1 << 13)
+    bounds = sorted({0, 1 << 13, *cuts})
+    hits, connected = [], 0
+    for lo, hi in zip(bounds, bounds[1:]):
+        res = K.census_scan(desc, lo, hi)
+        assert res.scanned == hi - lo
+        hits.extend(res.hits.tolist())
+        connected += res.connected
+    assert sorted(hits) == whole.hits.tolist()
+    assert connected == whole.connected
