@@ -18,7 +18,7 @@ from .cayley import (
     is_connected,
     to_graph6,
 )
-from .classify import CensusReport, census, construct_family, enumerate_symmetric_sets, orbit_canonical
+from .classify import CensusReport, census, construct_family, orbit_canonical
 from .drg import FamilyTag, IntersectionArray, SrgParams, check_drg, recognize, srg_params
 from .groups import (
     GroupDescriptor,
@@ -56,7 +56,6 @@ __all__ = [
     "cyclic_group",
     "distance_partition",
     "edge_list",
-    "enumerate_symmetric_sets",
     "inverse_pairs",
     "is_connected",
     "orbit_canonical",

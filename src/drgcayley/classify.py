@@ -1,17 +1,20 @@
 """Exhaustive, automorphism-aware census of distance-regular connection sets.
 
-The scan enumerates all 2^P inverse-pair subsets (kernel-accelerated),
-re-verifies every hit in exact library arithmetic, cross-checks the Schur
-ring route, groups hits into automorphism orbits, tags families, and
-reconciles the result against the expected family list.  Anything outside
-that list is an anomaly and fails the run.
+A census candidate is a pair-bits int: bit j selects inverse pair j of
+``groups.inverse_pairs``.  The scan (kernel pre-filter, exact library oracle,
+or one lex-leader per orbit) hands its hits to the report as pair bits.  The
+report re-verifies every hit in exact library arithmetic, cross-checks the
+Schur ring route, groups hits into Aut(G) orbits under the pair action
+``groups.pair_permutations``, tags families, and reconciles the result
+against the expected family list.  Anything outside that list is an anomaly
+and fails the run.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator
 
 from . import schur
@@ -22,13 +25,10 @@ from .cayley import (
     distance_partition,
     is_connected,
     iter_bits,
-    mask_of,
 )
 from .drg import FamilyTag, IntersectionArray, check_drg, recognize
 from .groups import (
     GroupDescriptor,
-    Subgroup,
-    automorphism_group,
     inverse_pairs,
     pair_permutations,
     subgroups_of_order,
@@ -50,23 +50,26 @@ DEFAULT_MAX_PAIRS = 24
 DEFAULT_ORBIT_BUDGET = 2_000_000
 
 
-def enumerate_symmetric_sets(desc: GroupDescriptor) -> Iterator[SymmetricSet]:
-    """All 2^P pair-subset connection sets, in pair-index order, streamed."""
-    pairs = inverse_pairs(desc)
-    pair_masks = [mask_of(cell) for cell in pairs]
-    for bits in range(1 << len(pairs)):
-        mask = 0
-        for j in iter_bits(bits):
-            mask |= pair_masks[j]
-        yield SymmetricSet(desc, mask)
+def _pair_orbit(desc: GroupDescriptor, bits: int) -> set[int]:
+    """The pair-bit images of ``bits`` under Aut(G)."""
+    chosen = tuple(iter_bits(bits))
+    return {sum(1 << perm[j] for j in chosen) for perm in pair_permutations(desc)}
 
 
 def orbit_canonical(sset: SymmetricSet) -> tuple[SymmetricSet, int]:
-    """Lexicographically minimal Aut(G) image and the orbit size."""
+    """Lexicographically minimal Aut(G) image and the orbit size.
+
+    Images in one orbit have equally many pairs, and pairs are ordered by
+    their minimum rank, so the lex-least pair-index tuple is also the
+    lex-least element-rank tuple.
+    """
     desc = sset.group
-    images = {aut.apply_mask(sset.mask) for aut in automorphism_group(desc)}
-    best = min(images, key=lambda m: tuple(iter_bits(m)))
-    return SymmetricSet(desc, best), len(images)
+    bits = sum(
+        1 << j for j, cell in enumerate(inverse_pairs(desc)) if sset.mask >> cell[0] & 1
+    )
+    orbit = _pair_orbit(desc, bits)
+    best = min(orbit, key=lambda b: tuple(iter_bits(b)))
+    return SymmetricSet.from_pair_bits(desc, best), len(orbit)
 
 
 @dataclass(frozen=True)
@@ -131,35 +134,39 @@ class CensusReport:
         return json.dumps(self.to_json_obj(), indent=2, sort_keys=True) + "\n"
 
 
-def _require_census_group(desc: GroupDescriptor) -> tuple[int, int]:
+def _require_census_group(desc: GroupDescriptor) -> None:
     pp = desc.prime_power_pair
     if pp is None or pp[0] == 2:
         raise ValueError(
             f"census runs over Z_(p^s) + Z_p with odd prime p; got {desc.spec()}"
         )
-    return pp
 
 
 def _split_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
     if partitions < 1:
         raise ValueError("partitions must be >= 1")
-    base, extra = divmod(total, partitions)
-    ranges = []
-    lo = 0
-    for i in range(partitions):
-        hi = lo + base + (1 if i < extra else 0)
-        ranges.append((lo, hi))
-        lo = hi
-    return ranges
+    return [
+        (total * i // partitions, total * (i + 1) // partitions)
+        for i in range(partitions)
+    ]
+
+
+def _library_verdict(desc: GroupDescriptor, bits: int) -> tuple[bool, bool]:
+    """(connected, distance-regular) for one pair-subset, by BFS alone."""
+    if bits == 0:
+        return False, False
+    graph = build(desc, SymmetricSet.from_pair_bits(desc, bits))
+    if not is_connected(graph):
+        return False, False
+    return True, check_drg(graph) is not None
 
 
 def _classify_hit(
-    desc: GroupDescriptor, mask: int, s: int, run_schur: bool
+    sset: SymmetricSet, s: int, run_schur: bool
 ) -> tuple[CensusRecord | None, list[str]]:
-    """Library-exact verification of one kernel hit; returns record + anomalies."""
+    """Library-exact verification of one scan hit; returns record + anomalies."""
     anomalies: list[str] = []
-    sset = SymmetricSet(desc, mask)
-    graph = build(desc, sset)
+    graph = build(sset.group, sset)
     if not is_connected(graph):
         anomalies.append(f"kernel hit is disconnected: {sset.member_strs()}")
         return None, anomalies
@@ -175,8 +182,7 @@ def _classify_hit(
     primitive = not bip and not antip
     if not array.is_monotone():
         anomalies.append(f"non-monotone intersection array {array} for {sset.member_strs()}")
-    schur_ok = True
-    module_primitive = primitive
+    schur_ok = False  # set only when the Schur-ring check ran and passed
     if run_schur:
         module = schur.distance_module(graph, part)
         constants = schur.is_schur_ring(module)
@@ -221,7 +227,7 @@ def _classify_hit(
         )
     record = CensusRecord(
         set_strs=tuple(sset.member_strs()),
-        set_mask=mask,
+        set_mask=sset.mask,
         orbit_size=0,  # filled at orbit grouping
         family=str(family),
         array=str(array),
@@ -236,58 +242,45 @@ def _classify_hit(
 
 def _assemble_report(
     desc: GroupDescriptor,
-    hit_masks: list[int],
+    hits: list[int],
     connected: int,
     scanned: int,
     schur_checks: str | int,
 ) -> CensusReport:
     _, s = desc.prime_power_pair
-    pairs = inverse_pairs(desc)
+    total = 1 << len(inverse_pairs(desc))
     schur_all = schur_checks == "all"
     schur_limit = 0 if schur_all else int(schur_checks)
+    ssets = {bits: SymmetricSet.from_pair_bits(desc, bits) for bits in hits}
+    # hits in lex order of their element ranks
+    ordered = sorted(ssets, key=lambda bits: tuple(iter_bits(ssets[bits].mask)))
     anomalies: list[str] = []
-    by_mask: dict[int, CensusRecord] = {}
-    for i, mask in enumerate(sorted(hit_masks, key=lambda m: tuple(iter_bits(m)))):
-        run_schur = schur_all or i < schur_limit
-        record, probs = _classify_hit(desc, mask, s, run_schur)
+    by_bits: dict[int, CensusRecord] = {}
+    for i, bits in enumerate(ordered):
+        record, probs = _classify_hit(ssets[bits], s, schur_all or i < schur_limit)
         anomalies.extend(probs)
         if record is not None:
-            by_mask[mask] = record
-    # orbit grouping under Aut(G)
-    remaining = set(by_mask)
+            by_bits[bits] = record
+    # orbit grouping under Aut(G); the first hit met of each orbit is its
+    # lex-least member present, so records come out in lex order
+    grouped: set[int] = set()
     orbit_records: list[CensusRecord] = []
-    while remaining:
-        mask = min(remaining, key=lambda m: tuple(iter_bits(m)))
-        sset = SymmetricSet(desc, mask)
-        canon, orbit_size = orbit_canonical(sset)
-        images = {aut.apply_mask(mask) for aut in automorphism_group(desc)}
-        missing = images - set(by_mask)
+    for bits in ordered:
+        if bits in grouped or bits not in by_bits:
+            continue
+        orbit = _pair_orbit(desc, bits)
+        missing = orbit - by_bits.keys()
         if missing:
             anomalies.append(
-                f"orbit of {sset.member_strs()} leaves the hit set; "
+                f"orbit of {ssets[bits].member_strs()} leaves the hit set; "
                 f"{len(missing)} images missing"
             )
-        remaining -= images
-        rec = by_mask[canon.mask if canon.mask in by_mask else mask]
-        orbit_records.append(
-            CensusRecord(
-                set_strs=rec.set_strs,
-                set_mask=rec.set_mask,
-                orbit_size=orbit_size,
-                family=rec.family,
-                array=rec.array,
-                diameter=rec.diameter,
-                bipartite=rec.bipartite,
-                antipodal=rec.antipodal,
-                primitive=rec.primitive,
-                schur_verified=rec.schur_verified,
-            )
-        )
-    orbit_records.sort(key=lambda r: tuple(iter_bits(r.set_mask)))
+        grouped |= orbit
+        orbit_records.append(replace(by_bits[bits], orbit_size=len(orbit)))
     total_from_orbits = sum(r.orbit_size for r in orbit_records)
-    if total_from_orbits != len(hit_masks):
+    if total_from_orbits != len(hits):
         anomalies.append(
-            f"orbit sizes sum to {total_from_orbits}, expected {len(hit_masks)}"
+            f"orbit sizes sum to {total_from_orbits}, expected {len(hits)}"
         )
     family_sets: dict[str, int] = {}
     family_orbits: dict[str, int] = {}
@@ -296,13 +289,13 @@ def _assemble_report(
         family_sets[r.family] = family_sets.get(r.family, 0) + r.orbit_size
         family_orbits[r.family] = family_orbits.get(r.family, 0) + 1
         param_classes.add((r.family, r.array))
-    if scanned != 1 << len(pairs):
-        anomalies.append(f"scanned {scanned} of {1 << len(pairs)} subsets")
+    if scanned != total:
+        anomalies.append(f"scanned {scanned} of {total} subsets")
     return CensusReport(
         group=desc.spec(),
-        symmetric_sets=1 << len(pairs),
+        symmetric_sets=total,
         connected_sets=connected,
-        drg_sets=len(hit_masks),
+        drg_sets=len(hits),
         orbit_count=len(orbit_records),
         parameter_class_count=len(param_classes),
         family_set_counts=family_sets,
@@ -329,29 +322,19 @@ def census(
     scan="orbit" enumerates lex-leader orbit representatives only.
     """
     _require_census_group(desc)
-    pairs = inverse_pairs(desc)
-    P = len(pairs)
     if scan == "orbit":
         return _census_orbit_first(desc, schur_checks, orbit_budget)
+    P = len(inverse_pairs(desc))
     if P > max_pairs:
         raise CensusBudgetError(
             f"2^{P} subsets exceeds the full-enumeration budget 2^{max_pairs}; "
             "use the orbit-first mode"
         )
-    total = 1 << P
-    ranges = _split_ranges(total, partitions)
-    hit_masks: list[int] = []
+    ranges = _split_ranges(1 << P, partitions)
+    hits: list[int] = []
     connected = 0
     scanned = 0
     if scan == "kernel":
-        pair_masks = [mask_of(cell) for cell in pairs]
-
-        def expand(bits: int) -> int:
-            m = 0
-            for j in iter_bits(bits):
-                m |= pair_masks[j]
-            return m
-
         if threads > 1 and len(ranges) > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
                 results = list(
@@ -360,34 +343,23 @@ def census(
         else:
             results = [census_scan(desc, lo, hi) for lo, hi in ranges]
         for res in results:
-            hit_masks.extend(expand(int(g)) for g in res.hits)
+            hits.extend(res.hits.tolist())
             connected += res.connected
             scanned += res.scanned
     elif scan == "library":
         for lo, hi in ranges:
             for bits in range(lo, hi):
-                sset = SymmetricSet.from_pair_bits(desc, bits)
-                scanned += 1
-                if sset.mask == 0:
-                    continue
-                graph = build(desc, sset)
-                if not is_connected(graph):
-                    continue
-                connected += 1
-                if check_drg(graph) is not None:
-                    hit_masks.append(sset.mask)
+                conn, drg = _library_verdict(desc, bits)
+                connected += conn
+                if drg:
+                    hits.append(bits)
+            scanned += hi - lo
     else:
         raise ValueError(f"unknown scan mode {scan!r}")
-    return _assemble_report(desc, hit_masks, connected, scanned, schur_checks)
+    return _assemble_report(desc, hits, connected, scanned, schur_checks)
 
 
 # -- orbit-first enumeration (experimental) ----------------------------------
-
-
-def _leader_children(leader: tuple[int, ...], P: int) -> Iterator[tuple[int, ...]]:
-    start = leader[-1] + 1 if leader else 0
-    for t in range(start, P):
-        yield leader + (t,)
 
 
 def _is_leader(perms: tuple[tuple[int, ...], ...], subset: tuple[int, ...]) -> bool:
@@ -417,42 +389,26 @@ def orbit_leaders(
         if visited > budget:
             raise CensusBudgetError(f"orbit enumeration exceeded budget {budget}")
         yield leader
-        children = []
-        for child in _leader_children(leader, P):
-            if _is_leader(perms, child):
-                children.append(child)
-        stack.extend(reversed(children))
+        start = leader[-1] + 1 if leader else 0
+        children = [leader + (t,) for t in range(start, P)]
+        stack.extend(reversed([c for c in children if _is_leader(perms, c)]))
 
 
 def _census_orbit_first(
     desc: GroupDescriptor, schur_checks: str | int, budget: int
 ) -> CensusReport:
-    pairs = inverse_pairs(desc)
-    perms = pair_permutations(desc)
-    pair_masks = [mask_of(cell) for cell in pairs]
-    hit_masks: list[int] = []
+    hits: list[int] = []
     connected = 0
     for leader in orbit_leaders(desc, budget):
-        orbit = {tuple(sorted(perm[i] for i in leader)) for perm in perms}
-        size = len(orbit)
-        mask = 0
-        for j in leader:
-            mask |= pair_masks[j]
-        if mask == 0:
-            continue
-        sset = SymmetricSet(desc, mask)
-        graph = build(desc, sset)
-        if not is_connected(graph):
-            continue
-        connected += size
-        if check_drg(graph) is not None:
-            for member in orbit:
-                m = 0
-                for j in member:
-                    m |= pair_masks[j]
-                hit_masks.append(m)
+        bits = sum(1 << j for j in leader)
+        conn, drg = _library_verdict(desc, bits)
+        if conn:
+            orbit = _pair_orbit(desc, bits)
+            connected += len(orbit)
+            if drg:
+                hits.extend(orbit)
     return _assemble_report(
-        desc, hit_masks, connected, 1 << len(pairs), schur_checks
+        desc, hits, connected, 1 << len(inverse_pairs(desc)), schur_checks
     )
 
 
@@ -469,6 +425,8 @@ def construct_family(
     """
     n = desc.order
     if kind == "complete":
+        if n < 2:
+            raise ValueError(f"the complete family needs |G| >= 2, got {n}")
         sset = SymmetricSet(desc, ((1 << n) - 1) ^ 1)
         graph = build(desc, sset)
         array = check_drg(graph)

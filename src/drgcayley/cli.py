@@ -324,7 +324,7 @@ def main(argv: list[str] | None = None, out=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GroupFormatError, ValueError) as exc:
+    except (GroupFormatError, ValueError, OSError) as exc:  # OSError: unwritable output file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (classify.CensusBudgetError, designs.SearchBudgetError) as exc:

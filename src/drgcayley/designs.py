@@ -340,6 +340,11 @@ def even_index_subgroup(desc: GroupDescriptor) -> tuple[GroupDescriptor, dict[in
     return sub, embed
 
 
+def _require_even_order(n: int) -> None:
+    if n % 2 != 0 or n < 4:
+        raise ValueError("n must be even and >= 4")
+
+
 def bipartite_double_check(
     n: int, row0: tuple[int, ...] | frozenset[int], row1: tuple[int, ...] | frozenset[int]
 ) -> BipartiteDoubleReport:
@@ -351,8 +356,7 @@ def bipartite_double_check(
     diameter-3 non-antipodal bipartite family exactly when that set is a
     nontrivial difference set, and the report records both sides.
     """
-    if n % 2 != 0 or n < 4:
-        raise ValueError("n must be even and >= 4")
+    _require_even_order(n)
     r0 = sorted({x % n for x in row0})
     r1 = sorted({x % n for x in row1})
     if not r0 or not r1:
@@ -418,6 +422,7 @@ def odd_row_subsets(n: int) -> list[tuple[int, ...]]:
 
 def bipartite_double_sweep(n: int) -> list[BipartiteDoubleReport]:
     """Exhaustive (R_0, R_1) sweep; the both-directions empirical check."""
+    _require_even_order(n)
     subsets = [s for s in odd_row_subsets(n) if s]
     reports = []
     for r0 in subsets:

@@ -28,7 +28,7 @@ class IntersectionArray:
 
     @property
     def valency(self) -> int:
-        return self.b[0]
+        return self.b[0] if self.b else 0  # K_1 has diameter 0
 
     def __str__(self) -> str:
         bs = ",".join(map(str, self.b))

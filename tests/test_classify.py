@@ -1,4 +1,5 @@
 import json
+import random
 from math import comb
 
 import pytest
@@ -7,18 +8,6 @@ from drgcayley import cayley as C
 from drgcayley import classify as CL
 from drgcayley import drg as D
 from drgcayley import groups as G
-
-
-def test_enumerate_symmetric_sets_is_streamed_and_complete():
-    d = G.pair_group(3, 1)
-    gen = CL.enumerate_symmetric_sets(d)
-    assert not isinstance(gen, (list, tuple))
-    sets = list(gen)
-    assert len(sets) == 16
-    assert len({s.mask for s in sets}) == 16
-    d9 = G.pair_group(3, 2)
-    count = sum(1 for _ in CL.enumerate_symmetric_sets(d9))
-    assert count == 8192
 
 
 def test_orbit_canonical_examples():
@@ -34,6 +23,39 @@ def test_orbit_canonical_examples():
     union = C.SymmetricSet(d, (subs[0].mask | subs[1].mask) ^ 1)
     _, size = CL.orbit_canonical(union)
     assert size == 6
+
+
+def _lex_least(masks):
+    return min(masks, key=lambda m: tuple(G.iter_bits(m)))
+
+
+def _element_orbit(sset):
+    """Aut(G) images of the set as element masks, by brute force."""
+    return {aut.apply_mask(sset.mask) for aut in G.automorphism_group(sset.group)}
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "6x2"])
+def test_orbit_canonical_matches_element_brute_force(spec):
+    """Every pair-subset; 6x2 has involutions, hence singleton pairs."""
+    d = G.parse_group(spec)
+    expected: dict[int, tuple[int, int]] = {}
+    for bits in range(1 << len(G.inverse_pairs(d))):
+        sset = C.SymmetricSet.from_pair_bits(d, bits)
+        if sset.mask not in expected:
+            orbit = _element_orbit(sset)
+            expected.update(dict.fromkeys(orbit, (_lex_least(orbit), len(orbit))))
+        canon, size = CL.orbit_canonical(sset)
+        assert (canon.mask, size) == expected[sset.mask], sset.member_strs()
+
+
+def test_orbit_canonical_matches_element_brute_force_on_random_z7z7_sets():
+    d = G.pair_group(7, 1)
+    rng = random.Random(7)
+    for _ in range(40):
+        sset = C.SymmetricSet.from_pair_bits(d, rng.getrandbits(24))
+        orbit = _element_orbit(sset)
+        canon, size = CL.orbit_canonical(sset)
+        assert (canon.mask, size) == (_lex_least(orbit), len(orbit))
 
 
 @pytest.mark.parametrize(
@@ -101,6 +123,18 @@ def test_census_json_shape():
     assert set(rec) == {"set", "orbitSize", "family", "array", "diameter", "flags"}
     assert set(rec["flags"]) == {"bipartite", "antipodal", "primitive", "schurVerified"}
     assert all(r["flags"]["schurVerified"] for r in data["records"])
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3"])
+def test_schur_flag_only_when_the_check_ran(spec):
+    d = G.parse_group(spec)
+    full = json.loads(CL.census(d).to_json())
+    unchecked = json.loads(CL.census(d, schur_checks=0).to_json())
+    assert all(r["flags"]["schurVerified"] for r in full["records"])
+    assert not any(r["flags"]["schurVerified"] for r in unchecked["records"])
+    for r in full["records"]:
+        r["flags"]["schurVerified"] = False
+    assert unchecked == full
 
 
 def test_census_rejects_non_pair_groups_and_big_groups():

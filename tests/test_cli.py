@@ -120,6 +120,9 @@ def test_usage_errors_exit_64():
         ["construct", "--family", "multipartite", "--group", "3^1x3"],
         ["construct", "--family", "complete"],
         ["census", "--group", "3^1x3", "--threads", "0"],
+        ["construct", "--family", "complete", "--group", "Zn:1"],
+        ["bipartite-drg", "--n", "0", "--auto-search"],
+        ["bipartite-drg", "--n", "5", "--auto-search"],
     ):
         code, _ = run(argv)
         assert code == 64, argv
@@ -141,3 +144,27 @@ def test_bad_thread_count_exits_64(monkeypatch, capsys):
 def test_budget_exit_65():
     code, _ = run(["census", "--group", "3^3x3"])
     assert code == 65
+
+
+def test_trivial_group_certifies_k1_with_diameter_0():
+    code, text = run(["--format", "json", "check", "--group", "Zn:1", "--set", ""])
+    assert code == 0
+    data = json.loads(text)
+    assert (data["verdict"], data["diameter"], data["array"]) == ("DRG", 0, "{;}")
+    assert data["family"] == "Complete"
+
+
+def test_unwritable_output_files_exit_64(tmp_path):
+    missing = tmp_path / "no-such-dir"
+    lattice = "(1,0),(2,0),(0,1),(0,2)"
+    for argv in (
+        ["census", "--group", "3^1x3", "--out", str(missing / "report.json")],
+        ["check", "--group", "3^1x3", "--set", lattice, "--edges-out", str(missing / "e.txt")],
+        ["construct", "--family", "complete", "--group", "3^1x3",
+         "--edges-out", str(missing / "e.txt")],
+        ["construct", "--family", "td-line", "--p", "3", "--r", "2",
+         "--design-out", str(missing / "td.json")],
+    ):
+        code, _ = run(argv)
+        assert code == 64, argv
+    assert not missing.exists()

@@ -7,9 +7,11 @@ oracle below computes the full distance matrix with one independent BFS
 per vertex and decides every property straight from its definition.
 The census scan's spectral common-neighbor counts are checked against
 adjacency-mask intersections, and scans over random partitions of the
-range against one whole scan.
+range against one whole scan.  Random group literals must round-trip through
+``spec()``, and malformed ones must be refused by ``parse_group`` and the CLI.
 """
 
+import io
 from collections import deque
 
 import numpy as np
@@ -18,6 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drgcayley import cayley as C
+from drgcayley import cli
 from drgcayley import drg as D
 from drgcayley import groups as G
 from drgcayley import kernels as K
@@ -196,3 +199,68 @@ def test_random_partitions_of_the_scan_range(cuts):
         connected += res.connected
     assert sorted(hits) == whole.hits.tolist()
     assert connected == whole.connected
+
+
+PRIMES = (2, 3, 5, 7, 11, 13)
+# characters that occur in no group literal
+JUNK = "!#-+.,;/()[]abq?*="
+
+
+@st.composite
+def group_literals(draw):
+    """(literal, moduli, canonical): canonical says spec() gives it back."""
+    kind = draw(st.sampled_from(("pair", "product", "cyclic")))
+    if kind == "cyclic":
+        n = draw(st.integers(1, 500))
+        return f"Zn:{n}", (n, 1), True
+    if kind == "pair":
+        p, s = draw(st.sampled_from(PRIMES)), draw(st.integers(1, 4))
+        q = draw(st.one_of(st.just(p), st.integers(1, 30)))
+        return f"{p}^{s}x{q}", (p**s, q), q == p
+    m, q = draw(st.integers(1, 200)), draw(st.integers(1, 200))
+    return f"{m}x{q}", (m, q), False
+
+
+@st.composite
+def bad_group_literals(draw):
+    kind = draw(st.sampled_from(("zero", "junk", "no-separator", "cut")))
+    if kind == "zero":
+        form = draw(st.sampled_from(("0x{}", "{}x0", "0^{}x3", "Zn:0", "Zn:00")))
+        return form.format(draw(st.integers(1, 50)))
+    literal = draw(group_literals())[0]
+    sep = literal.index(":" if literal.startswith("Zn") else "x")
+    if kind == "no-separator":
+        return literal[:sep] + literal[sep + 1 :]
+    if kind == "cut":
+        return literal[: sep + 1]
+    i = draw(st.integers(0, len(literal)))
+    return literal[:i] + draw(st.sampled_from(JUNK)) + literal[i:]
+
+
+@PROPS
+@given(group_literals())
+def test_group_literals_round_trip_through_spec(case):
+    literal, moduli, canonical = case
+    desc = G.parse_group(literal)
+    assert (desc.first_modulus, desc.second_modulus) == moduli
+    assert G.parse_group(desc.spec()) == desc
+    if canonical:
+        assert desc.spec() == literal
+
+
+@PROPS
+@given(bad_group_literals())
+def test_bad_group_literals_are_refused(literal):
+    with pytest.raises(G.GroupFormatError):
+        G.parse_group(literal)
+    assert cli.main(["check", f"--group={literal}", "--set", ""], out=io.StringIO()) == 64
+
+
+@PROPS
+@given(st.text(alphabet="0123456789^xXZn: " + JUNK, max_size=8))
+def test_parse_group_raises_only_group_format_error(text):
+    try:
+        desc = G.parse_group(text)
+    except G.GroupFormatError:
+        return
+    assert G.parse_group(desc.spec()) == desc
