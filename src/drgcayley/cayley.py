@@ -3,6 +3,15 @@
 Adjacency is one Python int bitmask per vertex: vertex g's neighbor mask is
 the connection-set mask translated by g, so g ~ h exactly when h - g lies in
 the connection set.
+
+Translation is done on the mask itself.  Element (a, b) has rank a*q + b, so
+the mask is m blocks of q bits, block a holding {b : (a, b) in S}.  Adding
+(0, b0) rotates every block by b0 (bits with b < q - b0 move up by b0, the
+rest down by q - b0, two masks per b0); adding (a0, 0) then rotates the whole
+n-bit word by a0*q, which moves block a to block a + a0 mod m.  Cyclic groups
+(q = 1) need the word rotation only.  No add table is read, so
+``is_connected`` still cross-checks the result against ``closure_mask``,
+which is computed from the table.
 """
 
 from __future__ import annotations
@@ -138,20 +147,35 @@ class CayleyGraph:
         return bool(self.adjacency[u] >> v & 1)
 
 
+@lru_cache(maxsize=None)
+def _block_masks(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
+    """Per b0, the ranks (a, b) with b < q - b0 and those with b >= q - b0."""
+    m, q = group.first_modulus, group.second_modulus
+    full = (1 << group.order) - 1
+    out = []
+    for b0 in range(q):
+        low = sum(1 << (a * q + b) for a in range(m) for b in range(q - b0))
+        out.append((low, full ^ low))
+    return tuple(out)
+
+
 def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
     """Construct the graph; vertex g's neighbors are g + S."""
     if connection.group != group:
         raise ValueError("connection set belongs to a different group")
-    add = group_tables(group).add
-    members = connection.members()
-    adjacency = []
-    for g in group.elements():
-        row = add[g]
-        mask = 0
-        for s in members:
-            mask |= 1 << int(row[s])
-        adjacency.append(mask)
-    return CayleyGraph(group, connection, tuple(adjacency))
+    n, q = group.order, group.second_modulus
+    mask = connection.mask
+    # (0, b0) + S: rotate each q-bit block by b0
+    columns = [
+        (mask & low) << b0 | (mask & high) >> (q - b0)
+        for b0, (low, high) in enumerate(_block_masks(group))
+    ]
+    # (a0, b0) + S: rotate the whole word by a0 * q; rank a0 * q + b0 is row-major
+    full = (1 << n) - 1
+    adjacency = tuple(
+        (t << k | t >> (n - k)) & full for k in range(0, n, q) for t in columns
+    )
+    return CayleyGraph(group, connection, adjacency)
 
 
 def bfs_layers(adjacency: Sequence[int]) -> tuple[int, ...]:

@@ -308,19 +308,21 @@ def cyclic_subgroup_mask(desc: GroupDescriptor, g: int) -> int:
 
 
 def closure_mask(desc: GroupDescriptor, mask: int) -> int:
-    """Mask of the subgroup generated by the elements of ``mask``."""
+    """Mask of the subgroup generated by the elements of ``mask``.
+
+    Grows the member set C to C + C on the add table until it is stable; C
+    holds the identity, so each round keeps C, and a finite set closed under
+    addition is a subgroup.
+    """
     add = group_tables(desc).add
-    closed = 1 | mask
-    frontier = closed
-    while frontier:
-        new = 0
-        for v in iter_bits(frontier):
-            row = add[v]
-            for w in iter_bits(closed):
-                new |= 1 << int(row[w])
-        frontier = new & ~closed
-        closed |= new
-    return closed
+    members = np.zeros(desc.order, dtype=bool)
+    members[list(iter_bits(1 | mask))] = True
+    while True:
+        idx = np.flatnonzero(members)
+        members[add[np.ix_(idx, idx)]] = True
+        if np.count_nonzero(members) == len(idx):
+            break
+    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
 
 
 @lru_cache(maxsize=None)

@@ -39,8 +39,12 @@ def test_backends_agree_on_full_scans(spec):
 def test_scan_matches_library_on_z7z7_slices():
     d = G.pair_group(7, 1)
     width = 1 << 12
-    # slices 67, 156 and 4088 hold 2, 2 and 1 of the 247 hits
-    for lo in (274_432, 638_976, 16_744_448):
+    # Slice 0 holds 19 of the 57 disconnected sets, so batches there take the
+    # full connectivity test.  Two slices start 37 past a BATCH boundary; the
+    # second runs into the two disconnected sets at 16,744,448, the start of
+    # an aligned batch.  The other three slices hold 2, 2 and 1 of the hits.
+    seen = []
+    for lo in (0, 274_432 + 37, 638_976, 16_743_936 + 37):
         res = K.census_scan(d, lo, lo + width)
         hits = []
         connected = 0
@@ -50,10 +54,11 @@ def test_scan_matches_library_on_z7z7_slices():
             connected += conn
             if drg:
                 hits.append(bits)
-        assert hits
         assert res.hits.tolist() == sorted(hits)
         assert res.connected == connected
         assert res.scanned == width
+        seen.append((len(hits), width - connected))
+    assert seen == [(0, 19), (2, 0), (2, 0), (1, 2)]
 
 
 def _brute_prefilter(d, bits):

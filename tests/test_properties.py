@@ -7,8 +7,10 @@ oracle below computes the full distance matrix with one independent BFS
 per vertex and decides every property straight from its definition.
 The census scan's spectral common-neighbor counts are checked against
 adjacency-mask intersections, and scans over random partitions of the
-range against one whole scan.  Random group literals must round-trip through
-``spec()``, and malformed ones must be refused by ``parse_group`` and the CLI.
+range against one whole scan.  ``build`` (bit rotations) is checked against
+the add table, and ``closure_mask`` against the subgroup list.  Random group
+literals must round-trip through ``spec()``, and malformed ones must be
+refused by ``parse_group`` and the CLI.
 """
 
 import io
@@ -161,6 +163,39 @@ def test_is_drg_pairmask_matches_check_drg(case):
     assert K.is_drg_pairmask(desc, bits) == verdict
     if connected:
         assert verdict == brute_is_drg(dist, nbrs)
+
+
+# orders 1 to 125, cyclic (q = 1), with involutions (6x2, Zn:62, 31x2), s = 1 to 3
+BUILD_SPECS = (
+    "Zn:1", "Zn:2", "Zn:62", "6x2", "31x2", "3^2x3", "7^1x7", "3^3x3", "11^1x11", "5^2x5"
+)
+
+
+@PROPS
+@given(st.sampled_from(BUILD_SPECS), st.data())
+def test_build_matches_add_table(spec, data):
+    desc = G.parse_group(spec)
+    bits = data.draw(st.integers(0, (1 << len(G.inverse_pairs(desc))) - 1))
+    sset = C.SymmetricSet.from_pair_bits(desc, bits)
+    add = G.group_tables(desc).add
+    want = tuple(
+        sum(1 << int(add[g][s]) for s in sset.members()) for g in desc.elements()
+    )
+    assert C.build(desc, sset).adjacency == want
+
+
+@PROPS
+@given(st.sampled_from(BUILD_SPECS), st.data())
+def test_closure_mask_is_the_smallest_subgroup_containing_the_set(spec, data):
+    desc = G.parse_group(spec)
+    subs = G.all_subgroups(desc)
+    # a few elements of one subgroup, sometimes with one arbitrary element
+    inside = data.draw(st.sampled_from(subs)).members()
+    elements = data.draw(st.lists(st.sampled_from(inside), max_size=3))
+    elements += data.draw(st.lists(st.integers(0, desc.order - 1), max_size=1))
+    mask = G.mask_of(elements)
+    smallest = min((h for h in subs if mask & ~h.mask == 0), key=lambda h: h.order)
+    assert G.closure_mask(desc, mask) == smallest.mask
 
 
 @PROPS
