@@ -60,16 +60,13 @@ class SymmetricSet:
         return cls(group, mask_of(elements))
 
     @classmethod
-    def from_pair_indices(cls, group: GroupDescriptor, indices: Iterable[int]) -> "SymmetricSet":
+    def from_pair_bits(cls, group: GroupDescriptor, bits: int) -> "SymmetricSet":
+        """The union of the inverse-pair cells whose bits are set in ``bits``."""
         pairs = inverse_pairs(group)
         mask = 0
-        for i in indices:
+        for i in iter_bits(bits):
             mask |= mask_of(pairs[i])
         return cls(group, mask)
-
-    @classmethod
-    def from_pair_bits(cls, group: GroupDescriptor, bits: int) -> "SymmetricSet":
-        return cls.from_pair_indices(group, iter_bits(bits))
 
     @classmethod
     def parse(cls, group: GroupDescriptor, literal: str) -> "SymmetricSet":
@@ -139,9 +136,6 @@ class CayleyGraph:
     @property
     def valency(self) -> int:
         return self.connection.size
-
-    def neighbors_mask(self, v: int) -> int:
-        return self.adjacency[v]
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, isqrt
+
+import numpy as np
 
 from .cayley import (
     CayleyGraph,
@@ -20,14 +22,13 @@ from .cayley import (
     build,
     distance_partition,
     is_connected,
-    iter_bits,
-    mask_of,
 )
 from .drg import IntersectionArray, SrgParams, check_drg
 from .groups import (
     GroupDescriptor,
     Subgroup,
     automorphism_group,
+    coset_keys,
     group_tables,
     product_group,
     subgroups_of_order,
@@ -52,15 +53,17 @@ class PartialCongruencePartition:
         return len(self.subgroups)
 
 
+def _square_side(desc: GroupDescriptor) -> int:
+    """v with v * v = |G|; a PCP of order-v subgroups needs a square order."""
+    v = isqrt(desc.order)
+    if v * v != desc.order:
+        raise ValueError(f"group order {desc.order} is not a perfect square")
+    return v
+
+
 def pcp_enumerate(desc: GroupDescriptor, r: int) -> list[PartialCongruencePartition]:
     """All r-sets of order-v subgroups meeting pairwise in the identity."""
-    order = desc.order
-    v = 1
-    while v * v < order:
-        v += 1
-    if v * v != order:
-        raise ValueError(f"group order {order} is not a perfect square")
-    subs = subgroups_of_order(desc, v)
+    subs = subgroups_of_order(desc, _square_side(desc))
     out = []
     for combo in itertools.combinations(subs, r):
         if all(
@@ -123,49 +126,24 @@ def td_from_pcp(pcp: PartialCongruencePartition) -> TransversalDesign:
     """Points = cosets gH, classes = cosets of each H, lines = {gH : H}.
 
     Coset indices are ordered by minimal member rank so designs serialize
-    reproducibly.  Degenerate r = v + 1 input is rejected.
+    reproducibly; point (i, j) has id i*v + j.  Degenerate r = v + 1 input
+    is rejected.
     """
     desc = pcp.group
-    order = desc.order
-    v = 1
-    while v * v < order:
-        v += 1
+    v = _square_side(desc)
     r = pcp.degree
     if not 2 <= r <= v:
         raise ValueError(f"need 2 <= r <= v = {v}, got r = {r}")
-    add = group_tables(desc).add
-    point_id: dict[tuple[int, int], int] = {}
-    points: list[tuple[int, int]] = []
-    classes: list[tuple[int, ...]] = []
-    coset_key: list[dict[int, int]] = []
-    for ci, sub in enumerate(pcp.subgroups):
-        reps: dict[int, int] = {}
-        mins = []
-        for g in desc.elements():
-            key = min(int(add[g, h]) for h in iter_bits(sub.mask))
-            if key not in reps:
-                reps[key] = -1
-                mins.append(key)
-        mins.sort()
-        cls_ids = []
-        lookup: dict[int, int] = {}
-        for idx, key in enumerate(mins):
-            pid = len(points)
-            points.append((ci, idx))
-            point_id[(ci, idx)] = pid
-            lookup[key] = idx
-            cls_ids.append(pid)
-        classes.append(tuple(cls_ids))
-        coset_key.append(lookup)
-    lines = []
-    for g in desc.elements():
-        line = []
-        for ci, sub in enumerate(pcp.subgroups):
-            key = min(int(add[g, h]) for h in iter_bits(sub.mask))
-            line.append(point_id[(ci, coset_key[ci][key])])
-        lines.append(tuple(sorted(line)))
+    keys = [coset_keys(desc, sub.mask) for sub in pcp.subgroups]
+    # coset index of g in class i: the rank of its key among the keys of class i
+    coset_index = np.array([np.unique(k, return_inverse=True)[1] for k in keys])
+    point_ids = coset_index + v * np.arange(r)[:, None]
     td = TransversalDesign(
-        v=v, r=r, points=tuple(points), classes=tuple(classes), lines=tuple(lines)
+        v=v,
+        r=r,
+        points=tuple((i, j) for i in range(r) for j in range(v)),
+        classes=tuple(tuple(range(i * v, (i + 1) * v)) for i in range(r)),
+        lines=tuple(map(tuple, point_ids.T.tolist())),
     )
     td.validate()
     return td

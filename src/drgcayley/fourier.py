@@ -16,11 +16,9 @@ from typing import Iterable, Sequence
 
 from .groups import (
     GroupDescriptor,
-    Subgroup,
     _prime_power,
     cyclic_group,
     is_transversal,
-    iter_bits,
     subgroups_of_order,
 )
 
@@ -123,11 +121,6 @@ class CyclotomicInteger:
     def is_rational(self) -> bool:
         """Exact: canonical form concentrated at w^0."""
         return all(a == 0 for a in self.coeffs[1:])
-
-    def rational_value(self) -> int:
-        if not self.is_rational():
-            raise ValueError("value is irrational")
-        return self.coeffs[0]
 
     def __str__(self) -> str:
         terms = [
@@ -348,8 +341,6 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     X_i^2 = k + (lam - mu) X_i + mu W_i with eps = w^{p^{s-1}},
     X_i = sum_j eps^{ij} r_j and W_i = sum_j eps^{ij} (r_j + r2_j).
     """
-    from .drg import srg_params  # local: avoids cycle at import time
-
     group: GroupDescriptor = graph.group
     pp = group.prime_power_pair
     if pp is None:

@@ -103,12 +103,6 @@ class GroupDescriptor:
             return None
         return (q, pp[1])
 
-    @property
-    def flavor(self) -> str:
-        if self.is_cyclic:
-            return "cyclic"
-        return "pair" if self.prime_power_pair is not None else "product"
-
     # -- element arithmetic ------------------------------------------------
     def rank(self, a: int, b: int = 0) -> int:
         m, q = self.first_modulus, self.second_modulus
@@ -125,9 +119,6 @@ class GroupDescriptor:
     def neg(self, x: int) -> int:
         a, b = self.unrank(x)
         return self.rank(-a, -b)
-
-    def sub(self, x: int, y: int) -> int:
-        return self.add(x, self.neg(y))
 
     def scale(self, c: int, x: int) -> int:
         a, b = self.unrank(x)
@@ -307,6 +298,41 @@ def cyclic_subgroup_mask(desc: GroupDescriptor, g: int) -> int:
     return mask
 
 
+def ranks_mask(desc: GroupDescriptor, ranks: np.ndarray) -> int:
+    """Bitmask of the ranks in ``ranks`` (any shape; repeats are harmless)."""
+    members = np.zeros(desc.order, dtype=bool)
+    members[ranks] = True
+    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+
+
+def coset_keys(desc: GroupDescriptor, sub_mask: int) -> np.ndarray:
+    """Per element g, the least rank in its coset g + H of the subgroup H.
+
+    Two elements lie in one coset exactly when their keys agree.
+    """
+    return group_tables(desc).add[:, list(iter_bits(sub_mask))].min(axis=1)
+
+
+def linear_map(
+    desc: GroupDescriptor,
+    target: GroupDescriptor,
+    x: int | np.ndarray,
+    y: int | np.ndarray,
+) -> np.ndarray:
+    """Ranks in ``target`` of a*x + b*y, for each element (a, b) of ``desc``.
+
+    This is the homomorphism sending (1, 0) to x and (0, 1) to y; it is well
+    defined when the order of x divides m and that of y divides q.  Arrays
+    of images x and y broadcast against each other, and the map for each
+    pair fills the last axis of the result.
+    """
+    t, u = target.first_modulus, target.second_modulus
+    a, b = np.divmod(np.arange(desc.order), desc.second_modulus)
+    x1, x2 = np.divmod(np.asarray(x)[..., None], u)
+    y1, y2 = np.divmod(np.asarray(y)[..., None], u)
+    return ((a * x1 + b * y1) % t) * u + (a * x2 + b * y2) % u
+
+
 def closure_mask(desc: GroupDescriptor, mask: int) -> int:
     """Mask of the subgroup generated by the elements of ``mask``.
 
@@ -321,8 +347,7 @@ def closure_mask(desc: GroupDescriptor, mask: int) -> int:
         idx = np.flatnonzero(members)
         members[add[np.ix_(idx, idx)]] = True
         if np.count_nonzero(members) == len(idx):
-            break
-    return int.from_bytes(np.packbits(members, bitorder="little").tobytes(), "little")
+            return ranks_mask(desc, idx)
 
 
 @lru_cache(maxsize=None)
@@ -330,7 +355,8 @@ def all_subgroups(desc: GroupDescriptor) -> tuple[Subgroup, ...]:
     """Every subgroup, found as joins of at most two cyclic subgroups.
 
     All groups handled here are generated by two elements, so one join
-    round over the cyclic subgroups is exhaustive.
+    round over the cyclic subgroups is exhaustive.  The join of H1 and H2
+    is the sum set H1 + H2, one gather on the add table.
     """
     cyclic: dict[int, int] = {}  # mask -> smallest generator
     for g in desc.elements():
@@ -340,16 +366,12 @@ def all_subgroups(desc: GroupDescriptor) -> tuple[Subgroup, ...]:
     add = group_tables(desc).add
     found: dict[int, tuple[int, ...]] = {m: (g,) for m, g in cyclic.items()}
     masks = sorted(cyclic)
+    members = [list(iter_bits(m)) for m in masks]
     for i, m1 in enumerate(masks):
-        mem1 = list(iter_bits(m1))
-        for m2 in masks[i + 1 :]:
-            join = 0
-            for x in mem1:
-                row = add[x]
-                for y in iter_bits(m2):
-                    join |= 1 << int(row[y])
+        for j in range(i + 1, len(masks)):
+            join = ranks_mask(desc, add[np.ix_(members[i], members[j])])
             if join not in found:
-                found[join] = (cyclic[m1], cyclic[m2])
+                found[join] = (cyclic[m1], cyclic[masks[j]])
     subs = [
         Subgroup(desc, mask, mask.bit_count(), gens)
         for mask, gens in found.items()
@@ -380,14 +402,8 @@ def maximal_subgroup_masks(desc: GroupDescriptor) -> tuple[int, ...]:
 
 def is_transversal(desc: GroupDescriptor, elements: Iterable[int], sub: Subgroup) -> bool:
     """True when ``elements`` meets every coset of ``sub`` exactly once."""
-    add = group_tables(desc).add
-    counts: dict[int, int] = {}
-    for e in elements:
-        key = min(int(add[e, h]) for h in iter_bits(sub.mask))
-        counts[key] = counts.get(key, 0) + 1
-        if counts[key] > 1:
-            return False
-    return len(counts) == desc.order // sub.order
+    keys = coset_keys(desc, sub.mask)[list(elements)]
+    return len(keys) == desc.order // sub.order == len(np.unique(keys))
 
 
 # -- automorphisms -----------------------------------------------------------
@@ -396,12 +412,7 @@ def is_transversal(desc: GroupDescriptor, elements: Iterable[int], sub: Subgroup
 @dataclass(frozen=True)
 class GroupAutomorphism:
     group: GroupDescriptor
-    image_first: int
-    image_second: int
     perm: tuple[int, ...]
-
-    def apply(self, r: int) -> int:
-        return self.perm[r]
 
     def apply_mask(self, mask: int) -> int:
         out = 0
@@ -416,8 +427,9 @@ def automorphism_group(
 ) -> tuple[GroupAutomorphism, ...]:
     """All automorphisms, by enumerating images of the canonical generators.
 
-    Candidate images are filtered by order preservation; the induced linear
-    map is kept when its permutation table is a bijection.
+    The image x of (1, 0) must have order m and the image y of (0, 1) an
+    order dividing q; the induced ``linear_map`` is kept when it is a
+    bijection.  Cyclic groups are the case q = 1, where y = 0.
     """
     n = desc.order
     if n > order_bound:
@@ -425,39 +437,14 @@ def automorphism_group(
             f"group order {n} exceeds automorphism enumeration bound {order_bound}"
         )
     m, q = desc.first_modulus, desc.second_modulus
-    tabs = group_tables(desc)
-    r = np.arange(n)
-    x1, x2 = np.divmod(r, q)
-
-    auts: list[GroupAutomorphism] = []
-    if desc.is_cyclic:
-        for u in range(1, m + 1 if m == 1 else m):
-            if gcd(u, m) != 1:
-                continue
-            perm = tuple(int(v) for v in (u * r) % m)
-            auts.append(GroupAutomorphism(desc, perm[min(1, n - 1)], 0, perm))
-        if m == 1:
-            auts.append(GroupAutomorphism(desc, 0, 0, (0,)))
-        return tuple(sorted(auts, key=lambda a: a.perm))
-
-    order_of = tabs.order_of
-    gen1_candidates = [g for g in range(n) if int(order_of[g]) == m]
-    gen2_candidates = [g for g in range(n) if q % int(order_of[g]) == 0]
-    for a in gen1_candidates:
-        a1, a2 = desc.unrank(a)
-        for b in gen2_candidates:
-            b1, b2 = desc.unrank(b)
-            img1 = (x1 * a1 + x2 * b1) % m
-            img2 = (x1 * a2 + x2 * b2) % q
-            perm_arr = img1 * q + img2
-            test = np.zeros(n, dtype=bool)
-            test[perm_arr] = True
-            if not test.all():
-                continue
-            auts.append(
-                GroupAutomorphism(desc, a, b, tuple(int(v) for v in perm_arr))
-            )
-    return tuple(sorted(auts, key=lambda t: t.perm))
+    order_of = group_tables(desc).order_of
+    ys = np.flatnonzero(q % order_of == 0)
+    auts = []
+    for x in np.flatnonzero(order_of == m).tolist():
+        perms = linear_map(desc, desc, x, ys)
+        bijective = (np.sort(perms, axis=1) == np.arange(n)).all(axis=1)
+        auts.extend(GroupAutomorphism(desc, tuple(p)) for p in perms[bijective].tolist())
+    return tuple(sorted(auts, key=lambda a: a.perm))
 
 
 @lru_cache(maxsize=None)

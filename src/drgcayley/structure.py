@@ -1,14 +1,19 @@
 """Imprimitivity analysis: bipartitions, antipodal classes, quotients, halves.
 
-Everything here is exact and deliberately oracle-grade: antipodality is
-decided by verifying that the distance-{0,d} relation is an equivalence,
-not by parameter shortcuts.
+Everything here is exact and decided from the definitions, not from
+parameter shortcuts.  Antipodality is the distance-{0, d} relation being an
+equivalence; its classes are the cosets of a subgroup, and the antipodal
+quotient is read off a homomorphism onto G/B.  Cosets and homomorphisms come
+from ``groups.coset_keys`` and ``groups.linear_map``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
+
+import numpy as np
 
 from .cayley import (
     CayleyGraph,
@@ -20,16 +25,21 @@ from .cayley import (
     iter_bits,
     verify_translation_invariance,
 )
-from .groups import GroupDescriptor, Subgroup, all_subgroups, group_tables, product_group
+from .groups import (
+    GroupDescriptor,
+    Subgroup,
+    all_subgroups,
+    coset_keys,
+    group_tables,
+    linear_map,
+    product_group,
+    ranks_mask,
+)
 
 
 @dataclass(frozen=True)
 class VertexPartition:
     blocks: tuple[int, ...]  # disjoint vertex bitmasks covering the vertex set
-
-    @property
-    def block_count(self) -> int:
-        return len(self.blocks)
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
@@ -64,32 +74,22 @@ def antipodal_classes(
     Translations are graph automorphisms (verify_translation_invariance), so
     dist(v, u) = dist(0, u - v) and the class of v is v + A, where
     A = N_0 | N_d is read off the identity-rooted partition.  The classes
-    v + A coincide or are disjoint exactly when a + A = A for every a in A,
-    i.e. when A is a subgroup; the classes are then its cosets.  Requires
-    diameter >= 2.
+    v + A coincide or are disjoint exactly when A + A = A, i.e. when A is a
+    subgroup; the classes are then its cosets.  Requires diameter >= 2.
     """
     d = partition.diameter
     if d < 2:
         raise ValueError("antipodal classes need diameter >= 2")
-    verify_translation_invariance(graph.group)
-    add = group_tables(graph.group).add
+    desc = graph.group
+    verify_translation_invariance(desc)
     anti = partition.layer_masks[0] | partition.layer_masks[d]
-    members = tuple(iter_bits(anti))
-
-    def translate(v: int) -> int:
-        row = add[v]
-        return sum(1 << int(row[a]) for a in members)
-
-    if any(translate(a) != anti for a in members):
-        return None
-    classes: list[int] = []
-    covered = 0
-    for v in range(graph.order):
-        if not covered >> v & 1:
-            coset = translate(v)
-            classes.append(coset)
-            covered |= coset
-    return VertexPartition(tuple(sorted(classes)))
+    members = np.array(list(iter_bits(anti)))
+    if ranks_mask(desc, group_tables(desc).add[members[:, None], members]) != anti:
+        return None  # A + A != A
+    classes: dict[int, int] = {}
+    for v, key in enumerate(coset_keys(desc, anti).tolist()):
+        classes[key] = classes.get(key, 0) | 1 << v
+    return VertexPartition(tuple(sorted(classes.values())))
 
 
 def is_antipodal(graph: CayleyGraph, partition: DistancePartition) -> bool:
@@ -104,82 +104,31 @@ class QuotientResult:
     coset_of: tuple[int, ...]  # original rank -> quotient rank
 
 
+@lru_cache(maxsize=None)
 def _quotient_embedding(
     desc: GroupDescriptor, sub: Subgroup
 ) -> tuple[GroupDescriptor, tuple[int, ...]]:
-    """Identify G/B with a Z_t + Z_u descriptor and map ranks to cosets.
+    """Identify G/B with Z_t + Z_u (u | t) and map each rank to its coset.
 
-    The quotient of a two-generated abelian group is again Z_t + Z_u; a
-    maximal-order coset X and a complementary coset Y are found by brute
-    force, which is exact at these orders.
+    A homomorphism from G = Z_m + Z_q with kernel exactly B is onto a group
+    of order |G:B|, hence an isomorphism from G/B.  So the search runs over
+    the factorizations t*u = |G:B| with u | t, and over the images x of
+    (1, 0) and y of (0, 1) whose orders divide m and q, and keeps the first
+    ``linear_map`` whose zero set is B.  The invariant factors of G/B are
+    unique, so exactly one factorization succeeds.
     """
-    add = group_tables(desc).add
-    n = desc.order
-    coset_rep = [-1] * n
-    reps: list[int] = []
-    for g in range(n):
-        if coset_rep[g] >= 0:
-            continue
-        reps.append(g)
-        for h in iter_bits(sub.mask):
-            coset_rep[int(add[g, h])] = g
-    rep_index = {r: i for i, r in enumerate(reps)}
-    qn = len(reps)
-
-    def qadd(i: int, j: int) -> int:
-        return rep_index[coset_rep[int(add[reps[i], reps[j]])]]
-
-    def qorder(i: int) -> int:
-        t = 1
-        x = i
-        while x != 0:
-            x = qadd(x, i)
-            t += 1
-        return t
-
-    orders = [qorder(i) for i in range(qn)]
-    t = max(orders)
-    xi = orders.index(t)
-    u = qn // t
-    # powers of x
-    x_pows = [0]
-    cur = 0
-    for _ in range(t - 1):
-        cur = qadd(cur, xi)
-        x_pows.append(cur)
-    x_set = set(x_pows)
-    yi = None
-    if u == 1:
-        yi = 0
-    else:
-        for cand in range(qn):
-            if orders[cand] != u:
-                continue
-            # <x> and <y> must intersect trivially
-            cur = 0
-            ok = True
-            for _ in range(u - 1):
-                cur = qadd(cur, cand)
-                if cur in x_set:
-                    ok = False
-                    break
-            if ok:
-                yi = cand
-                break
-    if yi is None:
-        raise AssertionError("no complementary generator found for quotient")
-    qdesc = product_group(t, u)
-    label = {}
-    for a in range(t):
-        base = x_pows[a]
-        cur = base
-        for b in range(u):
-            label[cur] = qdesc.rank(a, b)
-            cur = qadd(cur, yi)
-    if len(label) != qn:
-        raise AssertionError("quotient relabeling is not a bijection")
-    coset_of = tuple(label[rep_index[coset_rep[g]]] for g in range(n))
-    return qdesc, coset_of
+    index = desc.order // sub.order
+    in_b = coset_keys(desc, sub.mask) == 0  # B is the coset of 0
+    for u in (u for u in range(1, index + 1) if index % (u * u) == 0):
+        qdesc = product_group(index // u, u)
+        order_of = group_tables(qdesc).order_of
+        xs = np.flatnonzero(desc.first_modulus % order_of == 0)
+        ys = np.flatnonzero(desc.second_modulus % order_of == 0)
+        maps = linear_map(desc, qdesc, xs[:, None], ys)  # one map per (x, y)
+        exact = np.argwhere(((maps == 0) == in_b).all(axis=-1))
+        if len(exact):
+            return qdesc, tuple(maps[tuple(exact[0])].tolist())
+    raise AssertionError(f"no homomorphism of {desc.spec()} has kernel {sub.mask:#x}")
 
 
 def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> QuotientResult:

@@ -8,13 +8,18 @@ per vertex and decides every property straight from its definition.
 The census scan's spectral common-neighbor counts are checked against
 adjacency-mask intersections, and scans over random partitions of the
 range against one whole scan.  ``build`` (bit rotations) is checked against
-the add table, and ``closure_mask`` against the subgroup list.  Random group
-literals must round-trip through ``spec()``, and malformed ones must be
-refused by ``parse_group`` and the CLI.
+the add table, and ``closure_mask`` against the subgroup list.  The
+group-theory core is checked against definitions: every quotient map is a
+homomorphism onto Z_t + Z_u (u | t) with kernel B, coset keys and
+transversals agree with cosets built by element arithmetic, and the
+automorphisms of Z_n are the unit multipliers.  Random group literals must
+round-trip through ``spec()``, and malformed ones must be refused by
+``parse_group`` and the CLI.
 """
 
 import io
 from collections import deque
+from math import gcd
 
 import numpy as np
 import pytest
@@ -234,6 +239,65 @@ def test_random_partitions_of_the_scan_range(cuts):
         connected += res.connected
     assert sorted(hits) == whole.hits.tolist()
     assert connected == whole.connected
+
+
+# pair groups with s = 1 to 3, even-order products, and cyclic groups
+CORE_SPECS = ("3^2x3", "5^1x5", "3^3x3", "6x2", "12x2", "4x4", "Zn:12", "Zn:27")
+
+
+@pytest.mark.parametrize("spec", CORE_SPECS)
+def test_quotient_embedding_is_a_homomorphism_with_kernel_b(spec):
+    desc = G.parse_group(spec)
+    add = G.group_tables(desc).add
+    for sub in G.all_subgroups(desc):
+        qdesc, coset_of = S._quotient_embedding(desc, sub)
+        t, u = qdesc.first_modulus, qdesc.second_modulus
+        assert qdesc.order == desc.order // sub.order
+        assert t % u == 0
+        phi = np.array(coset_of)
+        assert (phi[add] == G.group_tables(qdesc).add[phi[:, None], phi[None, :]]).all()
+        assert G.mask_of(np.flatnonzero(phi == 0).tolist()) == sub.mask
+        assert set(coset_of) == set(qdesc.elements())
+
+
+def test_quotients_of_z9_z3_by_order_3_subgroups():
+    desc = G.parse_group("3^2x3")
+    got = {}
+    for h in G.subgroups_of_order(desc, 3):
+        members = tuple(desc.element_str(g) for g in h.members())
+        got[members] = S._quotient_embedding(desc, h)[0].spec()
+    assert got == {
+        ("(0,0)", "(0,1)", "(0,2)"): "Zn:9",
+        ("(0,0)", "(3,0)", "(6,0)"): "3^1x3",
+        ("(0,0)", "(3,2)", "(6,1)"): "Zn:9",
+        ("(0,0)", "(3,1)", "(6,2)"): "Zn:9",
+    }
+
+
+@PROPS
+@given(st.sampled_from(CORE_SPECS), st.data())
+def test_coset_keys_and_transversals_match_cosets(spec, data):
+    desc = G.parse_group(spec)
+    sub = data.draw(st.sampled_from(G.all_subgroups(desc)))
+    cosets = [frozenset(desc.add(g, h) for h in sub.members()) for g in desc.elements()]
+    assert G.coset_keys(desc, sub.mask).tolist() == [min(c) for c in cosets]
+    # one element per coset, perhaps minus the first, plus up to two repeated
+    # or arbitrary elements
+    picks = [data.draw(st.sampled_from(sorted(c))) for c in sorted(set(cosets), key=min)]
+    extra = st.one_of(st.sampled_from(picks), st.integers(0, desc.order - 1))
+    elements = picks[data.draw(st.integers(0, 1)) :] + data.draw(st.lists(extra, max_size=2))
+    elements = data.draw(st.permutations(elements))
+    hits = [sum(e in c for e in elements) for c in set(cosets)]
+    assert G.is_transversal(desc, elements, sub) == all(k == 1 for k in hits)
+
+
+@pytest.mark.parametrize("n", (1, 2, 12, 27))
+def test_cyclic_automorphisms_are_the_unit_multipliers(n):
+    units = [u for u in range(n) if gcd(u, n) == 1]  # gcd(0, 1) = 1 keeps Zn:1
+    want = {tuple(u * x % n for x in range(n)) for u in units}
+    got = [aut.perm for aut in G.automorphism_group(G.cyclic_group(n))]
+    assert len(got) == len(want)
+    assert set(got) == want
 
 
 PRIMES = (2, 3, 5, 7, 11, 13)
