@@ -222,16 +222,6 @@ class DistancePartition:
                 return j
         raise ValueError(f"vertex {v} not reached")
 
-    def row_layer(self, i: int, j: int) -> frozenset[int]:
-        """{u : (u, i) is at distance j}; the per-row slice of layer j."""
-        group = self.group
-        return frozenset(
-            a
-            for v in self.layer_elements(j)
-            for a, b in (group.unrank(v),)
-            if b == i
-        )
-
 
 def distance_partition(graph: CayleyGraph) -> DistancePartition:
     """Exact BFS layers from the identity; raises on disconnected input."""

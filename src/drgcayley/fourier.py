@@ -1,18 +1,38 @@
 """Exact discrete Fourier analysis over Z_{p^s} in the ring Z[w].
 
-w is a primitive p^s-th root of unity.  Values are integer coefficient
-vectors of full length p^s, reduced to canonical form modulo the p^s-th
-cyclotomic polynomial Phi(x) = 1 + x^{p^{s-1}} + ... + x^{(p-1) p^{s-1}}:
-after reduction every exponent with top block digit p-1 carries a zero
-coefficient, and equality of values is equality of vectors.  No floating
-point anywhere.
+w is a primitive n-th root of unity, n = p^s, m = p^{s-1}.  A value is an
+integer coefficient vector of length n in canonical form modulo the n-th
+cyclotomic polynomial Phi(x) = 1 + x^m + ... + x^{(p-1) m}: every exponent
+in the top block [(p-1) m, n) carries a zero coefficient, and equality of
+values is equality of vectors.  No floating point anywhere.
+
+The arithmetic runs on int64 arrays whose last axis holds the n
+coefficients; a transform table is an (n, n) array whose row z holds F(z).
+Products are taken mod x^n - 1 and reduced once at the end: reduction mod
+Phi is a ring homomorphism from Z[x]/(x^n - 1) and linear, so
+canonical(lhs - rhs) == 0 is the same test as comparing canonical forms.
+``CyclotomicInteger`` is the value type callers receive; its tuple
+arithmetic is the reference the tests compare the arrays against.
+
+int64 bound.  With M the largest |input| coefficient, no integer on the
+array path exceeds 2 n M in ``transform_function`` and ``transform_table``
+(before reduction each output coefficient is a sum of at most n inputs, and
+reduction subtracts one such sum from another) and n M_a M_b in ``product``.
+Each of the three raises ``ValueError`` when its bound exceeds 2^62, so
+int64 never wraps.  ``fourier_audit`` transforms 0/1 rows of a set of a
+group of order N = p n: every L1 norm it meets is at most 4 N^2, so its
+values stay below 8 N^2, far inside int64 for any group this package can
+build.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .groups import (
     GroupDescriptor,
@@ -21,6 +41,8 @@ from .groups import (
     is_transversal,
     subgroups_of_order,
 )
+
+INT64_SAFE = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -106,15 +128,6 @@ class CyclotomicInteger:
 
     __rmul__ = __mul__
 
-    def rotate(self, t: int) -> "CyclotomicInteger":
-        """Multiply by w^t (an index rotation plus one reduction)."""
-        n = self.modulus
-        out = [0] * n
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                out[(i + t) % n] += ai
-        return CyclotomicInteger._reduced(self.p, self.s, out)
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
@@ -131,30 +144,64 @@ class CyclotomicInteger:
         return " + ".join(terms) if terms else "0"
 
 
-def epsilon(p: int, s: int) -> CyclotomicInteger:
-    """A primitive p-th root of unity inside the same ring: w^{p^{s-1}}."""
-    return CyclotomicInteger.root_power(p, s, p ** (s - 1))
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformTable:
+    """Row z of ``coeffs`` (read-only, int64, canonical) holds F(z)."""
+
     p: int
     s: int
-    values: tuple[CyclotomicInteger, ...]
+    coeffs: np.ndarray
 
     @property
     def modulus(self) -> int:
         return self.p**self.s
 
+    @property
+    def values(self) -> tuple[CyclotomicInteger, ...]:
+        return tuple(
+            CyclotomicInteger(self.p, self.s, tuple(row)) for row in self.coeffs.tolist()
+        )
+
     def value_at(self, z: int) -> CyclotomicInteger:
-        return self.values[z % self.modulus]
+        return CyclotomicInteger(
+            self.p, self.s, tuple(self.coeffs[z % self.modulus].tolist())
+        )
 
     def to_json_obj(self) -> dict:
         """Coefficient vectors per evaluation point, JSON-ready."""
-        return {
-            "modulus": self.modulus,
-            "values": [list(v.coeffs) for v in self.values],
-        }
+        return {"modulus": self.modulus, "values": self.coeffs.tolist()}
+
+
+def _require_int64(bound: int) -> None:
+    if bound > INT64_SAFE:
+        raise ValueError(f"values up to {bound} exceed the exact int64 range 2^62")
+
+
+def _max_abs(values) -> int:
+    """Largest |v| as a Python int (np.abs wraps at -2^63)."""
+    if isinstance(values, np.ndarray):
+        return max(abs(int(values.min(initial=0))), abs(int(values.max(initial=0))))
+    return max((abs(int(v)) for v in values), default=0)
+
+
+def _first(bad: np.ndarray) -> int | None:
+    """Flat C-order index of the first True entry of ``bad``, or None."""
+    hits = np.flatnonzero(bad)
+    return int(hits[0]) if hits.size else None
+
+
+@lru_cache(maxsize=None)
+def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(power, shift, onehot) for Z_n: power[z, i] = i z, shift[c, e] = c - e
+    (mod n), onehot[i, z n + c] = [i z = c].  Built on first use, read-only."""
+    ar = np.arange(n)
+    power = np.outer(ar, ar) % n
+    shift = (ar[:, None] - ar) % n
+    onehot = np.zeros((n, n * n), np.int64)
+    onehot[ar[None, :], ar[:, None] * n + power] = 1
+    for table in (power, shift, onehot):
+        table.setflags(write=False)
+    return power, shift, onehot
 
 
 class FourierContext:
@@ -167,47 +214,51 @@ class FourierContext:
         self.p = p
         self.s = s
         self.n = p**s
+        self._power, self._shift, self._onehot = _index_tables(self.n)
+
+    def canonical(self, v: np.ndarray) -> np.ndarray:
+        """Canonical forms mod Phi of the coefficient vectors on the last axis.
+
+        x^j Phi(x) = sum_i x^{j + i m}, so subtracting the top block from every
+        block (the top one included) keeps each value and zeroes its top block.
+        """
+        blocks = v.reshape(v.shape[:-1] + (self.p, -1))
+        return (blocks - blocks[..., -1:, :]).reshape(v.shape)
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a b mod x^n - 1 along the last axis (broadcast), not reduced."""
+        _require_int64(self.n * _max_abs(a) * _max_abs(b))
+        return np.einsum("...e,...ce->...c", a, b[..., self._shift])
+
+    def _transform(self, f: np.ndarray) -> np.ndarray:
+        """sum_i f(i) x^{iz} for f of shape (..., n): shape (..., n, n), not reduced."""
+        return (f @ self._onehot).reshape(f.shape[:-1] + (self.n, self.n))
+
+    def _table(self, values: np.ndarray) -> TransformTable:
+        coeffs = self.canonical(values)
+        coeffs.setflags(write=False)
+        return TransformTable(self.p, self.s, coeffs)
 
     def transform_function(self, f: Sequence[int]) -> TransformTable:
         """F(f)(z) = sum_i f(i) w^{iz}."""
         n = self.n
         if len(f) != n:
             raise ValueError(f"expected {n} values, got {len(f)}")
-        values = []
-        for z in range(n):
-            vec = [0] * n
-            for i, fi in enumerate(f):
-                if fi:
-                    vec[(i * z) % n] += fi
-            values.append(CyclotomicInteger.from_coeffs(self.p, self.s, vec))
-        return TransformTable(self.p, self.s, tuple(values))
+        _require_int64(2 * n * _max_abs(f))
+        return self._table(self._transform(np.array(f, dtype=np.int64)))
 
     def transform_subset(self, subset: Iterable[int]) -> TransformTable:
-        f = [0] * self.n
-        for t in subset:
-            f[t % self.n] += 1
-        return self.transform_function(f)
+        members = np.fromiter(subset, dtype=np.int64)
+        return self.transform_function(np.bincount(members % self.n, minlength=self.n))
 
     def transform_table(self, table: TransformTable) -> TransformTable:
         """Apply the transform to cyclotomic values: sum_i v_i w^{iz}."""
         n = self.n
-        values = []
-        for z in range(n):
-            acc = CyclotomicInteger.zero(self.p, self.s)
-            for i, vi in enumerate(table.values):
-                acc = acc + vi.rotate(i * z)
-            values.append(acc)
-        return TransformTable(self.p, self.s, tuple(values))
-
-    def convolve_functions(self, f: Sequence[int], g: Sequence[int]) -> list[int]:
-        n = self.n
-        out = [0] * n
-        for i, fi in enumerate(f):
-            if fi:
-                for j, gj in enumerate(g):
-                    if gj:
-                        out[(i + j) % n] += fi * gj
-        return out
+        v = table.coeffs
+        _require_int64(2 * n * _max_abs(v))
+        # entry z of the sum over i: coefficient c of v_i w^{iz} is v_i[c - iz]
+        gather = self._shift.T[self._power]
+        return self._table(v[np.arange(n)[:, None], gather].sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -223,20 +274,18 @@ def convolution_check(p: int, s: int, a: Iterable[int], b: Iterable[int]) -> Che
     n = ctx.n
     aset = {x % n for x in a}
     bset = {x % n for x in b}
-    fa = [1 if i in aset else 0 for i in range(n)]
-    fb = [1 if i in bset else 0 for i in range(n)]
-    conv = ctx.convolve_functions(fa, fb)
-    for i in range(n):
-        direct = len({(i - x) % n for x in aset} & bset)
-        if conv[i] != direct:
-            return CheckReport(False, i, f"convolution value at {i}: {conv[i]} != {direct}")
+    fa, fb = (np.isin(np.arange(n), list(t)).astype(np.int64) for t in (aset, bset))
+    conv = ctx.product(fa, fb)  # the cyclic convolution on Z_n
+    direct = [len({(i - x) % n for x in aset} & bset) for i in range(n)]
+    i = _first(conv != direct)
+    if i is not None:
+        return CheckReport(False, i, f"convolution value at {i}: {conv[i]} != {direct[i]}")
     ta, tb = ctx.transform_subset(aset), ctx.transform_subset(bset)
     tconv = ctx.transform_function(conv)
-    for z in range(n):
-        lhs = tconv.value_at(z)
-        rhs = ta.value_at(z) * tb.value_at(z)
-        if lhs != rhs:
-            return CheckReport(False, z, f"transform mismatch at z={z}")
+    rhs = ctx.canonical(ctx.product(ta.coeffs, tb.coeffs))
+    z = _first((tconv.coeffs != rhs).any(axis=1))
+    if z is not None:
+        return CheckReport(False, z, f"transform mismatch at z={z}")
     return CheckReport(True, 2 * n)
 
 
@@ -245,10 +294,11 @@ def inversion_check(p: int, s: int, f: Sequence[int]) -> CheckReport:
     ctx = FourierContext(p, s)
     n = ctx.n
     double = ctx.transform_table(ctx.transform_function(f))
-    for z in range(n):
-        expect = CyclotomicInteger.integer(p, s, n * f[(-z) % n])
-        if double.value_at(z) != expect:
-            return CheckReport(False, z, f"inversion mismatch at z={z}")
+    expect = np.zeros((n, n), np.int64)
+    expect[:, 0] = n * np.array(f, dtype=np.int64)[-np.arange(n) % n]
+    z = _first((double.coeffs != expect).any(axis=1))
+    if z is not None:
+        return CheckReport(False, z, f"inversion mismatch at z={z}")
     return CheckReport(True, n)
 
 
@@ -275,14 +325,8 @@ def transversal_zeros(p: int, s: int, subset: Iterable[int], r: int) -> bool:
     if not is_transversal(desc, elems, rsub):
         raise ValueError("subset is not a transversal of rZ_n")
     table = ctx.transform_subset(elems)
-    step = n // r
-    for m in range(n):
-        if m % r == 0:
-            continue
-        z = (m * step) % n
-        if not table.value_at(z).is_zero():
-            return False
-    return True
+    m = np.arange(n)
+    return not table.coeffs[m[m % r != 0] * (n // r) % n].any()
 
 
 def unit_orbit(n: int, divisor: int) -> tuple[int, ...]:
@@ -303,7 +347,7 @@ def rational_image_orbits(
     n = ctx.n
     aset = {x % n for x in subset}
     table = ctx.transform_subset(aset)
-    rational = all(v.is_rational() for v in table.values)
+    rational = not table.coeffs[:, 1:].any()
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     orbits = {d: unit_orbit(n, d) for d in divisors}
     used = [d for d in divisors if set(orbits[d]) <= aset and orbits[d]]
@@ -329,6 +373,14 @@ class AuditReport:
     failure: str = ""
 
 
+def _rows(group: GroupDescriptor, mask: int) -> np.ndarray:
+    """(q, m) 0/1 array whose entry (j, a) is bit rank(a, j) = a q + j of mask."""
+    m, q = group.first_modulus, group.second_modulus
+    octets = np.frombuffer(mask.to_bytes((m * q + 7) // 8, "little"), np.uint8)
+    bits = np.unpackbits(octets, count=m * q, bitorder="little")
+    return bits.reshape(m, q).T.astype(np.int64)
+
+
 def fourier_audit(graph, array, partition) -> AuditReport:
     """Pointwise exact verification of the row-transform identity system.
 
@@ -340,6 +392,7 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     for every j and every z, plus the eps-weighted combinations
     X_i^2 = k + (lam - mu) X_i + mu W_i with eps = w^{p^{s-1}},
     X_i = sum_j eps^{ij} r_j and W_i = sum_j eps^{ij} (r_j + r2_j).
+    The first failure is reported in (j, z), then (i, z), lexicographic order.
     """
     group: GroupDescriptor = graph.group
     pp = group.prime_power_pair
@@ -349,44 +402,29 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     if array.diameter < 2:
         raise ValueError("audit needs diameter >= 2")
     ctx = FourierContext(p, s)
+    n = ctx.n
     k = array.valency
     lam = array.a[1]
     mu = array.c[1]
-    rows = graph.connection.rows().rows
-    r1 = [ctx.transform_subset(rows[j]) for j in range(p)]
-    r2 = [ctx.transform_subset(partition.row_layer(j, 2)) for j in range(p)]
-    n = ctx.n
-    checked = 0
-    for j in range(p):
-        for z in range(n):
-            lhs = CyclotomicInteger.zero(p, s)
-            for i in range(p):
-                lhs = lhs + r1[i].value_at(z) * r1[(j - i) % p].value_at(z)
-            rhs = CyclotomicInteger.integer(p, s, k if j == 0 else 0)
-            rhs = rhs + lam * r1[j].value_at(z) + mu * r2[j].value_at(z)
-            if lhs != rhs:
-                return AuditReport(
-                    False, checked, 0, f"row identity failed at j={j}, z={z}"
-                )
-            checked += 1
-    eps = epsilon(p, s)
-    eps_pow = [CyclotomicInteger.integer(p, s, 1)]
-    for _ in range(p - 1):
-        eps_pow.append(eps_pow[-1] * eps)
-    weighted = 0
-    for i in range(p):
-        for z in range(n):
-            x = CyclotomicInteger.zero(p, s)
-            w = CyclotomicInteger.zero(p, s)
-            for j in range(p):
-                coef = eps_pow[(i * j) % p]
-                x = x + coef * r1[j].value_at(z)
-                w = w + coef * (r1[j].value_at(z) + r2[j].value_at(z))
-            lhs = x * x
-            rhs = CyclotomicInteger.integer(p, s, k) + (lam - mu) * x + mu * w
-            if lhs != rhs:
-                return AuditReport(
-                    False, checked, weighted, f"weighted identity failed at i={i}, z={z}"
-                )
-            weighted += 1
-    return AuditReport(True, checked, weighted)
+    r1 = ctx._transform(_rows(group, graph.connection.mask))  # r1[j, z] = r_j(z)
+    r2 = ctx._transform(_rows(group, partition.layer_masks[2]))
+    # np.roll(r1, i, axis=0)[j] = r_{(j-i) mod p}; one (p, n, n, n) temporary per i
+    lhs = sum(ctx.product(r1[i], np.roll(r1, i, axis=0)) for i in range(p))
+    diff = lhs - lam * r1 - mu * r2
+    diff[0, :, 0] -= k
+    bad = _first(ctx.canonical(diff).any(axis=-1))
+    if bad is not None:
+        j, z = divmod(bad, n)
+        return AuditReport(False, bad, 0, f"row identity failed at j={j}, z={z}")
+    # eps^{ij} = w^{t_ij}: X_i = sum_j r_j shifted up by t_ij, and likewise
+    # Y_i from r2, so that the right side is k + lam X_i + mu Y_i
+    t = np.outer(np.arange(p), np.arange(p)) % p * (n // p)
+    shifts = ctx._shift.T[t][:, :, None, :]  # (p, p, 1, n): c - t_ij
+    x, y = (np.take_along_axis(r[None], shifts, axis=-1).sum(axis=1) for r in (r1, r2))
+    diff = ctx.product(x, x) - lam * x - mu * y
+    diff[..., 0] -= k
+    bad = _first(ctx.canonical(diff).any(axis=-1))
+    if bad is not None:
+        i, z = divmod(bad, n)
+        return AuditReport(False, p * n, bad, f"weighted identity failed at i={i}, z={z}")
+    return AuditReport(True, p * n, p * n)

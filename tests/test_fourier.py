@@ -1,11 +1,18 @@
 import cmath
+import io
 import itertools
+import json
 import random
+from dataclasses import replace
 from math import gcd
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drgcayley import cayley as C
+from drgcayley import cli
 from drgcayley import drg as D
 from drgcayley import fourier as F
 from drgcayley import groups as G
@@ -16,6 +23,23 @@ def numeric_value(x: F.CyclotomicInteger) -> complex:
     n = x.modulus
     w = cmath.exp(2j * cmath.pi / n)
     return sum(c * w**e for e, c in enumerate(x.coeffs))
+
+
+def oracle_table(p, s, values):
+    """[sum_i v_i w^{iz} for z in Z_n] by CyclotomicInteger arithmetic."""
+    n = p**s
+    return [
+        sum(
+            (F.CyclotomicInteger.root_power(p, s, i * z) * v for i, v in enumerate(values)),
+            F.CyclotomicInteger.zero(p, s),
+        )
+        for z in range(n)
+    ]
+
+
+def oracle_transform(p, s, f):
+    """[F(f)(z) for z in Z_n] by CyclotomicInteger arithmetic."""
+    return oracle_table(p, s, [F.CyclotomicInteger.integer(p, s, int(x)) for x in f])
 
 
 def random_cyclotomic(rng, p, s):
@@ -230,3 +254,160 @@ def test_fourier_audit_preconditions():
     arr = D.check_drg(complete, part)
     with pytest.raises(ValueError):
         F.fourier_audit(complete, arr, part)  # diameter 1
+
+
+def reference_audit(graph, array, partition):
+    """The row-transform identity audit as a loop over CyclotomicInteger values."""
+    group = graph.group
+    p, s = group.prime_power_pair
+    n = p**s
+    k, lam, mu = array.valency, array.a[1], array.c[1]
+
+    def row_transforms(elements):
+        f = [[0] * n for _ in range(p)]
+        for v in elements:
+            a, b = group.unrank(v)
+            f[b][a] = 1
+        return [oracle_transform(p, s, row) for row in f]
+
+    r1 = row_transforms(graph.connection.members())
+    r2 = row_transforms(partition.layer_elements(2))
+    checked = 0
+    for j in range(p):
+        for z in range(n):
+            lhs = F.CyclotomicInteger.zero(p, s)
+            for i in range(p):
+                lhs = lhs + r1[i][z] * r1[(j - i) % p][z]
+            rhs = F.CyclotomicInteger.integer(p, s, k if j == 0 else 0)
+            rhs = rhs + lam * r1[j][z] + mu * r2[j][z]
+            if lhs != rhs:
+                return F.AuditReport(False, checked, 0, f"row identity failed at j={j}, z={z}")
+            checked += 1
+    eps_pow = [F.CyclotomicInteger.root_power(p, s, t * n // p) for t in range(p)]
+    weighted = 0
+    for i in range(p):
+        for z in range(n):
+            x = F.CyclotomicInteger.zero(p, s)
+            w = F.CyclotomicInteger.zero(p, s)
+            for j in range(p):
+                coef = eps_pow[(i * j) % p]
+                x = x + coef * r1[j][z]
+                w = w + coef * (r1[j][z] + r2[j][z])
+            rhs = F.CyclotomicInteger.integer(p, s, k) + (lam - mu) * x + mu * w
+            if x * x != rhs:
+                return F.AuditReport(
+                    False, checked, weighted, f"weighted identity failed at i={i}, z={z}"
+                )
+            weighted += 1
+    return F.AuditReport(True, checked, weighted)
+
+
+def audit_inputs(spec):
+    """Complete multipartite members (parts a subgroup of order p, and of order
+    p^s) and, for s = 1, the TD line graph of two lines; each with its true
+    parameters, lam or mu moved by 1, and one layer-2 vertex moved within its
+    row (row sizes kept, so the first failure lies at some z != 0)."""
+    desc = G.parse_group(spec)
+    p, n = desc.second_modulus, desc.first_modulus
+    full = (1 << desc.order) - 1
+    masks = [full ^ G.subgroups_of_order(desc, p)[0].mask, full ^ G.subgroups_of_order(desc, n)[-1].mask]
+    if n == p:
+        lines = G.subgroups_of_order(desc, p)
+        masks.append((lines[0].mask | lines[1].mask) ^ 1)
+    for mask in masks:
+        graph = C.build(desc, C.SymmetricSet(desc, mask))
+        part = C.distance_partition(graph)
+        arr = D.check_drg(graph, part)
+        assert arr is not None and arr.diameter >= 2, spec
+        yield graph, arr, part
+        for da, dc in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            a, c = list(arr.a), list(arr.c)
+            a[1] += da
+            c[1] += dc
+            yield graph, replace(arr, a=tuple(a), c=tuple(c)), part
+        layers = list(part.layer_masks)
+        a, b = desc.unrank(part.layer_elements(2)[0])
+        moved = next(
+            desc.rank(u, b) for u in range(n) if not layers[2] >> desc.rank(u, b) & 1
+        )
+        layers[2] ^= 1 << desc.rank(a, b) | 1 << moved
+        yield graph, arr, replace(part, layer_masks=tuple(layers))
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "3^3x3", "5^2x5", "11^1x11"])
+def test_fourier_audit_matches_reference(spec):
+    reports = []
+    for graph, arr, part in audit_inputs(spec):
+        report = F.fourier_audit(graph, arr, part)
+        assert report == reference_audit(graph, arr, part)
+        reports.append(report)
+    assert [r.ok for r in reports].count(True) == len(reports) // 6
+    p, s = G.parse_group(spec).prime_power_pair
+    assert all(r.weighted_checked == p ** (s + 1) for r in reports if r.ok)
+    assert any(r.identities_checked % p**s for r in reports if not r.ok)
+
+
+ORACLE_RINGS = ((3, 2), (3, 3), (5, 2), (11, 1))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_array_path_matches_cyclotomic_oracle(data):
+    p, s = data.draw(st.sampled_from(ORACLE_RINGS))
+    n = p**s
+    vectors = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    f, g, raw = data.draw(vectors), data.draw(vectors), data.draw(vectors)
+    ctx = F.FourierContext(p, s)
+    tf, tg = ctx.transform_function(f), ctx.transform_function(g)
+    ref_f, ref_g = oracle_transform(p, s, f), oracle_transform(p, s, g)
+    assert tf.values == tuple(ref_f) and tg.values == tuple(ref_g)
+    assert ctx.transform_table(tf).values == tuple(oracle_table(p, s, ref_f))
+    product = ctx.canonical(ctx.product(tf.coeffs, tg.coeffs))
+    assert product.tolist() == [list((x * y).coeffs) for x, y in zip(ref_f, ref_g)]
+    canonical = ctx.canonical(np.array(raw, dtype=np.int64))
+    assert canonical.tolist() == list(F.CyclotomicInteger.from_coeffs(p, s, raw).coeffs)
+
+
+def test_int64_guard_near_2_62():
+    p, s = 3, 3
+    n = p**s
+    ctx = F.FourierContext(p, s)
+    rng = random.Random(62)
+    top = F.INT64_SAFE // (2 * n)
+    f = [rng.choice((top, -top, top - 1, 0)) for _ in range(n)]
+    assert ctx.transform_function(f).values == tuple(oracle_transform(p, s, f))
+    for bad in (top + 1, -top - 1, 1 << 62, -(1 << 63), 1 << 70):
+        with pytest.raises(ValueError, match="int64"):
+            ctx.transform_function([bad] + [0] * (n - 1))
+    # the second transform of inversion_check sums n values of F(f)(z)
+    edge = F.INT64_SAFE // (2 * n * n)
+    assert F.inversion_check(p, s, [edge] * n).ok
+    assert F.inversion_check(p, s, [edge, -edge] + [edge - 1] * (n - 2)).ok
+    with pytest.raises(ValueError, match="int64"):
+        F.inversion_check(p, s, [edge + 1] * n)
+    # every coefficient of a product of two constant vectors is n a b
+    assert ctx.product(np.full(n, 1 << 28), np.full(n, -(1 << 28))).tolist() == [-n << 56] * n
+    with pytest.raises(ValueError, match="int64"):
+        ctx.product(np.full(n, 1 << 29), np.full(n, 1 << 29))
+
+
+@pytest.mark.parametrize(
+    "part_of",
+    [lambda a, b: (a % 3, b) == (0, 0), lambda a, b: b == 0],
+    ids=["K_9x3", "K_3x9"],
+)
+def test_fourier_audit_cli_tables_match_oracle(part_of):
+    # K_{9x3} and K_{3x9} over Z_9 + Z_3: S is the complement of a subgroup
+    members = [(a, b) for a in range(9) for b in range(3) if not part_of(a, b)]
+    text = ",".join(f"({a},{b})" for a, b in members)
+    out = io.StringIO()
+    argv = ["--format", "json", "fourier-audit", "--group", "3^2x3", "--set", text, "--tables"]
+    assert cli.main(argv, out=out) == 0
+    data = json.loads(out.getvalue())
+    assert data["verdict"] == "ok" and data["failure"] is None
+    assert (data["rowIdentities"], data["weightedIdentities"]) == (27, 27)
+    rows = [[int((a, j) in members) for a in range(9)] for j in range(3)]
+    assert data["rowTransforms"] == [
+        {"modulus": 9, "values": [list(v.coeffs) for v in oracle_transform(3, 2, row)]}
+        for row in rows
+    ]
