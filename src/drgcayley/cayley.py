@@ -11,7 +11,7 @@ rest down by q - b0, two masks per b0); adding (a0, 0) then rotates the whole
 n-bit word by a0*q, which moves block a to block a + a0 mod m.  Cyclic groups
 (q = 1) need the word rotation only.  No add table is read, so
 ``is_connected`` still cross-checks the result against ``closure_mask``,
-which is computed from the table.
+which reads the subgroup lattice (``all_subgroups``, built from the table).
 """
 
 from __future__ import annotations
@@ -190,7 +190,11 @@ def bfs_layers(adjacency: Sequence[int]) -> tuple[int, ...]:
 
 
 def is_connected(graph: CayleyGraph) -> bool:
-    """BFS reachability; cross-checked against subgroup closure of S."""
+    """BFS reachability, cross-checked against the subgroup lattice.
+
+    The graph is connected exactly when S generates G, i.e. when the
+    smallest subgroup in ``all_subgroups`` containing S is G itself.
+    """
     reached = sum(m.bit_count() for m in bfs_layers(graph.adjacency))
     by_bfs = reached == graph.order
     by_closure = closure_mask(graph.group, graph.connection.mask) == (1 << graph.order) - 1

@@ -336,18 +336,13 @@ def linear_map(
 def closure_mask(desc: GroupDescriptor, mask: int) -> int:
     """Mask of the subgroup generated by the elements of ``mask``.
 
-    Grows the member set C to C + C on the add table until it is stable; C
-    holds the identity, so each round keeps C, and a finite set closed under
-    addition is a subgroup.
+    The subgroup generated by a set is the intersection of the subgroups
+    that contain it.  That intersection is itself a subgroup, so it is in
+    the complete ``all_subgroups`` list, and it lies inside every other
+    subgroup containing the set; the list is sorted by order, so it is the
+    first entry that contains the set.
     """
-    add = group_tables(desc).add
-    members = np.zeros(desc.order, dtype=bool)
-    members[list(iter_bits(1 | mask))] = True
-    while True:
-        idx = np.flatnonzero(members)
-        members[add[np.ix_(idx, idx)]] = True
-        if np.count_nonzero(members) == len(idx):
-            return ranks_mask(desc, idx)
+    return next(h.mask for h in all_subgroups(desc) if not mask & ~h.mask)
 
 
 @lru_cache(maxsize=None)

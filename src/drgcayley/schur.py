@@ -1,9 +1,10 @@
 """Group-algebra layer: class sums, distance modules, Schur-ring checks.
 
 Cell partitions are verified against the three Schur-ring conditions by
-convolving 0/1 class sums and testing that every product is constant on
-every cell.  All arithmetic is 64-bit integer; coefficients stay below
-|G|^2 for everything in scope.
+forming every product of two cell sums at once and testing that each is
+constant on every cell.  All arithmetic is 64-bit integer: a product
+coefficient counts pairs (g, h) with fixed g, so it is at most |G|, and
+the bincount keys that index the r cells' products stay below r^2 |G|.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ class CellPartition:
     def __post_init__(self) -> None:
         total = 0
         for c in self.cells:
+            if not c:
+                raise ValueError("empty cell")
             if total & c:
                 raise ValueError("cells are not disjoint")
             total |= c
@@ -80,41 +83,36 @@ def distance_module(graph: CayleyGraph, partition: DistancePartition) -> CellPar
 def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     """Structure constants p[i][j][k] when the partition spans a Schur ring.
 
-    Checks inverse-closure of the cell list, then decomposes every pairwise
-    product of cell sums over the cells by verifying the convolution output
-    is constant on each cell.  Returns None the moment either fails.
+    Each element is labelled with its cell id and each cell has one
+    representative, its least member.  Inverse closure holds when negation
+    maps every cell into one cell; no size test is needed, as negation is an
+    involution: -T_i in T_j and -T_j in T_k give T_i in -T_j in T_k, so
+    k = i and -T_i = T_j.  The coefficient at g of T_i T_j counts the h in
+    T_i with g - h in T_j, so one bincount over all pairs (g, h) gives every
+    product at every g; the ring closes when each product is constant on
+    each cell, i.e. equals its value at the cell's representative.  Returns
+    None when either check fails.
     """
     desc = basis.group
     n = desc.order
     tabs = group_tables(desc)
-    neg = tabs.neg
-    cells = basis.cells
-    r = len(cells)
-    # inverse closure: -T_i must be a cell for every i
-    cellset = set(cells)
-    for c in cells:
-        neg_mask = 0
-        for g in iter_bits(c):
-            neg_mask |= 1 << int(neg[g])
-        if neg_mask not in cellset:
-            return None
-    ind = np.zeros((r, n), dtype=np.int64)
-    cell_idx: list[np.ndarray] = []
-    for i, c in enumerate(cells):
-        members = np.fromiter(iter_bits(c), dtype=np.int64)
-        ind[i, members] = 1
-        cell_idx.append(members)
-    sub = tabs.sub
-    constants = np.zeros((r, r, r), dtype=np.int64)
-    for j in range(r):
-        gathered = ind[j][sub]  # (n, n): row g is T_j shifted for convolution
-        prods = ind @ gathered.T  # (r, n): conv(T_i, T_j) for all i
-        for k in range(r):
-            vals = prods[:, cell_idx[k]]
-            first = vals[:, 0]
-            if not (vals == first[:, None]).all():
-                return None
-            constants[:, j, k] = first
+    r = basis.cell_count
+    width = (n + 7) // 8
+    packed = b"".join(c.to_bytes(width, "little") for c in basis.cells)
+    bits = np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(r, width),
+        axis=1, count=n, bitorder="little",
+    )
+    cid = bits.argmax(axis=0)  # the cell of each element
+    rep = bits.argmax(axis=1)  # the least member of each cell
+    image = cid[tabs.neg]  # the cell of -g
+    if (image != image[rep][cid]).any():
+        return None
+    keys = (cid * r + cid[tabs.sub]) * n + np.arange(n)[:, None]
+    prods = np.bincount(keys.ravel(), minlength=r * r * n).reshape(r, r, n)
+    constants = prods[:, :, rep]
+    if (prods != constants[:, :, cid]).any():
+        return None
     return constants
 
 

@@ -168,3 +168,46 @@ def test_unwritable_output_files_exit_64(tmp_path):
         code, _ = run(argv)
         assert code == 64, argv
     assert not missing.exists()
+
+
+K_9X3 = ",".join(f"({a},{b})" for a in range(1, 9) for b in range(3))  # G minus <(0,1)>
+
+# The payloads exactly as the earlier per-cell Schur loop printed them.
+PINNED_CONSTANTS = [
+    (
+        ["--group", "3^1x3", "--set", "(1,0),(2,0),(0,1),(0,2)"],
+        {
+            "antipodal": False, "array": "{4,2;1,2}", "bipartite": False,
+            "diameter": 2, "family": "TDLineGraph(2,3)", "modulePrimitive": True,
+            "primitive": True, "schurRing": True, "srg": "(9,4,1,2)",
+            "structureConstants": [
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], [4, 1, 2], [0, 2, 2]],
+                [[0, 0, 1], [0, 2, 2], [4, 2, 1]],
+            ],
+            "verdict": "DRG",
+        },
+    ),
+    (
+        ["--group", "3^2x3", "--set", K_9X3],
+        {
+            "antipodal": True, "array": "{24,2;1,24}", "bipartite": False,
+            "diameter": 2, "family": "CompleteMultipartite(9,3)",
+            "modulePrimitive": False, "primitive": False, "schurRing": True,
+            "srg": "(27,24,21,24)",
+            "structureConstants": [
+                [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                [[0, 1, 0], [24, 21, 24], [0, 2, 0]],
+                [[0, 0, 1], [0, 2, 0], [2, 0, 1]],
+            ],
+            "verdict": "DRG",
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, payload", PINNED_CONSTANTS)
+def test_check_constants_json_is_pinned(argv, payload):
+    code, text = run(["--format", "json", "check", *argv, "--constants"])
+    assert code == 0
+    assert text == json.dumps(payload, indent=2, sort_keys=True) + "\n"

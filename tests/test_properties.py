@@ -8,7 +8,7 @@ per vertex and decides every property straight from its definition.
 The census scan's spectral common-neighbor counts are checked against
 adjacency-mask intersections, and scans over random partitions of the
 range against one whole scan.  ``build`` (bit rotations) is checked against
-the add table, and ``closure_mask`` against the subgroup list.  The
+the add table, and ``closure_mask`` against a subgroup grown on it.  The
 group-theory core is checked against definitions: every quotient map is a
 homomorphism onto Z_t + Z_u (u | t) with kernel B, coset keys and
 transversals agree with cosets built by element arithmetic, and the
@@ -189,18 +189,50 @@ def test_build_matches_add_table(spec, data):
     assert C.build(desc, sset).adjacency == want
 
 
+def grown_closure(desc, mask):
+    """The subgroup generated by ``mask``, grown on the add table.
+
+    The member set C (holding the identity) becomes C + C until it is
+    stable; a finite set closed under addition is a subgroup.
+    """
+    add = G.group_tables(desc).add
+    members = np.zeros(desc.order, dtype=bool)
+    members[list(G.iter_bits(1 | mask))] = True
+    while True:
+        idx = np.flatnonzero(members)
+        members[add[np.ix_(idx, idx)]] = True
+        if np.count_nonzero(members) == len(idx):
+            return G.ranks_mask(desc, idx)
+
+
+def assert_closure(desc, mask):
+    closure = G.closure_mask(desc, mask)
+    assert closure == grown_closure(desc, mask)
+    members = list(G.iter_bits(closure))
+    assert closure & 1 and mask & ~closure == 0
+    assert G.ranks_mask(desc, G.group_tables(desc).add[np.ix_(members, members)]) == closure
+
+
+@pytest.mark.parametrize("spec", BUILD_SPECS)
+def test_closure_mask_of_every_subgroups_generators(spec):
+    desc = G.parse_group(spec)
+    for h in G.all_subgroups(desc):
+        assert_closure(desc, G.mask_of(h.generators))
+
+
 @PROPS
 @given(st.sampled_from(BUILD_SPECS), st.data())
 def test_closure_mask_is_the_smallest_subgroup_containing_the_set(spec, data):
     desc = G.parse_group(spec)
-    subs = G.all_subgroups(desc)
-    # a few elements of one subgroup, sometimes with one arbitrary element
-    inside = data.draw(st.sampled_from(subs)).members()
-    elements = data.draw(st.lists(st.sampled_from(inside), max_size=3))
-    elements += data.draw(st.lists(st.integers(0, desc.order - 1), max_size=1))
-    mask = G.mask_of(elements)
-    smallest = min((h for h in subs if mask & ~h.mask == 0), key=lambda h: h.order)
-    assert G.closure_mask(desc, mask) == smallest.mask
+    if data.draw(st.booleans()):
+        mask = data.draw(st.integers(0, (1 << desc.order) - 1))
+    else:
+        # a few elements of one subgroup, with up to two arbitrary elements
+        inside = data.draw(st.sampled_from(G.all_subgroups(desc))).members()
+        elements = data.draw(st.lists(st.sampled_from(inside), max_size=3))
+        elements += data.draw(st.lists(st.integers(0, desc.order - 1), max_size=2))
+        mask = G.mask_of(elements)
+    assert_closure(desc, mask)
 
 
 @PROPS

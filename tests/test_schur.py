@@ -1,11 +1,22 @@
+"""Group-algebra layer: convolution, distance modules and Schur-ring checks.
+
+``is_schur_ring`` (one array pass) is compared with a reference that checks
+the cell list and every product of two class sums cell by cell through
+``convolve``.
+"""
+
 import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from drgcayley import cayley as C
 from drgcayley import groups as G
 from drgcayley import schur as SR
+
+SCHUR_SPECS = ("3^2x3", "5^1x5", "3^3x3", "5^2x5", "11^1x11")
 
 
 def lattice_module():
@@ -101,6 +112,8 @@ def test_partition_validation():
         SR.CellPartition(d, (1, 3))  # overlapping / not covering
     with pytest.raises(ValueError):
         SR.CellPartition(d, (2, ((1 << 9) - 1) ^ 2))  # cell 0 not the identity
+    with pytest.raises(ValueError):
+        SR.CellPartition(d, (1, 0, ((1 << 9) - 1) ^ 1))  # an empty cell
 
 
 def test_primitivity_of_modules():
@@ -137,3 +150,92 @@ def test_power_map_permutes_cells_of_any_verified_basis():
     assert SR.is_schur_ring(basis) is not None
     perm = SR.power_map(basis, 2)
     assert sorted(perm) == list(range(len(cells)))
+
+
+def reference_is_schur_ring(basis):
+    """The Schur-ring check cell by cell: inverse closure on cell masks, then
+    each product of two class sums, by ``convolve``, constant on each cell."""
+    desc = basis.group
+    neg = G.group_tables(desc).neg
+    cells = basis.cells
+    for c in cells:
+        if G.mask_of(int(neg[g]) for g in G.iter_bits(c)) not in cells:
+            return None
+    sums = [SR.ClassSum.of_subset(desc, c) for c in cells]
+    r = len(cells)
+    constants = np.zeros((r, r, r), dtype=np.int64)
+    for i, x in enumerate(sums):
+        for j, y in enumerate(sums):
+            coeffs = SR.convolve(x, y).coeffs
+            for k, c in enumerate(cells):
+                values = {coeffs[g] for g in G.iter_bits(c)}
+                if len(values) != 1:
+                    return None
+                constants[i, j, k] = values.pop()
+    return constants
+
+
+def assert_matches_reference(basis):
+    got, want = SR.is_schur_ring(basis), reference_is_schur_ring(basis)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    return got
+
+
+@st.composite
+def distance_modules(draw):
+    """Modules of random pair-subsets and of family members: complete,
+    complete multipartite (G minus a proper subgroup) and unions of
+    subgroups minus the identity (the lattice and TD line graphs)."""
+    desc = G.parse_group(draw(st.sampled_from(SCHUR_SPECS)))
+    subs = G.all_subgroups(desc)
+    full = (1 << desc.order) - 1
+    kind = draw(st.sampled_from(("pairs", "complete", "multipartite", "union")))
+    if kind == "pairs":
+        top = (1 << len(G.inverse_pairs(desc))) - 1
+        bits = draw(st.integers(0, top))
+        if draw(st.booleans()):  # sparser sets reach larger diameters
+            bits &= draw(st.integers(0, top))
+        mask = C.SymmetricSet.from_pair_bits(desc, bits).mask
+    elif kind == "complete":
+        mask = full ^ 1
+    elif kind == "multipartite":
+        mask = full ^ draw(st.sampled_from(subs[:-1])).mask
+    else:
+        mask = 0
+        for h in draw(st.lists(st.sampled_from(subs), min_size=1, max_size=4)):
+            mask |= h.mask
+        mask ^= 1
+    graph = C.build(desc, C.SymmetricSet(desc, mask))
+    assume(C.is_connected(graph))
+    return SR.distance_module(graph, C.distance_partition(graph))
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(distance_modules())
+def test_one_pass_check_matches_the_reference_on_distance_modules(basis):
+    assert_matches_reference(basis)
+
+
+@pytest.mark.parametrize("spec", SCHUR_SPECS)
+def test_atom_partitions_are_schur_rings(spec):
+    desc = G.parse_group(spec)
+    cells = tuple(G.mask_of(c) for c in G.atom_partition(desc))
+    assert assert_matches_reference(SR.CellPartition(desc, cells)) is not None
+
+
+def test_cells_that_negation_does_not_map_onto_a_cell():
+    d = G.pair_group(5, 1)
+    x, y, z = d.rank(1, 0), d.rank(0, 1), d.rank(1, 1)
+    full = (1 << d.order) - 1
+
+    def basis(*cells):
+        return SR.CellPartition(d, (1, *cells, full ^ 1 ^ sum(cells)))
+
+    # -{x, y} meets {-x, z} and the rest
+    spans_two = basis(1 << x | 1 << y, 1 << d.neg(x) | 1 << z)
+    # -{x} lies strictly inside the larger cell {-x, z}
+    strictly_inside = basis(1 << x, 1 << d.neg(x) | 1 << z)
+    for bad in (spans_two, strictly_inside):
+        assert assert_matches_reference(bad) is None
