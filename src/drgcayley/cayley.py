@@ -331,10 +331,8 @@ def verify_translation_invariance(desc: GroupDescriptor) -> bool:
     connection set over the group.
     """
     tabs = group_tables(desc)
-    add, sub = tabs.add.astype(np.int64), tabs.sub.astype(np.int64)
-    n = desc.order
-    for t in range(n):
-        shifted = add[:, t]
-        if not np.array_equal(sub[np.ix_(shifted, shifted)], sub):
+    for t in range(desc.order):
+        shifted = tabs.add[:, t]
+        if not np.array_equal(tabs.sub[np.ix_(shifted, shifted)], tabs.sub):
             raise AssertionError(f"translation by {t} is not an automorphism")
     return True

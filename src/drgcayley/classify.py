@@ -3,9 +3,11 @@
 A census candidate is a pair-bits int: bit j selects inverse pair j of
 ``groups.inverse_pairs``.  The scan (kernel pre-filter, exact library oracle,
 or one lex-leader per orbit) hands its hits to the report as pair bits.  The
-report re-verifies every hit in exact library arithmetic, cross-checks the
-Schur ring route, groups hits into Aut(G) orbits under the pair action
-``groups.pair_permutations``, tags families, and reconciles the result
+report re-verifies every hit in exact library arithmetic and groups the hits
+into Aut(G) orbits under the pair action ``groups.pair_permutations``.  Every
+field of a record is an orbit invariant, since sigma in Aut(G) gives
+Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is classified: its family
+is tagged, the Schur ring route cross-checked, and the result reconciled
 against the expected family list.  Anything outside that list is an anomaly
 and fails the run.
 """
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator
 
 from . import schur
@@ -162,19 +164,13 @@ def _library_verdict(desc: GroupDescriptor, bits: int) -> tuple[bool, bool]:
 
 
 def _classify_hit(
-    sset: SymmetricSet, s: int, run_schur: bool
-) -> tuple[CensusRecord | None, list[str]]:
-    """Library-exact verification of one scan hit; returns record + anomalies."""
+    sset: SymmetricSet, s: int, orbit_size: int
+) -> tuple[CensusRecord, list[str]]:
+    """The record of a verified hit's orbit, and the anomalies its set shows."""
     anomalies: list[str] = []
     graph = build(sset.group, sset)
-    if not is_connected(graph):
-        anomalies.append(f"kernel hit is disconnected: {sset.member_strs()}")
-        return None, anomalies
     part = distance_partition(graph)
     array = check_drg(graph, part)
-    if array is None:
-        anomalies.append(f"kernel hit fails library DRG check: {sset.member_strs()}")
-        return None, anomalies
     d = part.diameter
     bip = is_bipartite(graph) is not None
     classes = antipodal_classes(graph, part) if d >= 2 else None
@@ -182,23 +178,20 @@ def _classify_hit(
     primitive = not bip and not antip
     if not array.is_monotone():
         anomalies.append(f"non-monotone intersection array {array} for {sset.member_strs()}")
-    schur_ok = False  # set only when the Schur-ring check ran and passed
-    if run_schur:
-        module = schur.distance_module(graph, part)
-        constants = schur.is_schur_ring(module)
-        schur_ok = constants is not None
-        if not schur_ok:
+    module = schur.distance_module(graph, part)
+    constants = schur.is_schur_ring(module)
+    if constants is None:
+        anomalies.append(
+            f"distance module is not a Schur ring for DRG {sset.member_strs()}"
+        )
+    else:
+        schur.structure_constants_sanity(module, constants)
+        module_primitive = schur.is_primitive(module)
+        if module_primitive != primitive:
             anomalies.append(
-                f"distance module is not a Schur ring for DRG {sset.member_strs()}"
+                f"module primitivity {module_primitive} disagrees with graph "
+                f"primitivity {primitive} for {sset.member_strs()}"
             )
-        else:
-            schur.structure_constants_sanity(module, constants)
-            module_primitive = schur.is_primitive(module)
-            if module_primitive != primitive:
-                anomalies.append(
-                    f"module primitivity {module_primitive} disagrees with graph "
-                    f"primitivity {primitive} for {sset.member_strs()}"
-                )
     if antip:
         sub = identity_antipodal_subgroup(graph, classes)
         quotient = quotient_by_subgroup(graph, sub)
@@ -228,14 +221,14 @@ def _classify_hit(
     record = CensusRecord(
         set_strs=tuple(sset.member_strs()),
         set_mask=sset.mask,
-        orbit_size=0,  # filled at orbit grouping
+        orbit_size=orbit_size,
         family=str(family),
         array=str(array),
         diameter=d,
         bipartite=bip,
         antipodal=antip,
         primitive=primitive,
-        schur_verified=schur_ok,
+        schur_verified=constants is not None,
     )
     return record, anomalies
 
@@ -245,38 +238,37 @@ def _assemble_report(
     hits: list[int],
     connected: int,
     scanned: int,
-    schur_checks: str | int,
 ) -> CensusReport:
     _, s = desc.prime_power_pair
     total = 1 << len(inverse_pairs(desc))
-    schur_all = schur_checks == "all"
-    schur_limit = 0 if schur_all else int(schur_checks)
     ssets = {bits: SymmetricSet.from_pair_bits(desc, bits) for bits in hits}
-    # hits in lex order of their element ranks
-    ordered = sorted(ssets, key=lambda bits: tuple(iter_bits(ssets[bits].mask)))
     anomalies: list[str] = []
-    by_bits: dict[int, CensusRecord] = {}
-    for i, bits in enumerate(ordered):
-        record, probs = _classify_hit(ssets[bits], s, schur_all or i < schur_limit)
-        anomalies.extend(probs)
-        if record is not None:
-            by_bits[bits] = record
-    # orbit grouping under Aut(G); the first hit met of each orbit is its
-    # lex-least member present, so records come out in lex order
     grouped: set[int] = set()
     orbit_records: list[CensusRecord] = []
-    for bits in ordered:
-        if bits in grouped or bits not in by_bits:
+    # hits in lex order of their element ranks: the first verified hit met of
+    # each orbit is its lex-least member present, so records come out in lex
+    # order.  The verdict is an Aut(G) invariant, so a failed hit never lies
+    # in the orbit of a verified one.
+    for bits in sorted(ssets, key=lambda bits: tuple(iter_bits(ssets[bits].mask))):
+        sset = ssets[bits]
+        conn, drg = _library_verdict(desc, bits)
+        if not conn:
+            anomalies.append(f"kernel hit is disconnected: {sset.member_strs()}")
+        elif not drg:
+            anomalies.append(f"kernel hit fails library DRG check: {sset.member_strs()}")
+        if not drg or bits in grouped:
             continue
         orbit = _pair_orbit(desc, bits)
-        missing = orbit - by_bits.keys()
+        record, probs = _classify_hit(sset, s, len(orbit))
+        anomalies.extend(probs)
+        missing = orbit - ssets.keys()
         if missing:
             anomalies.append(
-                f"orbit of {ssets[bits].member_strs()} leaves the hit set; "
+                f"orbit of {sset.member_strs()} leaves the hit set; "
                 f"{len(missing)} images missing"
             )
         grouped |= orbit
-        orbit_records.append(replace(by_bits[bits], orbit_size=len(orbit)))
+        orbit_records.append(record)
     total_from_orbits = sum(r.orbit_size for r in orbit_records)
     if total_from_orbits != len(hits):
         anomalies.append(
@@ -311,7 +303,6 @@ def census(
     partitions: int = 1,
     threads: int = 1,
     scan: str = "kernel",
-    schur_checks: str | int = "all",
     max_pairs: int = DEFAULT_MAX_PAIRS,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> CensusReport:
@@ -323,7 +314,7 @@ def census(
     """
     _require_census_group(desc)
     if scan == "orbit":
-        return _census_orbit_first(desc, schur_checks, orbit_budget)
+        return _census_orbit_first(desc, orbit_budget)
     P = len(inverse_pairs(desc))
     if P > max_pairs:
         raise CensusBudgetError(
@@ -356,7 +347,7 @@ def census(
             scanned += hi - lo
     else:
         raise ValueError(f"unknown scan mode {scan!r}")
-    return _assemble_report(desc, hits, connected, scanned, schur_checks)
+    return _assemble_report(desc, hits, connected, scanned)
 
 
 # -- orbit-first enumeration (experimental) ----------------------------------
@@ -394,9 +385,7 @@ def orbit_leaders(
         stack.extend(reversed([c for c in children if _is_leader(perms, c)]))
 
 
-def _census_orbit_first(
-    desc: GroupDescriptor, schur_checks: str | int, budget: int
-) -> CensusReport:
+def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
     hits: list[int] = []
     connected = 0
     for leader in orbit_leaders(desc, budget):
@@ -407,9 +396,7 @@ def _census_orbit_first(
             connected += len(orbit)
             if drg:
                 hits.extend(orbit)
-    return _assemble_report(
-        desc, hits, connected, 1 << len(inverse_pairs(desc)), schur_checks
-    )
+    return _assemble_report(desc, hits, connected, 1 << len(inverse_pairs(desc)))
 
 
 # -- family constructors -----------------------------------------------------

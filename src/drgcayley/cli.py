@@ -123,7 +123,6 @@ def cmd_census(args, out) -> int:
         partitions=args.partitions,
         threads=_thread_count(args.threads),
         scan="orbit" if args.orbit_first else "kernel",
-        schur_checks="all" if args.schur == "all" else int(args.schur),
         max_pairs=args.max_pairs,
         orbit_budget=args.orbit_budget,
     )
@@ -274,7 +273,6 @@ def build_parser() -> _Parser:
     )
     p_census.add_argument("--out", default=None, help="write the JSON report here")
     p_census.add_argument("--orbit-first", action="store_true")
-    p_census.add_argument("--schur", default="all", help='"all" or a sample count')
     p_census.add_argument("--max-pairs", type=int, default=classify.DEFAULT_MAX_PAIRS)
     p_census.add_argument(
         "--orbit-budget", type=int, default=classify.DEFAULT_ORBIT_BUDGET

@@ -389,10 +389,16 @@ def fourier_audit(graph, array, partition) -> AuditReport:
 
         sum_i r_i(z) r_{(j-i) mod p}(z) = k[j=0] + lam r_j(z) + mu r2_j(z)
 
-    for every j and every z, plus the eps-weighted combinations
-    X_i^2 = k + (lam - mu) X_i + mu W_i with eps = w^{p^{s-1}},
-    X_i = sum_j eps^{ij} r_j and W_i = sum_j eps^{ij} (r_j + r2_j).
-    The first failure is reported in (j, z), then (i, z), lexicographic order.
+    for every j and every z.  The first failure is reported in (j, z)
+    lexicographic order.
+
+    The eps-weighted combinations X_i^2 = k + lam X_i + mu Y_i, with
+    eps = w^m, X_i = sum_j eps^{ij} r_j and Y_i = sum_j eps^{ij} r2_j, follow
+    and need no check of their own: since eps^{ia} eps^{i(j-a)} = eps^{ij},
+    each weighted difference X_i^2 - k - lam X_i - mu Y_i equals
+    sum_j x^{m i j} (row-j difference) mod x^n - 1, so it reduces to zero mod
+    Phi whenever every row identity does.  ``weighted_checked`` counts these
+    p n identities: p n on success, 0 when a row identity fails.
     """
     group: GroupDescriptor = graph.group
     pp = group.prime_power_pair
@@ -416,15 +422,4 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     if bad is not None:
         j, z = divmod(bad, n)
         return AuditReport(False, bad, 0, f"row identity failed at j={j}, z={z}")
-    # eps^{ij} = w^{t_ij}: X_i = sum_j r_j shifted up by t_ij, and likewise
-    # Y_i from r2, so that the right side is k + lam X_i + mu Y_i
-    t = np.outer(np.arange(p), np.arange(p)) % p * (n // p)
-    shifts = ctx._shift.T[t][:, :, None, :]  # (p, p, 1, n): c - t_ij
-    x, y = (np.take_along_axis(r[None], shifts, axis=-1).sum(axis=1) for r in (r1, r2))
-    diff = ctx.product(x, x) - lam * x - mu * y
-    diff[..., 0] -= k
-    bad = _first(ctx.canonical(diff).any(axis=-1))
-    if bad is not None:
-        i, z = divmod(bad, n)
-        return AuditReport(False, p * n, bad, f"weighted identity failed at i={i}, z={z}")
     return AuditReport(True, p * n, p * n)

@@ -215,9 +215,9 @@ def parse_group(spec: str) -> GroupDescriptor:
 
 @dataclass(frozen=True)
 class GroupTables:
-    add: np.ndarray  # int16 (n, n): add[x, y] = rank(x + y)
-    sub: np.ndarray  # int16 (n, n): sub[x, y] = rank(x - y)
-    neg: np.ndarray  # int16 (n,)
+    add: np.ndarray  # intp (n, n): add[x, y] = rank(x + y)
+    sub: np.ndarray  # intp (n, n): sub[x, y] = rank(x - y)
+    neg: np.ndarray  # intp (n,): neg[x] = rank(-x)
     order_of: np.ndarray  # int32 (n,)
 
 
@@ -225,13 +225,13 @@ class GroupTables:
 def group_tables(desc: GroupDescriptor) -> GroupTables:
     m, q = desc.first_modulus, desc.second_modulus
     n = desc.order
-    r = np.arange(n)
+    r = np.arange(n, dtype=np.intp)
     a, b = np.divmod(r, q)
     a1 = a[:, None] + a[None, :]
     b1 = b[:, None] + b[None, :]
-    add = ((a1 % m) * q + (b1 % q)).astype(np.int16)
-    neg = (((-a) % m) * q + ((-b) % q)).astype(np.int16)
-    sub = add[:, neg].astype(np.int16)
+    add = (a1 % m) * q + (b1 % q)
+    neg = ((-a) % m) * q + ((-b) % q)
+    sub = add[:, neg]
     oa = m // np.gcd(a, m)
     ob = q // np.gcd(b, q)
     order_of = (oa * ob // np.gcd(oa, ob)).astype(np.int32)

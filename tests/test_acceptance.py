@@ -5,6 +5,7 @@ a failed assertion marks that criterion failed.  Census runtimes are
 measured on the first call per group and cached for the later criteria.
 """
 
+import hashlib
 import random
 import time
 from itertools import combinations, product
@@ -22,6 +23,12 @@ from drgcayley import kernels as K
 from drgcayley import schur as SR
 
 CENSUS_SPECS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
+REPORT_SHA256 = {
+    "3^1x3": "3b39457fbd689d637ecaf915657500d50858f69556b4c8b64c231c027b195616",
+    "3^2x3": "0842a11f14e33099726dbe138cacfbd074ecf4b005e375ac66cd1c53bb7ade96",
+    "5^1x5": "1d2feff09f5ab9d6945ab5ec36fc699bedb5d8a791722558fc1dda6f7e7d2687",
+    "7^1x7": "9d47236b96ffe9ab5076b65eff5273ad46a9cc559d0f0819c51e7364e82a6b7a",
+}
 
 _cache: dict = {}
 
@@ -243,7 +250,9 @@ def test_a11_census_determinism_across_partitions():
     for spec in CENSUS_SPECS:
         base, _ = census_report(spec, partitions=1)
         base_bytes = base.to_json()
+        assert hashlib.sha256(base_bytes.encode()).hexdigest() == REPORT_SHA256[spec], spec
         for parts in (4, 8):
             rep, _ = census_report(spec, partitions=parts)
             assert rep.to_json() == base_bytes, (spec, parts)
-    ok("A11", "census reports byte-identical across 1, 4, 8 partitions for all four groups")
+    ok("A11", "census reports byte-identical across 1, 4, 8 partitions and equal to "
+        "the pinned sha256 for all four groups")

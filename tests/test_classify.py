@@ -1,13 +1,24 @@
+import hashlib
+import io
 import json
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from drgcayley import cayley as C
 from drgcayley import classify as CL
+from drgcayley import cli
 from drgcayley import drg as D
 from drgcayley import groups as G
+from drgcayley import kernels as K
+
+REPORT_SHA256 = {
+    "3^1x3": "3b39457fbd689d637ecaf915657500d50858f69556b4c8b64c231c027b195616",
+    "3^2x3": "0842a11f14e33099726dbe138cacfbd074ecf4b005e375ac66cd1c53bb7ade96",
+    "5^1x5": "1d2feff09f5ab9d6945ab5ec36fc699bedb5d8a791722558fc1dda6f7e7d2687",
+}
 
 
 def test_orbit_canonical_examples():
@@ -97,9 +108,10 @@ def test_census_family_maps():
 
 
 def test_census_modes_agree_bytewise():
-    for spec in ("3^1x3", "3^2x3", "5^1x5"):
+    for spec, digest in REPORT_SHA256.items():
         d = G.parse_group(spec)
         base = CL.census(d).to_json()
+        assert hashlib.sha256(base.encode()).hexdigest() == digest
         assert CL.census(d, scan="library").to_json() == base
         assert CL.census(d, scan="orbit").to_json() == base
 
@@ -125,16 +137,78 @@ def test_census_json_shape():
     assert all(r["flags"]["schurVerified"] for r in data["records"])
 
 
-@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3"])
-def test_schur_flag_only_when_the_check_ran(spec):
-    d = G.parse_group(spec)
-    full = json.loads(CL.census(d).to_json())
-    unchecked = json.loads(CL.census(d, schur_checks=0).to_json())
-    assert all(r["flags"]["schurVerified"] for r in full["records"])
-    assert not any(r["flags"]["schurVerified"] for r in unchecked["records"])
-    for r in full["records"]:
-        r["flags"]["schurVerified"] = False
-    assert unchecked == full
+def _tamper_scan(monkeypatch, add, drop):
+    """The census scan returns its true hits with ``add`` put in and ``drop`` taken out."""
+    scan = CL.census_scan
+
+    def tampered(desc, start, stop):
+        res = scan(desc, start, stop)
+        hits = sorted(set(res.hits.tolist()) - set(drop) | set(add))
+        return K.ScanResult(np.array(hits, dtype=np.int64), res.connected, res.scanned)
+
+    monkeypatch.setattr(CL, "census_scan", tampered)
+
+
+# pair bits over 5^1x5: 5 is connected but not distance-regular, 1 spans the
+# subgroup <(0,1)> only, and 135 is the lex-least set of a TD line graph orbit
+# of 15, so the next member of that orbit leads its record
+TAMPERED_HITS = {
+    "non-drg": (
+        (5,),
+        (),
+        (
+            "kernel hit fails library DRG check: ['(0,1)', '(0,4)', '(1,0)', '(4,0)']",
+            "orbit sizes sum to 57, expected 58",
+        ),
+    ),
+    "disconnected": (
+        (1,),
+        (),
+        (
+            "kernel hit is disconnected: ['(0,1)', '(0,4)']",
+            "orbit sizes sum to 57, expected 58",
+        ),
+    ),
+    "missing-image": (
+        (),
+        (135,),
+        (
+            "orbit of ['(0,1)', '(0,2)', '(0,3)', '(0,4)', '(1,1)', '(2,2)', '(3,3)', "
+            "'(4,4)'] leaves the hit set; 1 images missing",
+            "orbit sizes sum to 57, expected 56",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TAMPERED_HITS))
+def test_census_reports_tampered_hits(monkeypatch, case):
+    add, drop, anomalies = TAMPERED_HITS[case]
+    _tamper_scan(monkeypatch, add, drop)
+    assert CL.census(G.pair_group(5, 1)).anomalies == anomalies
+
+
+def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
+    add, drop, anomalies = TAMPERED_HITS["non-drg"]
+    _tamper_scan(monkeypatch, add, drop)
+    out = io.StringIO()
+    assert cli.main(["census", "--group", "5^1x5"], out=out) == 2
+    assert tuple(json.loads(out.getvalue())["anomalies"]) == anomalies
+
+
+@pytest.mark.parametrize("spec", sorted(REPORT_SHA256))
+def test_census_classifies_one_set_per_orbit(monkeypatch, spec):
+    calls = []
+    classify_hit = CL._classify_hit
+
+    def counted(*args):
+        calls.append(args)
+        return classify_hit(*args)
+
+    monkeypatch.setattr(CL, "_classify_hit", counted)
+    rep = CL.census(G.parse_group(spec))
+    assert rep.anomalies == ()
+    assert len(calls) == rep.orbit_count
 
 
 def test_census_rejects_non_pair_groups_and_big_groups():
