@@ -274,9 +274,6 @@ class PlainGraph:
     def order(self) -> int:
         return len(self.adjacency)
 
-    def degree(self, v: int) -> int:
-        return self.adjacency[v].bit_count()
-
     def is_complete(self) -> bool:
         n = self.order
         want = (1 << n) - 1

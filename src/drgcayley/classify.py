@@ -10,6 +10,11 @@ Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is classified: its family
 is tagged, the Schur ring route cross-checked, and the result reconciled
 against the expected family list.  Anything outside that list is an anomaly
 and fails the run.
+
+Every orbit computation is a gather on that one (k, P) table.  The lex rule:
+among sets with equally many pairs, the lex-least sorted pair tuple holds the
+lowest pair where two sets differ, so it has the largest reversed word (pair
+j at bit P - 1 - j).  Words are int64, so P > 62 is refused.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from . import schur
 from .cayley import (
@@ -29,12 +36,7 @@ from .cayley import (
     iter_bits,
 )
 from .drg import FamilyTag, IntersectionArray, check_drg, recognize
-from .groups import (
-    GroupDescriptor,
-    inverse_pairs,
-    pair_permutations,
-    subgroups_of_order,
-)
+from .groups import GroupDescriptor, inverse_pairs, pair_permutations, subgroups_of_order
 from .kernels import census_scan
 from .structure import (
     antipodal_classes,
@@ -52,10 +54,22 @@ DEFAULT_MAX_PAIRS = 24
 DEFAULT_ORBIT_BUDGET = 2_000_000
 
 
+def _pair_action(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """``pair_permutations`` and its reversed-word bits (entry j as bit P - 1 - j).
+
+    Words are int64, so groups with more than 62 inverse pairs are refused.
+    """
+    perms = pair_permutations(desc)
+    P = perms.shape[1]
+    if P > 62:
+        raise ValueError(f"{desc.spec()} has {P} inverse pairs; pair words hold 62")
+    return perms, 1 << (P - 1 - perms)
+
+
 def _pair_orbit(desc: GroupDescriptor, bits: int) -> set[int]:
     """The pair-bit images of ``bits`` under Aut(G)."""
-    chosen = tuple(iter_bits(bits))
-    return {sum(1 << perm[j] for j in chosen) for perm in pair_permutations(desc)}
+    images = _pair_action(desc)[0][:, list(iter_bits(bits))]
+    return set((1 << images).sum(axis=1).tolist())
 
 
 def orbit_canonical(sset: SymmetricSet) -> tuple[SymmetricSet, int]:
@@ -66,18 +80,16 @@ def orbit_canonical(sset: SymmetricSet) -> tuple[SymmetricSet, int]:
     lex-least element-rank tuple.
     """
     desc = sset.group
-    bits = sum(
-        1 << j for j, cell in enumerate(inverse_pairs(desc)) if sset.mask >> cell[0] & 1
-    )
-    orbit = _pair_orbit(desc, bits)
-    best = min(orbit, key=lambda b: tuple(iter_bits(b)))
-    return SymmetricSet.from_pair_bits(desc, best), len(orbit)
+    perms, rev = _pair_action(desc)
+    members = [j for j, cell in enumerate(inverse_pairs(desc)) if sset.mask >> cell[0] & 1]
+    words = rev[:, members].sum(axis=1)
+    best = perms[words.argmax(), members]
+    return SymmetricSet.from_pair_bits(desc, int((1 << best).sum())), len(set(words.tolist()))
 
 
 @dataclass(frozen=True)
 class CensusRecord:
     set_strs: tuple[str, ...]
-    set_mask: int
     orbit_size: int
     family: str
     array: str
@@ -220,7 +232,6 @@ def _classify_hit(
         )
     record = CensusRecord(
         set_strs=tuple(sset.member_strs()),
-        set_mask=sset.mask,
         orbit_size=orbit_size,
         family=str(family),
         array=str(array),
@@ -353,14 +364,6 @@ def census(
 # -- orbit-first enumeration (experimental) ----------------------------------
 
 
-def _is_leader(perms: tuple[tuple[int, ...], ...], subset: tuple[int, ...]) -> bool:
-    for perm in perms:
-        image = sorted(perm[i] for i in subset)
-        if tuple(image) < subset:
-            return False
-    return True
-
-
 def orbit_leaders(
     desc: GroupDescriptor, budget: int = DEFAULT_ORBIT_BUDGET
 ) -> Iterator[tuple[int, ...]]:
@@ -368,10 +371,11 @@ def orbit_leaders(
 
     A sorted-tuple lex-minimal representative stays minimal after removing
     its largest element, so the search only ever extends leaders; every
-    orbit is emitted exactly once.  Raises past the visit budget.
+    orbit is emitted exactly once.  All children of a leader are tested at
+    once: row 0 of the pair action is the identity, so a child leads when no
+    row's reversed word beats row 0's.  Raises past the visit budget.
     """
-    perms = pair_permutations(desc)
-    P = len(inverse_pairs(desc))
+    rev = _pair_action(desc)[1]
     visited = 0
     stack: list[tuple[int, ...]] = [()]
     while stack:
@@ -381,8 +385,9 @@ def orbit_leaders(
             raise CensusBudgetError(f"orbit enumeration exceeded budget {budget}")
         yield leader
         start = leader[-1] + 1 if leader else 0
-        children = [leader + (t,) for t in range(start, P)]
-        stack.extend(reversed([c for c in children if _is_leader(perms, c)]))
+        words = rev[:, list(leader)].sum(axis=1)[:, None] + rev[:, start:]
+        leads = np.flatnonzero((words <= words[0]).all(axis=0)) + start
+        stack.extend(leader + (t,) for t in reversed(leads.tolist()))
 
 
 def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:

@@ -15,7 +15,7 @@ import sys
 from . import classify, designs, fourier
 from .cayley import SymmetricSet, build, distance_partition, edge_list, is_connected, to_graph6
 from .drg import check_drg, recognize, srg_params
-from .groups import GroupFormatError, pair_group, parse_group
+from .groups import AutomorphismBoundError, pair_group, parse_group
 from .schur import distance_module, is_primitive, is_schur_ring
 from .structure import is_antipodal, is_bipartite
 
@@ -319,13 +319,10 @@ def main(argv: list[str] | None = None, out=None) -> int:
         return EXIT_USAGE
     try:
         return args.fn(args, out)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:  # OSError: unwritable output file
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (GroupFormatError, ValueError, OSError) as exc:  # OSError: unwritable output file
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (classify.CensusBudgetError, designs.SearchBudgetError) as exc:
+    except (classify.CensusBudgetError, designs.SearchBudgetError, AutomorphismBoundError) as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

@@ -131,10 +131,6 @@ class CyclotomicInteger:
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
-    def is_rational(self) -> bool:
-        """Exact: canonical form concentrated at w^0."""
-        return all(a == 0 for a in self.coeffs[1:])
-
     def __str__(self) -> str:
         terms = [
             (f"{c}" if e == 0 else f"{c}*w^{e}")

@@ -19,7 +19,9 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-DEFAULT_AUT_ORDER_BOUND = 243
+AUT_ORDER_BOUND = 243
+# group_tables refuses larger orders: one check takes about a minute at 1024
+MAX_TABLE_ORDER = 1024
 
 
 class GroupFormatError(ValueError):
@@ -225,6 +227,8 @@ class GroupTables:
 def group_tables(desc: GroupDescriptor) -> GroupTables:
     m, q = desc.first_modulus, desc.second_modulus
     n = desc.order
+    if n > MAX_TABLE_ORDER:
+        raise ValueError(f"group order {n} exceeds the table bound {MAX_TABLE_ORDER}")
     r = np.arange(n, dtype=np.intp)
     a, b = np.divmod(r, q)
     a1 = a[:, None] + a[None, :]
@@ -284,9 +288,6 @@ class Subgroup:
 
     def members(self) -> tuple[int, ...]:
         return tuple(iter_bits(self.mask))
-
-    def contains(self, r: int) -> bool:
-        return bool(self.mask >> r & 1)
 
 
 def cyclic_subgroup_mask(desc: GroupDescriptor, g: int) -> int:
@@ -353,12 +354,12 @@ def all_subgroups(desc: GroupDescriptor) -> tuple[Subgroup, ...]:
     round over the cyclic subgroups is exhaustive.  The join of H1 and H2
     is the sum set H1 + H2, one gather on the add table.
     """
+    add = group_tables(desc).add
     cyclic: dict[int, int] = {}  # mask -> smallest generator
     for g in desc.elements():
         m = cyclic_subgroup_mask(desc, g)
         if m not in cyclic:
             cyclic[m] = g
-    add = group_tables(desc).add
     found: dict[int, tuple[int, ...]] = {m: (g,) for m, g in cyclic.items()}
     masks = sorted(cyclic)
     members = [list(iter_bits(m)) for m in masks]
@@ -417,9 +418,7 @@ class GroupAutomorphism:
 
 
 @lru_cache(maxsize=None)
-def automorphism_group(
-    desc: GroupDescriptor, order_bound: int = DEFAULT_AUT_ORDER_BOUND
-) -> tuple[GroupAutomorphism, ...]:
+def automorphism_group(desc: GroupDescriptor) -> tuple[GroupAutomorphism, ...]:
     """All automorphisms, by enumerating images of the canonical generators.
 
     The image x of (1, 0) must have order m and the image y of (0, 1) an
@@ -427,9 +426,9 @@ def automorphism_group(
     bijection.  Cyclic groups are the case q = 1, where y = 0.
     """
     n = desc.order
-    if n > order_bound:
+    if n > AUT_ORDER_BOUND:
         raise AutomorphismBoundError(
-            f"group order {n} exceeds automorphism enumeration bound {order_bound}"
+            f"group order {n} exceeds automorphism enumeration bound {AUT_ORDER_BOUND}"
         )
     m, q = desc.first_modulus, desc.second_modulus
     order_of = group_tables(desc).order_of
@@ -443,14 +442,18 @@ def automorphism_group(
 
 
 @lru_cache(maxsize=None)
-def pair_permutations(desc: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
-    """Distinct actions of Aut(G) on inverse-pair indices (duplicates merged)."""
-    pairs = inverse_pairs(desc)
-    index_of = {cell[0]: i for i, cell in enumerate(pairs)}
-    for cell in pairs:
-        for g in cell:
-            index_of[g] = index_of[cell[0]]
-    perms = set()
-    for aut in automorphism_group(desc):
-        perms.add(tuple(index_of[aut.perm[cell[0]]] for cell in pairs))
-    return tuple(sorted(perms))
+def pair_permutations(desc: GroupDescriptor) -> np.ndarray:
+    """Distinct actions of Aut(G) on inverse-pair indices (duplicates merged).
+
+    A read-only intp array of shape (k, P): row r sends pair j to pair
+    ``perms[r, j]``.  Rows are distinct and ascend lexicographically, so row 0
+    is the identity.
+    """
+    auts = np.array([aut.perm for aut in automorphism_group(desc)], dtype=np.intp)
+    firsts = np.array([cell[0] for cell in inverse_pairs(desc)], dtype=np.intp)
+    # a pair is named by its least rank, so this maps every rank to its pair
+    pair_of = np.searchsorted(firsts, np.minimum(np.arange(desc.order), group_tables(desc).neg))
+    # sorted(set()) and not np.unique(axis=0), which imports numpy.ma (~17 ms)
+    perms = np.array(sorted(set(map(tuple, pair_of[auts[:, firsts]].tolist()))), dtype=np.intp)
+    perms.flags.writeable = False
+    return perms

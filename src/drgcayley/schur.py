@@ -1,10 +1,11 @@
 """Group-algebra layer: class sums, distance modules, Schur-ring checks.
 
-Cell partitions are verified against the three Schur-ring conditions by
-forming every product of two cell sums at once and testing that each is
-constant on every cell.  All arithmetic is 64-bit integer: a product
-coefficient counts pairs (g, h) with fixed g, so it is at most |G|, and
-the bincount keys that index the r cells' products stay below r^2 |G|.
+Cell partitions are verified as Schur rings by forming every product of two
+cell sums at once and testing that each is constant on every cell; over an
+abelian group that implies inverse closure (see ``is_schur_ring``).  All
+arithmetic is 64-bit integer: a product coefficient counts pairs (g, h) with
+fixed g, so it is at most |G|, and the bincount keys that index the r cells'
+products stay below r^2 |G|.
 """
 
 from __future__ import annotations
@@ -84,14 +85,18 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     """Structure constants p[i][j][k] when the partition spans a Schur ring.
 
     Each element is labelled with its cell id and each cell has one
-    representative, its least member.  Inverse closure holds when negation
-    maps every cell into one cell; no size test is needed, as negation is an
-    involution: -T_i in T_j and -T_j in T_k give T_i in -T_j in T_k, so
-    k = i and -T_i = T_j.  The coefficient at g of T_i T_j counts the h in
-    T_i with g - h in T_j, so one bincount over all pairs (g, h) gives every
-    product at every g; the ring closes when each product is constant on
-    each cell, i.e. equals its value at the cell's representative.  Returns
-    None when either check fails.
+    representative, its least member.  The coefficient at g of T_i T_j
+    counts the h in T_i with g - h in T_j, so one bincount over all pairs
+    (g, h) gives every product at every g; the ring closes when each product
+    is constant on each cell, i.e. equals its value at the cell's
+    representative.  Returns None when it does not.
+
+    Over an abelian group product closure implies inverse closure.  The
+    Fourier transform takes the span of the cell sums to a unital algebra of
+    functions on the characters, spanned by the indicators of a partition of
+    them, so closed under conjugation, the transform of T -> T^(-1).  So each
+    -T_i is a union of cells; for each such T_j, -T_j lies in T_i, hence
+    equals it, and -T_i = T_j.
     """
     desc = basis.group
     n = desc.order
@@ -105,9 +110,6 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     )
     cid = bits.argmax(axis=0)  # the cell of each element
     rep = bits.argmax(axis=1)  # the least member of each cell
-    image = cid[tabs.neg]  # the cell of -g
-    if (image != image[rep][cid]).any():
-        return None
     keys = (cid * r + cid[tabs.sub]) * n + np.arange(n)[:, None]
     prods = np.bincount(keys.ravel(), minlength=r * r * n).reshape(r, r, n)
     constants = prods[:, :, rep]

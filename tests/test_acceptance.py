@@ -91,7 +91,7 @@ def test_a03_census_z5_z5():
         assert DS.td_line_srg_params(r, 5).as_tuple() == tup
         recs = [q for q in rep.records if q.family == f"TDLineGraph({r},5)"]
         assert len(recs) == 1
-        arr = D.check_drg(C.build(d, C.SymmetricSet(d, recs[0].set_mask)))
+        arr = D.check_drg(C.build(d, C.SymmetricSet.parse(d, ",".join(recs[0].set_strs))))
         assert D.srg_params(arr).as_tuple() == tup
     assert rep.anomalies == ()
     assert elapsed < 5.0

@@ -228,6 +228,51 @@ def test_orbit_leader_count_small():
     assert sorted(len(l) for l in leaders) == [0, 1, 2, 3, 4]
 
 
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2"])
+def test_orbit_leaders_are_the_lex_least_member_of_every_orbit(spec):
+    """Brute force over every pair-subset; 6x2 has singleton pairs."""
+    d = G.parse_group(spec)
+    seen: set[int] = set()
+    expected = []
+    for bits in range(1 << len(G.inverse_pairs(d))):
+        sset = C.SymmetricSet.from_pair_bits(d, bits)
+        if sset.mask not in seen:
+            orbit = _element_orbit(sset)
+            seen |= orbit
+            expected.append(_lex_least(orbit))
+    leaders = [
+        C.SymmetricSet.from_pair_bits(d, sum(1 << j for j in leader)).mask
+        for leader in CL.orbit_leaders(d)
+    ]
+    assert sorted(leaders) == sorted(expected)
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2", "Zn:9"])
+def test_pair_permutations_rows(spec):
+    """Row 0 is the identity, rows are distinct and ascend, and they are the
+    pair action of automorphism_group."""
+    d = G.parse_group(spec)
+    pairs = G.inverse_pairs(d)
+    pair_of = {g: j for j, cell in enumerate(pairs) for g in cell}
+    derived = {
+        tuple(pair_of[aut.perm[cell[0]]] for cell in pairs)
+        for aut in G.automorphism_group(d)
+    }
+    rows = [tuple(r) for r in np.asarray(G.pair_permutations(d)).tolist()]
+    assert rows[0] == tuple(range(len(pairs)))
+    assert all(a < b for a, b in zip(rows, rows[1:]))
+    assert set(rows) == derived
+
+
+def test_orbit_mode_refuses_more_than_62_pairs_before_enumerating(monkeypatch):
+    d = G.pair_group(13, 1)  # 84 inverse pairs
+    verdicts = []
+    monkeypatch.setattr(CL, "_library_verdict", lambda *args: verdicts.append(args))
+    with pytest.raises(ValueError, match="84 inverse pairs"):
+        CL.census(d, scan="orbit")
+    assert verdicts == []
+
+
 def test_orbit_first_census_matches_on_z5z5():
     d = G.pair_group(5, 1)
     assert CL.census(d, scan="orbit").to_json() == CL.census(d).to_json()

@@ -146,6 +146,19 @@ def test_budget_exit_65():
     assert code == 65
 
 
+@pytest.mark.parametrize("spec", ["5^3x5", "7^2x7", "3^5x3"])
+def test_orbit_first_census_past_the_automorphism_bound_exits_65(spec, capsys):
+    code, _ = run(["census", "--group", spec, "--orbit-first"])
+    assert code == 65
+    assert capsys.readouterr().err.startswith("budget exceeded: group order")
+
+
+def test_check_past_the_table_bound_exits_64(capsys):
+    code, _ = run(["check", "--group", "99999999x1", "--set", "1"])
+    assert code == 64
+    assert "exceeds the table bound" in capsys.readouterr().err
+
+
 def test_trivial_group_certifies_k1_with_diameter_0():
     code, text = run(["--format", "json", "check", "--group", "Zn:1", "--set", ""])
     assert code == 0

@@ -203,6 +203,12 @@ def test_automorphism_bound_error():
         G.automorphism_group(G.cyclic_group(1024))
 
 
+@pytest.mark.parametrize("order", [G.MAX_TABLE_ORDER + 1, 99999999])
+def test_group_tables_refuse_orders_past_the_bound(order):
+    with pytest.raises(ValueError, match="table bound"):
+        G.group_tables(G.cyclic_group(order))
+
+
 def test_transversal_examples():
     z9 = G.cyclic_group(9)
     h3 = next(h for h in G.subgroups_of_order(z9, 3))

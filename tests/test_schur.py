@@ -239,3 +239,34 @@ def test_cells_that_negation_does_not_map_onto_a_cell():
     strictly_inside = basis(1 << x, 1 << d.neg(x) | 1 << z)
     for bad in (spans_two, strictly_inside):
         assert assert_matches_reference(bad) is None
+
+
+def set_partitions(items):
+    """Every partition of the list ``items`` into nonempty blocks."""
+    if not items:
+        yield []
+        return
+    first, rest = items[0], items[1:]
+    for part in set_partitions(rest):
+        yield [[first], *part]
+        for i in range(len(part)):
+            yield [*part[:i], [first, *part[i]], *part[i + 1 :]]
+
+
+# Schur rings among the partitions of G minus 0; 107 in all
+SCHUR_RING_COUNTS = {
+    "Zn:4": 3, "Zn:5": 3, "Zn:6": 7, "Zn:7": 4, "Zn:8": 10, "Zn:9": 7,
+    "2x2": 5, "4x2": 28, "3x3": 40,
+}
+
+
+@pytest.mark.parametrize("spec", sorted(SCHUR_RING_COUNTS))
+def test_one_pass_check_matches_the_reference_on_every_partition(spec):
+    """Every partition of G minus 0, with cell 0 = {0}.  The reference still
+    tests inverse closure; ``is_schur_ring`` relies on product closure alone."""
+    desc = G.parse_group(spec)
+    rings = 0
+    for part in set_partitions(list(range(1, desc.order))):
+        basis = SR.CellPartition(desc, (1, *(G.mask_of(cell) for cell in part)))
+        rings += assert_matches_reference(basis) is not None
+    assert rings == SCHUR_RING_COUNTS[spec]
