@@ -1,0 +1,171 @@
+"""Census by multiplier-class generation against the 2^P scan: writes BENCH_census_generator.json.
+
+    python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT [--pairs 10]
+
+PARENT_CHECKOUT is a checkout of the commit before the generator (for
+example ``git archive <parent> | tar -x -C DIR``); the change is this
+checkout.  The script records two things, each side in fresh interpreters
+with the program imported from that checkout's ``src``:
+
+- ``census``: wall time of ``census()`` per census group on both sides (the
+  parent's census runs the full 2^P ``census_scan``), and of the full
+  ``census_scan`` oracle itself on this side.  The first call in a fresh
+  process is reported as ``cold_s``; the median of the later calls as
+  ``warm_s``.
+- ``pairs``: alternating 35 s ``perfbench/run.py`` runs of both sides
+  (parent first on even pair index), ``--pairs`` pairs of ``census-small``
+  and ``--other-pairs`` pairs each of ``census-7x7`` and ``certify-large``,
+  with per-metric medians, quartiles and the number of pairs the change
+  won.
+
+Run it on an otherwise idle host: the two sides share its cores.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
+METRICS = ("sets_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
+HIGHER_IS_BETTER = {"sets_per_s"}
+
+# Times census() (and, where the checkout has the generator, the full
+# census_scan oracle) for each group, in one fresh interpreter per side.
+TIMER = r"""
+import json, statistics, sys, time
+from drgcayley import classify, groups, kernels
+reps = int(sys.argv[1])
+out = {}
+for spec in sys.argv[2:]:
+    desc = groups.parse_group(spec)
+    runs = []
+    for _ in range(reps):
+        t0 = time.perf_counter()
+        report = classify.census(desc)
+        runs.append(time.perf_counter() - t0)
+    entry = {"cold_s": runs[0], "warm_s": statistics.median(runs[1:]), "drg_sets": report.drg_sets}
+    if hasattr(kernels, "census_generate"):
+        scans = []
+        for _ in range(2 if spec == "7^1x7" else reps):
+            t0 = time.perf_counter()
+            kernels.census_scan(desc, 0, 1 << len(groups.inverse_pairs(desc)))
+            scans.append(time.perf_counter() - t0)
+        entry["census_scan_s"] = statistics.median(scans)
+    out[spec] = entry
+print(json.dumps(out))
+"""
+
+
+def _python(checkout: Path, args: list[str]) -> str:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip().splitlines()[-1]
+
+
+def time_census(checkout: Path, reps: int) -> dict:
+    return json.loads(_python(checkout, ["-c", TIMER, str(reps), *GROUPS]))
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+            "--seconds", str(seconds), "--trace", "0"]
+    result = json.loads(_python(checkout, args))
+    return {
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def summarize(runs: list[dict]) -> dict:
+    parent = [r for r in runs if r["side"] == "parent"]
+    change = [r for r in runs if r["side"] == "change"]
+    out = {
+        "pairs": len(parent),
+        "failed_ops": {
+            "parent": sum(r["failed"] for r in parent),
+            "change": sum(r["failed"] for r in change),
+        },
+    }
+    for name in METRICS:
+        p = [r["metrics"][name] for r in parent]
+        c = [r["metrics"][name] for r in change]
+        better = (lambda a, b: a > b) if name in HIGHER_IS_BETTER else (lambda a, b: a < b)
+        ps, cs = quartiles(p), quartiles(c)
+        out[name] = {
+            "parent": ps,
+            "change": cs,
+            "change_wins": sum(better(b, a) for a, b in zip(p, c)),
+            "change_vs_parent": cs["median"] / ps["median"],
+            "medians_differ_by_more_than_parent_iqr":
+                abs(cs["median"] - ps["median"]) > ps["q3"] - ps["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
+    parser.add_argument("--pairs", type=int, default=10, help="census-small pairs")
+    parser.add_argument("--other-pairs", type=int, default=3,
+                        help="pairs each of census-7x7 and certify-large")
+    parser.add_argument("--seconds", type=int, default=35)
+    parser.add_argument("--seed", type=int, default=1101,
+                        help="first seed; pairs use consecutive seeds")
+    parser.add_argument("--reps", type=int, default=5, help="census() calls per group and side")
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_census_generator.json")
+    args = parser.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+
+    census = {side: time_census(path, args.reps) for side, path in sides.items()}
+    plan = [("census-small", args.pairs), ("census-7x7", args.other_pairs),
+            ("certify-large", args.other_pairs)]
+    runs: list[dict] = []
+    seed = args.seed
+    for workload, pairs in plan:
+        for i in range(pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                run = bench_run(sides[side], workload, seed, args.seconds)
+                runs.append({"side": side, "workload": workload, "seed": seed, **run})
+                print(f"{workload} seed {seed} {side}: sets_per_s "
+                      f"{run['metrics']['sets_per_s']:.1f}", file=sys.stderr)
+            seed += 1
+    payload = {
+        "what": "census() by multiplier-class generation (side change) against the parent's "
+                "full 2^P census_scan (side parent)",
+        "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds} "
+                   "--trace 0",
+        "order": "pairs alternate which side runs first (parent first on even pair index); "
+                 f"seeds from {args.seed}, one per pair",
+        "host": {
+            "cpus": os.cpu_count(),
+            "machine": platform.machine(),
+            "python": platform.python_version(),
+            "numpy": __import__("numpy").__version__,
+        },
+        "census": census,
+        "summary": {w: summarize([r for r in runs if r["workload"] == w]) for w, _ in plan},
+        "runs": runs,
+    }
+    args.out.write_text(json.dumps(payload, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -1,11 +1,18 @@
 """Exhaustive, automorphism-aware census of distance-regular connection sets.
 
 A census candidate is a pair-bits int: bit j selects inverse pair j of
-``groups.inverse_pairs``.  The scan (kernel pre-filter, exact library oracle,
-or one lex-leader per orbit) hands its hits to the report as pair bits.  The
-report re-verifies every hit in exact library arithmetic and groups the hits
-into Aut(G) orbits under the pair action ``groups.pair_permutations``.  Every
-field of a record is an orbit invariant, since sigma in Aut(G) gives
+``groups.inverse_pairs``.  Three enumerations hand their hits to the report
+as pair bits.  The default, ``scan="kernel"``, generates only the sets that
+Schur's multiplier theorem allows and filters them
+(``kernels.census_generate``; the connected count is a Moebius sum over
+the subgroup lattice).  ``scan="library"`` decides all 2^P subsets with the
+exact library check, and ``scan="orbit"`` one lex-leader per Aut(G) orbit.
+The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
+oracle the tests hold the generator to.
+
+The report re-verifies every hit in exact library arithmetic and groups the
+hits into Aut(G) orbits under the pair action ``groups.pair_permutations``.
+Every field of a record is an orbit invariant, since sigma in Aut(G) gives
 Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is classified: its family
 is tagged, the Schur ring route cross-checked, and the result reconciled
 against the expected family list.  Anything outside that list is an anomaly
@@ -20,8 +27,9 @@ j at bit P - 1 - j).  Words are int64, so P > 62 is refused.
 from __future__ import annotations
 
 import json
+import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -37,7 +45,7 @@ from .cayley import (
 )
 from .drg import FamilyTag, IntersectionArray, check_drg, recognize
 from .groups import GroupDescriptor, inverse_pairs, pair_permutations, subgroups_of_order
-from .kernels import census_scan
+from .kernels import candidate_count, census_generate, connected_count, multiplier_layers
 from .structure import (
     antipodal_classes,
     identity_antipodal_subgroup,
@@ -127,6 +135,8 @@ class CensusReport:
     family_orbit_counts: dict[str, int]
     records: tuple[CensusRecord, ...]
     anomalies: tuple[str, ...]
+    # (stage, sets out, seconds) per census stage; never part of the JSON
+    funnel: tuple[tuple[str, int, float], ...] = field(default=(), compare=False)
 
     def to_json_obj(self) -> dict:
         return {
@@ -248,21 +258,29 @@ def _assemble_report(
     desc: GroupDescriptor,
     hits: list[int],
     connected: int,
-    scanned: int,
+    checks: list[str],
+    funnel: list[tuple[str, int, float]],
 ) -> CensusReport:
+    """The report on ``hits``; ``checks`` are the enumeration's own anomalies
+    and ``funnel`` its stages, to which the hits and orbits stages are added."""
     _, s = desc.prime_power_pair
-    total = 1 << len(inverse_pairs(desc))
     ssets = {bits: SymmetricSet.from_pair_bits(desc, bits) for bits in hits}
     anomalies: list[str] = []
     grouped: set[int] = set()
     orbit_records: list[CensusRecord] = []
+    verified = 0
+    verify_s = 0.0
+    start = time.perf_counter()
     # hits in lex order of their element ranks: the first verified hit met of
     # each orbit is its lex-least member present, so records come out in lex
     # order.  The verdict is an Aut(G) invariant, so a failed hit never lies
     # in the orbit of a verified one.
     for bits in sorted(ssets, key=lambda bits: tuple(iter_bits(ssets[bits].mask))):
         sset = ssets[bits]
+        verify_start = time.perf_counter()
         conn, drg = _library_verdict(desc, bits)
+        verify_s += time.perf_counter() - verify_start
+        verified += drg
         if not conn:
             anomalies.append(f"kernel hit is disconnected: {sset.member_strs()}")
         elif not drg:
@@ -292,11 +310,11 @@ def _assemble_report(
         family_sets[r.family] = family_sets.get(r.family, 0) + r.orbit_size
         family_orbits[r.family] = family_orbits.get(r.family, 0) + 1
         param_classes.add((r.family, r.array))
-    if scanned != total:
-        anomalies.append(f"scanned {scanned} of {total} subsets")
+    funnel.append(("hits", verified, verify_s))
+    funnel.append(("orbits", len(orbit_records), time.perf_counter() - start - verify_s))
     return CensusReport(
         group=desc.spec(),
-        symmetric_sets=total,
+        symmetric_sets=1 << len(inverse_pairs(desc)),
         connected_sets=connected,
         drg_sets=len(hits),
         orbit_count=len(orbit_records),
@@ -304,8 +322,40 @@ def _assemble_report(
         family_set_counts=family_sets,
         family_orbit_counts=family_orbits,
         records=tuple(orbit_records),
-        anomalies=tuple(anomalies),
+        anomalies=tuple(anomalies + checks),
+        funnel=tuple(funnel),
     )
+
+
+def _generate(
+    desc: GroupDescriptor, partitions: int, threads: int
+) -> tuple[list[int], list[str], list[tuple[str, int, float]]]:
+    """Hits, generator checks and funnel of the multiplier-class generator.
+
+    ``partitions`` splits the generator's index range.  Together the parts
+    must decode exactly ``candidate_count`` indices into distinct words.
+    """
+    ranges = _split_ranges(sum(layer.count for layer in multiplier_layers(desc)), partitions)
+    if threads > 1 and len(ranges) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(lambda rg: census_generate(desc, rg[0], rg[1]), ranges))
+    else:
+        results = [census_generate(desc, lo, hi) for lo, hi in ranges]
+    checks = []
+    decoded = sum(res.decoded for res in results)
+    expected = candidate_count(desc)
+    if decoded != expected:
+        checks.append(f"generator decoded {decoded} of {expected} candidates")
+    words = np.concatenate([res.words for res in results])
+    repeats = len(words) - len(np.unique(words))
+    if repeats:
+        checks.append(f"generator repeated {repeats} candidate words")
+    funnel = [
+        (rows[0][0], sum(row[1] for row in rows), sum(row[2] for row in rows))
+        for rows in zip(*(res.funnel for res in results))
+    ]
+    hits = [bits for res in results for bits in res.hits.tolist()]
+    return hits, checks, funnel
 
 
 def census(
@@ -317,11 +367,13 @@ def census(
     max_pairs: int = DEFAULT_MAX_PAIRS,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> CensusReport:
-    """Scan every symmetric subset, classify hits, reconcile families.
+    """Find every distance-regular connection set, classify hits, reconcile families.
 
-    scan="kernel" uses the accelerated filters; scan="library" runs the full
-    exact check on every subset with no pruning (identical output required);
-    scan="orbit" enumerates lex-leader orbit representatives only.
+    scan="kernel" generates the multiplier classes and filters them
+    (``kernels.census_generate``); scan="library" runs the full exact check
+    on every one of the 2^P subsets with no pruning; scan="orbit" checks one
+    lex-leader per Aut(G) orbit.  All three give the same report bytes.
+    The report's ``funnel`` holds the count and seconds of each stage run.
     """
     _require_census_group(desc)
     if scan == "orbit":
@@ -332,33 +384,20 @@ def census(
             f"2^{P} subsets exceeds the full-enumeration budget 2^{max_pairs}; "
             "use the orbit-first mode"
         )
-    ranges = _split_ranges(1 << P, partitions)
-    hits: list[int] = []
-    connected = 0
-    scanned = 0
     if scan == "kernel":
-        if threads > 1 and len(ranges) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(
-                    pool.map(lambda rg: census_scan(desc, rg[0], rg[1]), ranges)
-                )
-        else:
-            results = [census_scan(desc, lo, hi) for lo, hi in ranges]
-        for res in results:
-            hits.extend(res.hits.tolist())
-            connected += res.connected
-            scanned += res.scanned
-    elif scan == "library":
-        for lo, hi in ranges:
-            for bits in range(lo, hi):
-                conn, drg = _library_verdict(desc, bits)
-                connected += conn
-                if drg:
-                    hits.append(bits)
-            scanned += hi - lo
-    else:
+        hits, checks, funnel = _generate(desc, partitions, threads)
+        return _assemble_report(desc, hits, connected_count(desc), checks, funnel)
+    if scan != "library":
         raise ValueError(f"unknown scan mode {scan!r}")
-    return _assemble_report(desc, hits, connected, scanned)
+    hits = []
+    connected = 0
+    for lo, hi in _split_ranges(1 << P, partitions):
+        for bits in range(lo, hi):
+            conn, drg = _library_verdict(desc, bits)
+            connected += conn
+            if drg:
+                hits.append(bits)
+    return _assemble_report(desc, hits, connected, [], [])
 
 
 # -- orbit-first enumeration (experimental) ----------------------------------
@@ -401,7 +440,7 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
             connected += len(orbit)
             if drg:
                 hits.extend(orbit)
-    return _assemble_report(desc, hits, connected, 1 << len(inverse_pairs(desc)))
+    return _assemble_report(desc, hits, connected, [], [])
 
 
 # -- family constructors -----------------------------------------------------

@@ -11,6 +11,7 @@ import argparse
 import json
 import os
 import sys
+import time
 
 from . import classify, designs, fourier
 from .cayley import SymmetricSet, build, distance_partition, edge_list, is_connected, to_graph6
@@ -126,7 +127,16 @@ def cmd_census(args, out) -> int:
         max_pairs=args.max_pairs,
         orbit_budget=args.orbit_budget,
     )
+    start = time.perf_counter()
     text = report.to_json()
+    if args.stats:
+        funnel = report.funnel + (("report", len(text), time.perf_counter() - start),)
+        stats = {
+            "group": report.group,
+            "stages": [{"stage": n, "count": c, "seconds": t} for n, c, t in funnel],
+        }
+        with open(args.stats, "w", encoding="utf-8") as fh:
+            fh.write(json.dumps(stats, indent=2) + "\n")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -265,13 +275,18 @@ def build_parser() -> _Parser:
     p_check.add_argument("--edges-out", default=None, help="write the edge list here")
     p_check.set_defaults(fn=cmd_check)
 
-    p_census = subs.add_parser("census", help="scan all symmetric subsets of a group")
+    p_census = subs.add_parser(
+        "census", help="find every distance-regular symmetric set of a group"
+    )
     p_census.add_argument("--group", required=True)
     p_census.add_argument("--partitions", type=int, default=1)
     p_census.add_argument(
         "--threads", type=int, default=None, help=f"worker threads (default: ${ENV_THREADS} or 1)"
     )
     p_census.add_argument("--out", default=None, help="write the JSON report here")
+    p_census.add_argument(
+        "--stats", default=None, help="write the per-stage counts and seconds here as JSON"
+    )
     p_census.add_argument("--orbit-first", action="store_true")
     p_census.add_argument("--max-pairs", type=int, default=classify.DEFAULT_MAX_PAIRS)
     p_census.add_argument(

@@ -40,6 +40,11 @@ class SearchBudgetError(RuntimeError):
     """Candidate count exceeds the configured enumeration budget."""
 
 
+# bipartite_double_sweep refuses more row pairs than this; the largest n it
+# accepts is 32, with (2^8 - 1)^2 = 65,025 pairs
+SWEEP_BUDGET = 1 << 16
+
+
 # -- partial congruence partitions and transversal designs ------------------
 
 
@@ -398,9 +403,26 @@ def odd_row_subsets(n: int) -> list[tuple[int, ...]]:
     return subsets
 
 
+def negation_classes(n: int) -> int:
+    """Cells {x, -x} of the odd residues of Z_n, n even: (n/2 + [n = 2 mod 4]) / 2.
+
+    x = -x only for x = n/2, which is odd exactly when n = 2 mod 4.
+    """
+    return (n // 2 + (n % 4 == 2)) // 2
+
+
 def bipartite_double_sweep(n: int) -> list[BipartiteDoubleReport]:
-    """Exhaustive (R_0, R_1) sweep; the both-directions empirical check."""
+    """Exhaustive (R_0, R_1) sweep; the both-directions empirical check.
+
+    There are (2^c - 1)^2 pairs of nonempty rows, c = ``negation_classes(n)``;
+    above SWEEP_BUDGET the sweep is refused before any row is listed.
+    """
     _require_even_order(n)
+    c = negation_classes(n)
+    if c > SWEEP_BUDGET.bit_length() or (2**c - 1) ** 2 > SWEEP_BUDGET:
+        raise SearchBudgetError(
+            f"(2^{c} - 1)^2 row pairs exceed the sweep budget {SWEEP_BUDGET}"
+        )
     subsets = [s for s in odd_row_subsets(n) if s]
     reports = []
     for r0 in subsets:

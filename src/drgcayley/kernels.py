@@ -1,19 +1,46 @@
-"""Census scan: a closed-form character-sum pre-filter with an exact recheck.
+"""Census kernels: multiplier-class generation, with the exhaustive scan as its oracle.
 
-The scan walks the 2^P inverse-pair subsets S of a group G = Z_m + Z_q in
-Gray-code order.  A set survives the pre-filter when it is connected (it
-meets the complement of every maximal subgroup; a pair lies wholly inside or
-wholly outside a subgroup, so this is a test on the pair bits) and its
-common-neighbor count lambda(g) = |S & (g + S)| is constant on S.  Every
-survivor is then decided by the library's own distance-regularity check.
+Both paths hand the census the inverse-pair subsets S of G = Z_{p^s} + Z_p
+(bit j selects pair j of ``groups.inverse_pairs``) for which Cay(G, S) is
+connected and distance-regular.  Each runs word-level numpy filters and
+decides every survivor with the library's own check, ``is_drg_pairmask``.
 
-Batches start at multiples of BATCH (only the first and last may be
-partial).  For i < BATCH, gray(base + i) = gray(base) ^ gray(i) with
-gray(i) < BATCH, so every word of a batch holds the bits
-gray(base) & -BATCH.  When those alone meet every maximal subgroup's
-complement, each set of the batch is connected and the per-word test is
-skipped.  In the 7^1x7 scan, 26 of its 32,768 batches take the per-word
-test.
+Generation (``census_generate``, what ``classify.census`` runs).  The
+distance module of a distance-regular Cayley graph over an abelian group is
+a Schur ring, so by Schur's multiplier theorem (Schur 1933; Wielandt,
+*Finite Permutation Groups*, Thm 23.9) S^(u) = S or S^(u) & S = 0 for every
+unit u of Z_{p^s}, where S^(u) = {u x : x in S}.  Modulo +-1 the
+multipliers form a cyclic group M of order phi(p^s)/2 acting on the pairs.
+Let H be the stabilizer of S in M.  S is H-invariant, and it meets every
+M-orbit of pairs in at most one H-orbit: two, x H and y H with y = u x,
+would put y in S^(u) & S with u outside H.  So for each H <= M the
+generator picks in every M-orbit either nothing or one H-orbit, one
+mixed-radix digit per M-orbit, and keeps S != 0 when S^(u) & S = 0 for one
+u from each coset of H other than H (S^(u) depends only on the coset of u).
+The kept words are the nonzero sets with the multiplier property, each
+produced once, under its own stabilizer.  ``candidate_count`` gives the
+number of indices, sum over H of prod over O of (1 + #H-orbits in O), from
+the M-orbit sizes alone.
+
+The candidates then pass one vectorized funnel: connected (S meets the
+complement of every maximal subgroup; a pair lies wholly inside or wholly
+outside a subgroup, so this is a test on the pair bits); lambda(g) =
+|S & (g + S)| constant on S; and c_2 constant.  For g outside S and 0,
+lambda(g) > 0 exactly when g is at distance 2, and lambda(g) then counts
+its common neighbours with 0, which a distance-regular graph holds at c_2
+(Brouwer-Cohen-Neumaier 1989).  Both constancy tests are the
+Cauchy-Schwarz equality s0 * s2 == s1^2 over the selected pairs (s_k = sum
+of lambda^k).  ``connected_count`` counts the connected sets without
+enumerating them, by Moebius inversion over the subgroup lattice.
+
+The scan (``census_scan``, the exhaustive oracle) walks all 2^P subsets in
+Gray-code order, with the connectivity and lambda tests above.  Batches
+start at multiples of BATCH (only the first and last may be partial).  For
+i < BATCH, gray(base + i) = gray(base) ^ gray(i) with gray(i) < BATCH, so
+every word of a batch holds the bits gray(base) & -BATCH.  When those alone
+meet every maximal subgroup's complement, each set of the batch is
+connected and the per-word test is skipped.  In the 7^1x7 scan, 26 of its
+32,768 batches take the per-word test.
 
 lambda comes from the spectrum of S.  The characters of G are
 chi_{c,d}(a, b) = exp(2 pi i (ac/m + bd/q)); since S = -S, F(chi) =
@@ -26,22 +53,31 @@ by class size / n.
 
 Exactness: every table entry is within a few ulps of its true value,
 |F| <= n <= 62 and each product sums at most 62 terms, so the fp64 lambda
-is within 1e-9 of an integer and rint recovers it exactly.  Constancy on S
-is the Cauchy-Schwarz equality s0 * s2 == s1^2 over the selected pairs
-(s_k = sum of lambda^k), whose terms are integers below 62^4 < 2^24 and so
-exact in fp64 as well.
+is within 1e-9 of an integer and rint recovers it exactly.  The
+Cauchy-Schwarz terms are integers below 62^4 < 2^24 and so exact in fp64
+as well.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd, prod
+from typing import NamedTuple
 
 import numpy as np
 
 from .cayley import SymmetricSet, build
 from .drg import check_drg
-from .groups import GroupDescriptor, inverse_pairs, maximal_subgroup_masks
+from .groups import (
+    GroupDescriptor,
+    all_subgroups,
+    group_tables,
+    inverse_pairs,
+    linear_map,
+    maximal_subgroup_masks,
+)
 
 # Subsets per vectorized pre-filter step.  At this size each step's arrays
 # stay in cache, are recycled by the allocator instead of page-faulted back,
@@ -142,3 +178,211 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
                 hits.append(g)
     out = np.sort(np.array(hits, dtype=np.int64))
     return ScanResult(hits=out, connected=connected, scanned=stop - start)
+
+
+# -- multiplier-class generation ---------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def _multiplier_action(desc: GroupDescriptor) -> np.ndarray:
+    """The multiplier group M on pair indices, as an (|M|, P) intp array.
+
+    Row k is the pair permutation of x -> g^k x, for a primitive root g mod
+    p^s.  g has order 2|M| and g^|M| = -1 fixes every pair, so the rows are
+    M in order, row 0 is the identity, and the subgroup of order d is every
+    (|M|/d)-th row.
+    """
+    p, _ = desc.prime_power_pair
+    ps = desc.first_modulus
+    order = ps // p * (p - 1) // 2
+    g = next(
+        u for u in range(2, ps + 1)
+        if len({pow(u, k, ps) for k in range(2 * order)}) == 2 * order
+    )
+    units = np.array([pow(g, k, ps) for k in range(order)])
+    firsts = np.array([cell[0] for cell in inverse_pairs(desc)])
+    # a pair is named by its least rank, so this maps every rank to its pair
+    pair_of = np.searchsorted(firsts, np.minimum(np.arange(desc.order), group_tables(desc).neg))
+    images = linear_map(desc, desc, units * desc.second_modulus, units % desc.second_modulus)
+    return pair_of[images[:, firsts]]
+
+
+def _orbits(perms: np.ndarray, members) -> list[list[int]]:
+    """Orbits through ``members`` of the group whose pair permutations are the rows."""
+    seen: set[int] = set()
+    orbits = []
+    for j in members:
+        if j not in seen:
+            orbit = sorted(set(perms[:, j].tolist()))
+            seen.update(orbit)
+            orbits.append(orbit)
+    return orbits
+
+
+class MultiplierLayer(NamedTuple):
+    """The candidates whose stabilizer in M is one subgroup H.
+
+    One int64 table per M-orbit O, of shape ([M : H], 1 + #H-orbits in O):
+    column 0 is the empty choice and column i the word of the i-th H-orbit
+    in O; row 0 holds the words, and row c their images under g^c, one
+    multiplier from each coset of H.  Candidate index i decodes to one
+    column per table, the mixed-radix digits of i, first table lowest.
+    """
+
+    tables: tuple[np.ndarray, ...]
+    count: int  # product of the radices
+
+    def decode(self, idx: np.ndarray) -> np.ndarray:
+        """Row 0: the words at indices ``idx``; row c: their images under g^c."""
+        out = np.zeros((self.tables[0].shape[0], len(idx)), dtype=np.int64)
+        for table in self.tables:
+            idx, digit = np.divmod(idx, table.shape[1])
+            out |= table[:, digit]
+        return out
+
+
+@lru_cache(maxsize=None)
+def multiplier_layers(desc: GroupDescriptor) -> tuple[MultiplierLayer, ...]:
+    """One layer per subgroup H of M (one per divisor of |M|), by order of H."""
+    perms = _multiplier_action(desc)
+    order = perms.shape[0]
+    layers = []
+    for t in (t for t in range(order, 0, -1) if order % t == 0):
+        tables = []
+        for orbit in _orbits(perms, range(perms.shape[1])):
+            words = [(1 << perms[:t, h]).sum(axis=1) for h in _orbits(perms[::t], orbit)]
+            tables.append(np.column_stack([np.zeros(t, dtype=np.int64)] + words))
+        count = prod(table.shape[1] for table in tables)
+        layers.append(MultiplierLayer(tuple(tables), count))
+    return tuple(layers)
+
+
+def candidate_count(desc: GroupDescriptor) -> int:
+    """Sum over H <= M of prod over M-orbits O of (1 + #H-orbits in O).
+
+    From the M-orbit sizes alone: M is cyclic, so the stabilizer of a pair in
+    an orbit O has order |M|/|O|, H meets it in gcd(|H|, |M|/|O|) elements,
+    and O splits into |O| gcd(|H|, |M|/|O|) / |H| H-orbits.
+    """
+    perms = _multiplier_action(desc)
+    order = perms.shape[0]
+    sizes = [len(orbit) for orbit in _orbits(perms, range(perms.shape[1]))]
+    total = 0
+    for h in (h for h in range(1, order + 1) if order % h == 0):
+        term = 1
+        for size in sizes:
+            term *= 1 + size * gcd(h, order // size) // h
+        total += term
+    return total
+
+
+def _candidates(desc: GroupDescriptor, start: int, stop: int) -> tuple[np.ndarray, int]:
+    """Candidate words at generator indices [start, stop), and the indices decoded.
+
+    The index range runs through the layers in order.  An index becomes a
+    candidate when its word is nonzero and disjoint from its images under
+    the coset representatives, so that its stabilizer in M is its layer's H.
+    """
+    words = [np.zeros(0, dtype=np.int64)]
+    decoded = 0
+    offset = 0
+    for layer in multiplier_layers(desc):
+        lo, hi = max(start - offset, 0), min(stop - offset, layer.count)
+        offset += layer.count
+        if lo >= hi:
+            continue
+        decoded += hi - lo
+        out = layer.decode(np.arange(lo, hi, dtype=np.int64))
+        keep = (out[0] != 0) & ~(out[1:] & out[0]).any(axis=0)
+        words.append(out[0, keep])
+    return np.concatenate(words), decoded
+
+
+def connected_count(desc: GroupDescriptor) -> int:
+    """How many pair-subsets S generate G, by Moebius inversion (P. Hall 1936).
+
+    With f(H) the subsets generating H, the 2^P(H) subsets of the pairs
+    inside H are sum over K <= H of f(K), so f(G) = sum over H of
+    mu(H, G) 2^P(H), with mu(G, G) = 1 and mu(H, G) = -sum of mu(K, G) over
+    H < K <= G.  ``all_subgroups`` is sorted by order, so every K above H
+    comes before H in reverse.
+    """
+    pairs = inverse_pairs(desc)
+    mu: dict[int, int] = {}
+    total = 0
+    for h in reversed(all_subgroups(desc)):
+        mu[h.mask] = -sum(v for k, v in mu.items() if not h.mask & ~k) if mu else 1
+        total += mu[h.mask] * 2 ** sum(h.mask >> cell[0] & 1 for cell in pairs)
+    return total
+
+
+def _constant_on(lam: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Rows where ``lam`` takes one value on the pairs ``sel`` marks (0/1 floats).
+
+    The Cauchy-Schwarz equality s0 * s2 == s1^2, with s_k the sum of lam^k
+    over the marked pairs; it holds for an empty selection too.
+    """
+    on = lam * sel
+    return sel.sum(axis=1) * (on * on).sum(axis=1) == on.sum(axis=1) ** 2
+
+
+class GeneratorResult(NamedTuple):
+    hits: np.ndarray  # int64 pair words passing is_drg_pairmask, ascending
+    words: np.ndarray  # int64 candidate words, in index order
+    decoded: int  # generator indices decoded
+    funnel: tuple[tuple[str, int, float], ...]  # (stage, sets out, seconds)
+
+
+def _filter(ctx: ScanContext, words: np.ndarray, seconds: np.ndarray) -> list[np.ndarray]:
+    """The words that pass each stage (connected, lambda, c2), in order.
+
+    Adds each stage's time to ``seconds``.
+    """
+    clock = [time.perf_counter()]
+    for outside in ctx.out_masks:
+        words = words[words & outside != 0]
+    passed = [words]
+    clock.append(time.perf_counter())
+    octets = words.astype("<u8").view(np.uint8).reshape(-1, 8)
+    sel = np.unpackbits(octets, axis=1, count=ctx.pair_count, bitorder="little")
+    sel = sel.astype(np.float64)
+    lam = common_neighbors(ctx, sel)
+    keep = _constant_on(lam, sel)
+    passed.append(words[keep])
+    lam, sel = lam[keep], sel[keep]
+    clock.append(time.perf_counter())
+    # the distance-2 layer: the pairs outside S where lambda > 0
+    passed.append(passed[-1][_constant_on(lam, (lam > 0) & (sel == 0))])
+    clock.append(time.perf_counter())
+    seconds += np.diff(clock)
+    return passed
+
+
+def census_generate(desc: GroupDescriptor, start: int, stop: int) -> GeneratorResult:
+    """Hits among the generator's candidates at indices [start, stop)."""
+    ctx = scan_context(desc)
+    tick = time.perf_counter()
+    words, decoded = _candidates(desc, start, stop)
+    generate_s = time.perf_counter() - tick
+    counts = np.zeros(3, dtype=np.int64)
+    seconds = np.zeros(3)
+    survivors: list[int] = []
+    # BATCH words at a time, so that the filter's arrays stay in cache
+    for base in range(0, len(words), BATCH):
+        passed = _filter(ctx, words[base:base + BATCH], seconds)
+        counts += [len(batch) for batch in passed]
+        survivors += passed[-1].tolist()
+    tick = time.perf_counter()
+    hits = [w for w in survivors if is_drg_pairmask(desc, w)]
+    recheck_s = time.perf_counter() - tick
+    stages = ("candidates", "connected", "lambda", "c2", "rechecks")
+    return GeneratorResult(
+        hits=np.sort(np.array(hits, dtype=np.int64)),
+        words=words,
+        decoded=decoded,
+        funnel=tuple(zip(
+            stages,
+            [len(words)] + counts.tolist() + [len(survivors)],
+            [generate_s] + seconds.tolist() + [recheck_s],
+        )),
+    )

@@ -98,13 +98,16 @@ def test_a03_census_z5_z5():
     ok("A03", f"census 5^1x5: 57/4096 sets, SRG tuples match, {elapsed:.3f}s")
 
 
-def test_a04_census_z7_z7_full_scan():
+def test_a04_census_z7_z7_by_multiplier_classes():
     rep, elapsed = census_report("7^1x7")
     assert rep.symmetric_sets == 1 << 24
     assert rep.drg_sets == sum(comb(8, r) for r in range(2, 9)) == 247
     assert rep.anomalies == ()
-    assert elapsed < 1800.0
-    ok("A04", f"census 7^1x7: 247/2^24 sets, single-threaded {elapsed:.1f}s (< 30 min)")
+    candidates = dict((stage, count) for stage, count, _ in rep.funnel)["candidates"]
+    assert candidates == 65_790
+    assert elapsed < 2.0
+    ok("A04", f"census 7^1x7: 247/2^24 sets from {candidates} multiplier-class "
+        f"candidates, single-threaded {elapsed:.2f}s (< 2 s)")
 
 
 def test_a05_schur_ring_equivalence_exhaustive():

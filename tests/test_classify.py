@@ -2,7 +2,7 @@ import hashlib
 import io
 import json
 import random
-from math import comb
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -81,15 +81,36 @@ def test_census_counts(spec, expected_sets, expected_classes):
     assert sum(r.orbit_size for r in rep.records) == rep.drg_sets
 
 
+def _theorem_hits(d):
+    """The paper's hit sets, as element masks, from the subgroup lattice alone.
+
+    s = 1: every union of r >= 2 of the p + 1 order-p subgroups, minus 0
+    (2^(p+1) - p - 2 sets).  s >= 2: G minus H for each subgroup H != G.
+    """
+    p, s = d.prime_power_pair
+    full = (1 << d.order) - 1
+    if s >= 2:
+        return {full ^ h.mask for h in G.all_subgroups(d) if h.mask != full}
+    lines = [h.mask for h in G.subgroups_of_order(d, p)]
+    return {
+        sum(1 << x for x in set().union(*(G.iter_bits(h) for h in chosen))) ^ 1
+        for r in range(2, len(lines) + 1)
+        for chosen in combinations(lines, r)
+    }
+
+
 def test_census_counts_reconcile_with_subgroup_union_formula():
-    """Over Z_p+Z_p every union of >= 2 order-p subgroups is a hit and
-    conversely; the counts must equal sums of binomials."""
-    for p in (3, 5):
-        d = G.pair_group(p, 1)
+    """The census hit sets equal the theorem's, built without the census:
+    11 / 9 / 57 / 247 sets on 3^1x3 / 3^2x3 / 5^1x5 / 7^1x7."""
+    for spec, count in (("3^1x3", 11), ("3^2x3", 9), ("5^1x5", 57), ("7^1x7", 247)):
+        d = G.parse_group(spec)
+        expected = _theorem_hits(d)
+        assert len(expected) == count
+        size = sum(layer.count for layer in K.multiplier_layers(d))
+        hits = K.census_generate(d, 0, size).hits.tolist()
+        assert {C.SymmetricSet.from_pair_bits(d, bits).mask for bits in hits} == expected
         rep = CL.census(d)
-        subgroup_count = len(G.subgroups_of_order(d, p))
-        expected = sum(comb(subgroup_count, r) for r in range(2, subgroup_count + 1))
-        assert rep.drg_sets == expected
+        assert rep.drg_sets == count and rep.anomalies == ()
 
 
 def test_census_family_maps():
@@ -137,16 +158,18 @@ def test_census_json_shape():
     assert all(r["flags"]["schurVerified"] for r in data["records"])
 
 
-def _tamper_scan(monkeypatch, add, drop):
-    """The census scan returns its true hits with ``add`` put in and ``drop`` taken out."""
-    scan = CL.census_scan
+def _tamper_generator(monkeypatch, add=(), drop=(), **fields):
+    """The generator returns its true hits with ``add`` put in and ``drop``
+    taken out, and ``fields`` replaced by functions of their true values."""
+    generate = CL.census_generate
 
     def tampered(desc, start, stop):
-        res = scan(desc, start, stop)
+        res = generate(desc, start, stop)
         hits = sorted(set(res.hits.tolist()) - set(drop) | set(add))
-        return K.ScanResult(np.array(hits, dtype=np.int64), res.connected, res.scanned)
+        changed = {name: fn(getattr(res, name)) for name, fn in fields.items()}
+        return res._replace(hits=np.array(hits, dtype=np.int64), **changed)
 
-    monkeypatch.setattr(CL, "census_scan", tampered)
+    monkeypatch.setattr(CL, "census_generate", tampered)
 
 
 # pair bits over 5^1x5: 5 is connected but not distance-regular, 1 spans the
@@ -184,13 +207,26 @@ TAMPERED_HITS = {
 @pytest.mark.parametrize("case", sorted(TAMPERED_HITS))
 def test_census_reports_tampered_hits(monkeypatch, case):
     add, drop, anomalies = TAMPERED_HITS[case]
-    _tamper_scan(monkeypatch, add, drop)
+    _tamper_generator(monkeypatch, add, drop)
     assert CL.census(G.pair_group(5, 1)).anomalies == anomalies
+
+
+@pytest.mark.parametrize(
+    "fields,anomaly",
+    [
+        ({"decoded": lambda n: n - 1}, "generator decoded 792 of 793 candidates"),
+        ({"words": lambda w: np.concatenate([w, w[:2]])}, "generator repeated 2 candidate words"),
+    ],
+    ids=["short-count", "repeated-words"],
+)
+def test_census_reports_generator_check_failures(monkeypatch, fields, anomaly):
+    _tamper_generator(monkeypatch, **fields)
+    assert CL.census(G.pair_group(5, 1)).anomalies == (anomaly,)
 
 
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
     add, drop, anomalies = TAMPERED_HITS["non-drg"]
-    _tamper_scan(monkeypatch, add, drop)
+    _tamper_generator(monkeypatch, add, drop)
     out = io.StringIO()
     assert cli.main(["census", "--group", "5^1x5"], out=out) == 2
     assert tuple(json.loads(out.getvalue())["anomalies"]) == anomalies

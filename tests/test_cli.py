@@ -61,6 +61,27 @@ def test_census_to_file(tmp_path):
     assert data["totals"]["drgSets"] == 11
 
 
+FUNNEL_STAGES = ["candidates", "connected", "lambda", "c2", "rechecks", "hits", "orbits", "report"]
+
+
+def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
+    plain = tmp_path / "plain.json"
+    with_stats = tmp_path / "with-stats.json"
+    stats = tmp_path / "stats.json"
+    assert run(["census", "--group", "5^1x5", "--out", str(plain)])[0] == 0
+    code, _ = run(
+        ["census", "--group", "5^1x5", "--out", str(with_stats), "--stats", str(stats)]
+    )
+    assert code == 0
+    assert with_stats.read_bytes() == plain.read_bytes()
+    data = json.loads(stats.read_text())
+    assert data["group"] == "5^1x5"
+    assert [s["stage"] for s in data["stages"]] == FUNNEL_STAGES
+    counts = [s["count"] for s in data["stages"]]
+    assert counts == [791, 773, 349, 57, 57, 57, 5, len(plain.read_bytes())]
+    assert all(s["seconds"] >= 0 for s in data["stages"])
+
+
 def test_census_thread_counts_byte_identical():
     outputs = []
     for threads in ("1", "4", "8"):
@@ -144,6 +165,18 @@ def test_bad_thread_count_exits_64(monkeypatch, capsys):
 def test_budget_exit_65():
     code, _ = run(["census", "--group", "3^3x3"])
     assert code == 65
+
+
+@pytest.mark.parametrize("n", ["34", "36", "99999998"])
+def test_bipartite_sweep_past_the_budget_exits_65_before_any_work(n, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(cli.designs, "odd_row_subsets", no_work)
+    monkeypatch.setattr(cli.designs, "bipartite_double_check", no_work)
+    code, _ = run(["bipartite-drg", "--n", n, "--auto-search"])
+    assert code == 65
+    assert "exceed the sweep budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec", ["5^3x5", "7^2x7", "3^5x3"])

@@ -153,6 +153,14 @@ def test_bipartite_double_sweep_equivalence(n):
             assert rep.bipartite
 
 
+def test_negation_classes_count_the_odd_row_cells():
+    for n in range(4, 42, 2):
+        assert len(DS.odd_row_subsets(n)) == 2 ** DS.negation_classes(n)
+    # the smallest refused sweep: n = 34 has 9 classes, (2^9 - 1)^2 > 2^16
+    assert (2 ** DS.negation_classes(32) - 1) ** 2 <= DS.SWEEP_BUDGET
+    assert (2 ** DS.negation_classes(34) - 1) ** 2 > DS.SWEEP_BUDGET
+
+
 def test_bipartite_double_trivial_corners():
     # full odd rows: trivial full-group difference set, complete bipartite
     odds16 = tuple(range(1, 16, 2))

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from drgcayley import cayley as C
+from drgcayley import classify as CL
 from drgcayley import drg as D
 from drgcayley import groups as G
 from drgcayley import kernels as K
@@ -144,3 +145,127 @@ def test_connected_count_matches_library():
 def test_scan_context_rejects_large_orders():
     with pytest.raises(ValueError):
         K.scan_context(G.pair_group(3, 4))  # order 243 exceeds the 62-bit scan word
+
+
+# -- multiplier-class generation ------------------------------------------------
+
+GENERATOR_GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
+
+# per group: generator indices (the closed form), then the funnel's
+# survivors after each stage: candidates, connected, lambda, c2, rechecks
+FUNNEL = {
+    "3^1x3": (16, (15, 11, 11, 11, 11)),
+    "3^2x3": (1152, (190, 160, 78, 9, 9)),
+    "5^1x5": (793, (791, 773, 349, 57, 57)),
+    "7^1x7": (65792, (65790, 65758, 11464, 247, 247)),
+}
+
+
+def _generate(d, partitions):
+    """Concatenated generator results over ``partitions`` equal index ranges."""
+    size = sum(layer.count for layer in K.multiplier_layers(d))
+    results = [
+        K.census_generate(d, size * i // partitions, size * (i + 1) // partitions)
+        for i in range(partitions)
+    ]
+    return (
+        sorted(w for res in results for w in res.hits.tolist()),
+        [w for res in results for w in res.words.tolist()],
+        sum(res.decoded for res in results),
+    )
+
+
+@pytest.mark.parametrize("spec", GENERATOR_GROUPS)
+def test_generator_hits_equal_the_full_scan(spec):
+    """The exhaustive scan is the oracle: same hits at 1 and 4 partitions,
+    the same connected count by Moebius inversion, and the same report bytes.
+    On 7^1x7 this is tier-1's one full 2^24 scan."""
+    d = G.parse_group(spec)
+    scan = K.census_scan(d, 0, 1 << len(G.inverse_pairs(d)))
+    assert K.connected_count(d) == scan.connected
+    from_scan = CL._assemble_report(d, scan.hits.tolist(), scan.connected, [], []).to_json()
+    for partitions in (1, 4):
+        assert _generate(d, partitions)[0] == scan.hits.tolist()
+        assert CL.census(d, partitions=partitions).to_json() == from_scan
+
+
+@pytest.mark.parametrize("spec", GENERATOR_GROUPS)
+def test_generator_funnel_counts(spec):
+    d = G.parse_group(spec)
+    indices, counts = FUNNEL[spec]
+    assert K.candidate_count(d) == indices
+    size = sum(layer.count for layer in K.multiplier_layers(d))
+    res = K.census_generate(d, 0, size)
+    assert res.decoded == size == indices
+    assert tuple(count for _, count, _ in res.funnel) == counts
+    assert [stage for stage, _, _ in res.funnel] == [
+        "candidates", "connected", "lambda", "c2", "rechecks",
+    ]
+    assert len(res.hits) == counts[-1]
+
+
+def _multiplier_closed(d):
+    """Nonzero pair-subsets S with S^(u) = S or S^(u) & S = 0 for every unit u,
+    by brute force on element masks."""
+    p, _ = d.prime_power_pair
+    m = d.first_modulus
+    maps = [
+        [d.rank(u * a, u * b) for a, b in map(d.unrank, d.elements())]
+        for u in range(1, m) if u % p
+    ]
+    closed = set()
+    for bits in range(1, 1 << len(G.inverse_pairs(d))):
+        mask = C.SymmetricSet.from_pair_bits(d, bits).mask
+        images = {G.mask_of(img[x] for x in G.iter_bits(mask)) for img in maps}
+        if all(image == mask or not image & mask for image in images):
+            closed.add(bits)
+    return closed
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5"])
+def test_generator_words_are_the_multiplier_closed_sets_once_each(spec):
+    d = G.parse_group(spec)
+    for partitions in (1, 3):
+        _, words, decoded = _generate(d, partitions)
+        assert decoded == K.candidate_count(d)
+        assert len(words) == len(set(words))
+        assert set(words) == _multiplier_closed(d)
+
+
+def _brute_c2_constant(d, bits):
+    """Common neighbours of 0 and g take one value over the distance-2 layer."""
+    adj = C.build(d, C.SymmetricSet.from_pair_bits(d, bits)).adjacency
+    near = adj[0] | 1
+    reach = 0
+    for v in G.iter_bits(adj[0]):
+        reach |= adj[v]
+    layer2 = reach & ~near
+    return len({(adj[0] & adj[g]).bit_count() for g in G.iter_bits(layer2)}) <= 1
+
+
+@pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
+def test_rechecks_are_the_candidates_passing_every_necessary_condition(spec, monkeypatch):
+    """is_drg_pairmask sees exactly the candidates that are connected, have
+    lambda constant on S and c_2 constant, each decided on adjacency masks."""
+    d = G.parse_group(spec)
+    seen = []
+    recheck = K.is_drg_pairmask
+
+    def counted(desc, bits):
+        seen.append(bits)
+        return recheck(desc, bits)
+
+    monkeypatch.setattr(K, "is_drg_pairmask", counted)
+    _, words, _ = _generate(d, 1)
+    expected = [w for w in words if _brute_prefilter(d, w) and _brute_c2_constant(d, w)]
+    assert seen == expected
+
+
+def test_connected_count_on_groups_beyond_the_scan():
+    # a pair-subset of Z_p + Z_p is disconnected exactly when it is empty or
+    # lies in one of the p + 1 lines, which meet only in 0
+    for p in (3, 5, 7, 11):
+        d = G.pair_group(p, 1)
+        P = (p * p - 1) // 2
+        lines = p + 1
+        assert K.connected_count(d) == 2**P - lines * (2 ** ((p - 1) // 2) - 1) - 1
