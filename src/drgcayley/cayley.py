@@ -9,15 +9,15 @@ the mask is m blocks of q bits, block a holding {b : (a, b) in S}.  Adding
 (0, b0) rotates every block by b0 (bits with b < q - b0 move up by b0, the
 rest down by q - b0, two masks per b0); adding (a0, 0) then rotates the whole
 n-bit word by a0*q, which moves block a to block a + a0 mod m.  Cyclic groups
-(q = 1) need the word rotation only.  No add table is read, so
-``is_connected`` still cross-checks the result against ``closure_mask``,
-which reads the subgroup lattice (``all_subgroups``, built from the table).
+(q = 1) need the word rotation only.  Each graph runs one BFS, cached as
+``CayleyGraph.layers``.  No add table is read, so ``is_connected`` still
+cross-checks it against ``closure_mask``, which reads the subgroup lattice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -140,6 +140,24 @@ class CayleyGraph:
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adjacency[u] >> v & 1)
 
+    @cached_property
+    def layers(self) -> tuple[int, ...]:
+        """BFS layer masks N_0, N_1, ... from the identity, over its component only."""
+        adjacency = self.adjacency
+        layers = [1]
+        visited = 1
+        frontier = 1
+        while True:
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= adjacency[v]
+            nxt &= ~visited
+            if not nxt:
+                return tuple(layers)
+            layers.append(nxt)
+            visited |= nxt
+            frontier = nxt
+
 
 @lru_cache(maxsize=None)
 def _block_masks(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
@@ -172,30 +190,13 @@ def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
     return CayleyGraph(group, connection, adjacency)
 
 
-def bfs_layers(adjacency: Sequence[int]) -> tuple[int, ...]:
-    """BFS layer masks N_0, N_1, ... from vertex 0, over its component only."""
-    layers = [1]
-    visited = 1
-    frontier = 1
-    while True:
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adjacency[v]
-        nxt &= ~visited
-        if not nxt:
-            return tuple(layers)
-        layers.append(nxt)
-        visited |= nxt
-        frontier = nxt
-
-
 def is_connected(graph: CayleyGraph) -> bool:
     """BFS reachability, cross-checked against the subgroup lattice.
 
     The graph is connected exactly when S generates G, i.e. when the
     smallest subgroup in ``all_subgroups`` containing S is G itself.
     """
-    reached = sum(m.bit_count() for m in bfs_layers(graph.adjacency))
+    reached = sum(m.bit_count() for m in graph.layers)
     by_bfs = reached == graph.order
     by_closure = closure_mask(graph.group, graph.connection.mask) == (1 << graph.order) - 1
     if by_bfs != by_closure:
@@ -229,13 +230,12 @@ class DistancePartition:
 
 def distance_partition(graph: CayleyGraph) -> DistancePartition:
     """Exact BFS layers from the identity; raises on disconnected input."""
-    layers = bfs_layers(graph.adjacency)
-    reached = sum(m.bit_count() for m in layers)
+    reached = sum(m.bit_count() for m in graph.layers)
     if reached != graph.order:
         raise DisconnectedGraphError(
             f"graph is disconnected ({reached} of {graph.order} reached)"
         )
-    return DistancePartition(graph.group, layers)
+    return DistancePartition(graph.group, graph.layers)
 
 
 def common_neighbors(graph: CayleyGraph, target: int) -> int:

@@ -91,7 +91,7 @@ def cmd_check(args, out) -> int:
     module = distance_module(graph, part)
     constants = is_schur_ring(module)
     bip = is_bipartite(graph) is not None
-    antip = is_antipodal(graph, part) if part.diameter >= 2 else False
+    antip = is_antipodal(graph, part)
     family = recognize(graph, array)
     params = srg_params(array)
     payload = {

@@ -369,7 +369,7 @@ def bipartite_double_check(
     part = distance_partition(graph)
     array = check_drg(graph, part)
     bip = is_bipartite(graph) is not None
-    antip = is_antipodal(graph, part) if part.diameter >= 2 else False
+    antip = is_antipodal(graph, part)
     return BipartiteDoubleReport(
         desc,
         graph,

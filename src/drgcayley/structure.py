@@ -2,9 +2,9 @@
 
 Everything here is exact and decided from the definitions, not from
 parameter shortcuts.  Antipodality is the distance-{0, d} relation being an
-equivalence; its classes are the cosets of a subgroup, and the antipodal
-quotient is read off a homomorphism onto G/B.  Cosets and homomorphisms come
-from ``groups.coset_keys`` and ``groups.linear_map``.
+equivalence, i.e. A = N_0 | N_d being a subgroup (closure_mask(A) == A); its
+classes are the cosets of A, and the antipodal quotient is read off a
+homomorphism onto G/A, via ``groups.coset_keys`` and ``groups.linear_map``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .cayley import (
     DistancePartition,
     PlainGraph,
     SymmetricSet,
-    bfs_layers,
     build,
     iter_bits,
     verify_translation_invariance,
@@ -29,11 +28,11 @@ from .groups import (
     GroupDescriptor,
     Subgroup,
     all_subgroups,
+    closure_mask,
     coset_keys,
     group_tables,
     linear_map,
     product_group,
-    ranks_mask,
 )
 
 
@@ -58,7 +57,7 @@ def is_bipartite(graph: CayleyGraph) -> tuple[int, int] | None:
     adjacent layers, so the component has an odd cycle exactly when some
     layer contains an edge.
     """
-    layers = bfs_layers(graph.adjacency)
+    layers = graph.layers
     for layer in layers:
         for v in iter_bits(layer):
             if graph.adjacency[v] & layer:
@@ -66,36 +65,36 @@ def is_bipartite(graph: CayleyGraph) -> tuple[int, int] | None:
     return (sum(layers[0::2]), sum(layers[1::2]))  # disjoint masks
 
 
-def antipodal_classes(
-    graph: CayleyGraph, partition: DistancePartition
-) -> VertexPartition | None:
-    """Classes of the distance-{0, d} relation, when it is an equivalence.
+def is_antipodal(graph: CayleyGraph, partition: DistancePartition) -> bool:
+    """Whether the distance-{0, d} relation is an equivalence; False if d < 2.
 
     Translations are graph automorphisms (verify_translation_invariance), so
-    dist(v, u) = dist(0, u - v) and the class of v is v + A, where
-    A = N_0 | N_d is read off the identity-rooted partition.  The classes
-    v + A coincide or are disjoint exactly when A + A = A, i.e. when A is a
-    subgroup; the classes are then its cosets.  Requires diameter >= 2.
+    the class of v is v + A with A = N_0 | N_d.  These classes coincide or are
+    disjoint exactly when A is a subgroup (a in A gives a + A = A, so A is
+    closed), and A is a subgroup exactly when it is the smallest subgroup
+    containing it, ``closure_mask(A)``, read off the cached lattice.
     """
     d = partition.diameter
     if d < 2:
-        raise ValueError("antipodal classes need diameter >= 2")
-    desc = graph.group
-    verify_translation_invariance(desc)
+        return False
+    verify_translation_invariance(graph.group)
     anti = partition.layer_masks[0] | partition.layer_masks[d]
-    members = np.array(list(iter_bits(anti)))
-    if ranks_mask(desc, group_tables(desc).add[members[:, None], members]) != anti:
-        return None  # A + A != A
+    return closure_mask(graph.group, anti) == anti
+
+
+def antipodal_classes(
+    graph: CayleyGraph, partition: DistancePartition
+) -> VertexPartition | None:
+    """The cosets of N_0 | N_d when ``is_antipodal``, else None; needs d >= 2."""
+    if partition.diameter < 2:
+        raise ValueError("antipodal classes need diameter >= 2")
+    if not is_antipodal(graph, partition):
+        return None
+    anti = partition.layer_masks[0] | partition.layer_masks[-1]
     classes: dict[int, int] = {}
-    for v, key in enumerate(coset_keys(desc, anti).tolist()):
+    for v, key in enumerate(coset_keys(graph.group, anti).tolist()):
         classes[key] = classes.get(key, 0) | 1 << v
     return VertexPartition(tuple(sorted(classes.values())))
-
-
-def is_antipodal(graph: CayleyGraph, partition: DistancePartition) -> bool:
-    if partition.diameter < 2:
-        return False
-    return antipodal_classes(graph, partition) is not None
 
 
 @dataclass(frozen=True)

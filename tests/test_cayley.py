@@ -4,6 +4,7 @@ import pytest
 
 from drgcayley import cayley as C
 from drgcayley import groups as G
+from drgcayley import structure as S
 
 
 def lattice_set(p=3):
@@ -120,6 +121,34 @@ def test_distance_partition_matches_plain_bfs():
     dist = dict_bfs(g.adjacency, 0)
     for v in range(d.order):
         assert part.distance_of(v) == dist[v]
+
+
+def test_one_bfs_per_graph():
+    """is_bipartite, is_connected and distance_partition share g.layers."""
+    d, s = lattice_set(5)
+    g = C.build(d, s)
+    assert "layers" not in vars(g)
+    S.is_bipartite(g)
+    layers = vars(g)["layers"]  # cached by the first reader
+    assert C.is_connected(g)
+    assert C.distance_partition(g).layer_masks is layers
+    assert g.layers is layers
+    fresh = C.build(d, s)
+    assert C.is_connected(fresh)
+    assert vars(fresh)["layers"] == layers
+
+    # a disconnected set: the layers cover the identity's component only
+    h = G.subgroups_of_order(d, 5)[0]
+    disc = C.build(d, C.SymmetricSet(d, h.mask ^ 1))
+    assert sum(disc.layers) == h.mask
+    assert not C.is_connected(disc)
+    with pytest.raises(C.DisconnectedGraphError):
+        C.distance_partition(disc)
+
+    # the cache is not a field: equality and hash ignore it
+    other = C.build(d, s)
+    assert "layers" not in vars(other)
+    assert fresh == other and hash(fresh) == hash(other)
 
 
 def test_translation_invariant_distance_profile():

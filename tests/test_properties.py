@@ -142,12 +142,14 @@ def test_antipodal_classes(case):
     part = C.distance_partition(graph)
     d = part.diameter
     if d < 2:
+        assert not S.is_antipodal(graph, part)
         with pytest.raises(ValueError):
             S.antipodal_classes(graph, part)
         return
     n = desc.order
     cls = [sum(1 << v for v in range(n) if dist[u][v] in (0, d)) for u in range(n)]
     equivalence = all(cls[v] == cls[u] for u in range(n) for v in range(n) if cls[u] >> v & 1)
+    assert S.is_antipodal(graph, part) == equivalence
     got = S.antipodal_classes(graph, part)
     if equivalence:
         assert got == S.VertexPartition(tuple(sorted(set(cls))))
