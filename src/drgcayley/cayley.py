@@ -32,6 +32,12 @@ from .groups import (
 )
 
 
+# byte b reversed bit for bit: MSB-first bits of b packed LSB-first
+_REVERSED_BYTES = np.packbits(
+    np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1), axis=1, bitorder="little"
+).tobytes()
+
+
 class DisconnectedGraphError(ValueError):
     """Raised when an operation requires a connected graph."""
 
@@ -48,12 +54,12 @@ class SymmetricSet:
             raise ValueError("set mask exceeds group order")
         if self.mask & 1:
             raise ValueError("connection set must not contain the identity")
-        neg = group_tables(self.group).neg
-        for g in iter_bits(self.mask):
-            if not self.mask >> int(neg[g]) & 1:
-                raise ValueError(
-                    f"set is not negation-closed: contains {g} but not {int(neg[g])}"
-                )
+        neg = group_tables(self.group).neg  # also refuses orders past the table bound
+        if _negated(self.group, self.mask) != self.mask:
+            g = next(g for g in iter_bits(self.mask) if not self.mask >> int(neg[g]) & 1)
+            raise ValueError(
+                f"set is not negation-closed: contains {g} but not {int(neg[g])}"
+            )
 
     @classmethod
     def from_elements(cls, group: GroupDescriptor, elements: Iterable[int]) -> "SymmetricSet":
@@ -62,10 +68,10 @@ class SymmetricSet:
     @classmethod
     def from_pair_bits(cls, group: GroupDescriptor, bits: int) -> "SymmetricSet":
         """The union of the inverse-pair cells whose bits are set in ``bits``."""
-        pairs = inverse_pairs(group)
+        pair_masks = _pair_masks(group)
         mask = 0
         for i in iter_bits(bits):
-            mask |= mask_of(pairs[i])
+            mask |= pair_masks[i]
         return cls(group, mask)
 
     @classmethod
@@ -169,6 +175,30 @@ def _block_masks(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
         low = sum(1 << (a * q + b) for a in range(m) for b in range(q - b0))
         out.append((low, full ^ low))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _pair_masks(group: GroupDescriptor) -> tuple[int, ...]:
+    """The mask of each cell of ``inverse_pairs``, in its order."""
+    return tuple(mask_of(cell) for cell in inverse_pairs(group))
+
+
+def _negated(group: GroupDescriptor, mask: int) -> int:
+    """The mask of -S for the set S that ``mask`` holds.
+
+    Reversing the n-bit word sends rank a q + b to n - 1 - (a q + b), which
+    is element (m - 1 - a, q - 1 - b); translating by (1, 1), with the block
+    and word rotations of ``build``, lands on (-a, -b).  Both steps move
+    each bit on its own, so -S is found without a per-element loop.
+    """
+    n, q = group.order, group.second_modulus
+    width = (n + 7) // 8
+    word = int.from_bytes(mask.to_bytes(width, "big").translate(_REVERSED_BYTES), "little")
+    word >>= 8 * width - n
+    b0 = 1 % q
+    low, high = _block_masks(group)[b0]
+    t = (word & low) << b0 | (word & high) >> (q - b0)
+    return (t << q | t >> (n - q)) & ((1 << n) - 1)
 
 
 def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:

@@ -11,18 +11,18 @@ coefficients; a transform table is an (n, n) array whose row z holds F(z).
 Products are taken mod x^n - 1 and reduced once at the end: reduction mod
 Phi is a ring homomorphism from Z[x]/(x^n - 1) and linear, so
 canonical(lhs - rhs) == 0 is the same test as comparing canonical forms.
-``CyclotomicInteger`` is the value type callers receive; its tuple
-arithmetic is the reference the tests compare the arrays against.
+``CyclotomicInteger`` is the value type callers receive; the tuple
+arithmetic the tests compare the arrays against lives with the tests.
 
 int64 bound.  With M the largest |input| coefficient, no integer on the
 array path exceeds 2 n M in ``transform_function`` and ``transform_table``
 (before reduction each output coefficient is a sum of at most n inputs, and
 reduction subtracts one such sum from another) and n M_a M_b in ``product``.
-Each of the three raises ``ValueError`` when its bound exceeds 2^62, so
-int64 never wraps.  ``fourier_audit`` transforms 0/1 rows of a set of a
-group of order N = p n: every L1 norm it meets is at most 4 N^2, so its
-values stay below 8 N^2, far inside int64 for any group this package can
-build.
+``fourier_audit`` forms every sum sum_i r_i(z) r_{j-i}(z) in one einsum of
+p n products per coefficient; with M the largest |coefficient| of its
+unreduced row transforms (M <= n for the 0/1 rows it reads), no integer it
+forms exceeds p n M^2 + (|lam| + |mu|) M + k.  Each of the four raises
+``ValueError`` when its bound exceeds 2^62, so int64 never wraps.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ INT64_SAFE = 1 << 62
 
 @dataclass(frozen=True)
 class CyclotomicInteger:
+    """A value of Z[w]: its canonical coefficient vector, read-only."""
+
     p: int
     s: int
     coeffs: tuple[int, ...]
@@ -54,79 +56,6 @@ class CyclotomicInteger:
     @property
     def modulus(self) -> int:
         return self.p**self.s
-
-    @classmethod
-    def _reduced(cls, p: int, s: int, vec: list[int]) -> "CyclotomicInteger":
-        m = p ** (s - 1)
-        top = (p - 1) * m
-        for j in range(m):
-            t = vec[j + top]
-            if t:
-                for i in range(p):
-                    vec[j + i * m] -= t
-        return cls(p, s, tuple(vec))
-
-    @classmethod
-    def zero(cls, p: int, s: int) -> "CyclotomicInteger":
-        return cls(p, s, (0,) * p**s)
-
-    @classmethod
-    def integer(cls, p: int, s: int, value: int) -> "CyclotomicInteger":
-        vec = [0] * p**s
-        vec[0] = value
-        return cls(p, s, tuple(vec))
-
-    @classmethod
-    def root_power(cls, p: int, s: int, t: int) -> "CyclotomicInteger":
-        """w^t in canonical form."""
-        n = p**s
-        vec = [0] * n
-        vec[t % n] = 1
-        return cls._reduced(p, s, vec)
-
-    @classmethod
-    def from_coeffs(cls, p: int, s: int, coeffs: Sequence[int]) -> "CyclotomicInteger":
-        n = p**s
-        if len(coeffs) != n:
-            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
-        return cls._reduced(p, s, list(coeffs))
-
-    def _check(self, other: "CyclotomicInteger") -> None:
-        if (self.p, self.s) != (other.p, other.s):
-            raise ValueError("cyclotomic integers from different rings")
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check(other)
-        return CyclotomicInteger(
-            self.p, self.s, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        self._check(other)
-        return CyclotomicInteger(
-            self.p, self.s, tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.p, self.s, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "CyclotomicInteger | int") -> "CyclotomicInteger":
-        if isinstance(other, int):
-            return CyclotomicInteger(
-                self.p, self.s, tuple(a * other for a in self.coeffs)
-            )
-        self._check(other)
-        n = self.modulus
-        out = [0] * n
-        for i, ai in enumerate(self.coeffs):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(other.coeffs):
-                if bj:
-                    out[(i + j) % n] += ai * bj
-        return CyclotomicInteger._reduced(self.p, self.s, out)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
@@ -377,16 +306,51 @@ def _rows(group: GroupDescriptor, mask: int) -> np.ndarray:
     return bits.reshape(m, q).T.astype(np.int64)
 
 
+@lru_cache(maxsize=None)
+def _orbit_tables(p: int, s: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """(reps, columns, gather) for the audit over Z_n, n = p^s.
+
+    reps = (0, 1, p, ..., p^{s-1}) are the least members of the s + 1
+    orbits of the units on Z_n, in ascending order.  columns (n, (s+1) n)
+    holds the one-hot columns at them: columns[i, t n + c] = [i reps[t] = c].
+    gather indexes a flattened (p, s+1, n) array r so that entry
+    (i, j, t, c, e) of r.ravel()[gather] is r[(j - i) mod p, t, (c - e) mod n].
+    Built on first use, read-only.
+    """
+    n = p**s
+    reps = (0,) + tuple(p**t for t in range(s))
+    _, shift, onehot = _index_tables(n)
+    columns = onehot.reshape(n, n, n)[:, list(reps)].reshape(n, -1)
+    ap, at = np.arange(p), np.arange(len(reps))
+    rolled = (ap - ap[:, None]) % p  # rolled[i, j] = (j - i) mod p
+    gather = (rolled[:, :, None, None, None] * len(reps) + at[:, None, None]) * n + shift
+    for table in (columns, gather):
+        table.setflags(write=False)
+    return reps, columns, gather
+
+
 def fourier_audit(graph, array, partition) -> AuditReport:
     """Pointwise exact verification of the row-transform identity system.
 
     For a verified distance-regular Cay(Z_{p^s} + Z_p, S) with diameter >= 2
     and rows R_j, second-layer rows R_{j,2}, valency k, lam = a_1, mu = c_2:
 
-        sum_i r_i(z) r_{(j-i) mod p}(z) = k[j=0] + lam r_j(z) + mu r2_j(z)
+        E_j(z) = sum_i r_i(z) r_{(j-i) mod p}(z) - k[j=0] - lam r_j(z) - mu r2_j(z) = 0
 
     for every j and every z.  The first failure is reported in (j, z)
     lexicographic order.
+
+    One z per orbit of the units decides every z.  For a unit u of Z_n the
+    map s_u: w -> w^u is a ring automorphism of Z[w] (the Galois group of
+    Q(w) is (Z/n)^x; Washington, Introduction to Cyclotomic Fields,
+    Thm 2.5), and s_u(r_j(z)) = sum_a f_j(a) w^{a u z} = r_j(u z).  With k,
+    lam and mu integers, E_j(u z) = s_u(E_j(z)), so the identity holds at
+    u z exactly when it holds at z.  The orbits of the units on Z_n are
+    {0} and the p^t times units, t < s, whose least members are 0 < 1 < p <
+    ... < p^{s-1}; the identities are evaluated there alone, in that order.
+    For each j the least failing z is then the representative of the first
+    failing orbit, so the report, with ``identities_checked`` = j n + z at
+    the first failure, is the one an evaluation at all n points gives.
 
     The eps-weighted combinations X_i^2 = k + lam X_i + mu Y_i, with
     eps = w^m, X_i = sum_j eps^{ij} r_j and Y_i = sum_j eps^{ij} r2_j, follow
@@ -408,14 +372,21 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     k = array.valency
     lam = array.a[1]
     mu = array.c[1]
-    r1 = ctx._transform(_rows(group, graph.connection.mask))  # r1[j, z] = r_j(z)
-    r2 = ctx._transform(_rows(group, partition.layer_masks[2]))
-    # np.roll(r1, i, axis=0)[j] = r_{(j-i) mod p}; one (p, n, n, n) temporary per i
-    lhs = sum(ctx.product(r1[i], np.roll(r1, i, axis=0)) for i in range(p))
+    reps, columns, gather = _orbit_tables(p, s)
+    rows = np.concatenate(
+        (_rows(group, graph.connection.mask), _rows(group, partition.layer_masks[2]))
+    )
+    r = (rows @ columns).reshape(2, p, len(reps), n)
+    r1, r2 = r  # r1[j, t] = r_j(reps[t]), not reduced
+    top = _max_abs(r)
+    _require_int64((p * n * top + abs(lam) + abs(mu)) * top + abs(k))
+    # lhs[j, t, c] = sum_i sum_e r1[i, t, e] r1[(j - i) mod p, t, (c - e) mod n]
+    lhs = np.einsum("ite,ijtce->jtc", r1, r1.reshape(-1)[gather])
     diff = lhs - lam * r1 - mu * r2
     diff[0, :, 0] -= k
     bad = _first(ctx.canonical(diff).any(axis=-1))
     if bad is not None:
-        j, z = divmod(bad, n)
-        return AuditReport(False, bad, 0, f"row identity failed at j={j}, z={z}")
+        j, t = divmod(bad, len(reps))
+        z = reps[t]
+        return AuditReport(False, j * n + z, 0, f"row identity failed at j={j}, z={z}")
     return AuditReport(True, p * n, p * n)

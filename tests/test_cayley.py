@@ -34,8 +34,8 @@ def test_symmetric_set_validation():
     d = G.pair_group(3, 1)
     with pytest.raises(ValueError):
         C.SymmetricSet(d, 1)  # identity in the set
-    with pytest.raises(ValueError):
-        C.SymmetricSet(d, 1 << d.rank(1, 0))  # missing the negation
+    with pytest.raises(ValueError, match=r"^set is not negation-closed: contains 3 but not 6$"):
+        C.SymmetricSet(d, 1 << d.rank(1, 0))  # (1, 0) without (2, 0)
     empty = C.SymmetricSet(d, 0)
     assert empty.size == 0
 

@@ -186,6 +186,12 @@ def test_orbit_first_census_past_the_automorphism_bound_exits_65(spec, capsys):
     assert capsys.readouterr().err.startswith("budget exceeded: group order")
 
 
+def test_check_non_negation_closed_set_exits_64(capsys):
+    code, text = run(["check", "--group", "3^1x3", "--set", "(1,0)"])
+    assert (code, text) == (64, "")
+    assert capsys.readouterr().err == "usage error: set is not negation-closed: contains 3 but not 6\n"
+
+
 def test_check_past_the_table_bound_exits_64(capsys):
     code, _ = run(["check", "--group", "99999999x1", "--set", "1"])
     assert code == 64

@@ -18,6 +18,89 @@ from drgcayley import fourier as F
 from drgcayley import groups as G
 
 
+class Cyc(F.CyclotomicInteger):
+    """The library value type with tuple arithmetic: the reference that the
+    int64 array path is compared against.  ``Cyc.of`` lifts a library value."""
+
+    @classmethod
+    def of(cls, x: F.CyclotomicInteger) -> "Cyc":
+        return cls(x.p, x.s, x.coeffs)
+
+    @classmethod
+    def _reduced(cls, p: int, s: int, vec: list[int]) -> "Cyc":
+        m = p ** (s - 1)
+        top = (p - 1) * m
+        for j in range(m):
+            t = vec[j + top]
+            if t:
+                for i in range(p):
+                    vec[j + i * m] -= t
+        return cls(p, s, tuple(vec))
+
+    @classmethod
+    def zero(cls, p: int, s: int) -> "Cyc":
+        return cls(p, s, (0,) * p**s)
+
+    @classmethod
+    def integer(cls, p: int, s: int, value: int) -> "Cyc":
+        vec = [0] * p**s
+        vec[0] = value
+        return cls(p, s, tuple(vec))
+
+    @classmethod
+    def root_power(cls, p: int, s: int, t: int) -> "Cyc":
+        """w^t in canonical form."""
+        n = p**s
+        vec = [0] * n
+        vec[t % n] = 1
+        return cls._reduced(p, s, vec)
+
+    @classmethod
+    def from_coeffs(cls, p: int, s: int, coeffs) -> "Cyc":
+        n = p**s
+        if len(coeffs) != n:
+            raise ValueError(f"expected {n} coefficients, got {len(coeffs)}")
+        return cls._reduced(p, s, list(coeffs))
+
+    def _check(self, other: "Cyc") -> None:
+        if (self.p, self.s) != (other.p, other.s):
+            raise ValueError("cyclotomic integers from different rings")
+
+    def __add__(self, other: "Cyc") -> "Cyc":
+        self._check(other)
+        return Cyc(self.p, self.s, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other: "Cyc") -> "Cyc":
+        self._check(other)
+        return Cyc(self.p, self.s, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "Cyc":
+        return Cyc(self.p, self.s, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other: "Cyc | int") -> "Cyc":
+        if isinstance(other, int):
+            return Cyc(self.p, self.s, tuple(a * other for a in self.coeffs))
+        self._check(other)
+        n = self.modulus
+        out = [0] * n
+        for i, ai in enumerate(self.coeffs):
+            if ai == 0:
+                continue
+            for j, bj in enumerate(other.coeffs):
+                if bj:
+                    out[(i + j) % n] += ai * bj
+        return Cyc._reduced(self.p, self.s, out)
+
+    __rmul__ = __mul__
+
+
+def lifted(table: F.TransformTable) -> tuple[Cyc, ...]:
+    """A transform table's values with the reference arithmetic."""
+    values = table.values
+    assert all(type(v) is F.CyclotomicInteger for v in values)
+    return tuple(map(Cyc.of, values))
+
+
 def numeric_value(x: F.CyclotomicInteger) -> complex:
     """Independent check route: evaluate at w = exp(2 pi i / p^s)."""
     n = x.modulus
@@ -26,27 +109,22 @@ def numeric_value(x: F.CyclotomicInteger) -> complex:
 
 
 def oracle_table(p, s, values):
-    """[sum_i v_i w^{iz} for z in Z_n] by CyclotomicInteger arithmetic."""
+    """[sum_i v_i w^{iz} for z in Z_n] by the reference arithmetic."""
     n = p**s
     return [
-        sum(
-            (F.CyclotomicInteger.root_power(p, s, i * z) * v for i, v in enumerate(values)),
-            F.CyclotomicInteger.zero(p, s),
-        )
+        sum((Cyc.root_power(p, s, i * z) * v for i, v in enumerate(values)), Cyc.zero(p, s))
         for z in range(n)
     ]
 
 
 def oracle_transform(p, s, f):
-    """[F(f)(z) for z in Z_n] by CyclotomicInteger arithmetic."""
-    return oracle_table(p, s, [F.CyclotomicInteger.integer(p, s, int(x)) for x in f])
+    """[F(f)(z) for z in Z_n] by the reference arithmetic."""
+    return oracle_table(p, s, [Cyc.integer(p, s, int(x)) for x in f])
 
 
 def random_cyclotomic(rng, p, s):
     n = p**s
-    return F.CyclotomicInteger.from_coeffs(
-        p, s, [rng.randint(-4, 4) for _ in range(n)]
-    )
+    return Cyc.from_coeffs(p, s, [rng.randint(-4, 4) for _ in range(n)])
 
 
 @pytest.mark.parametrize("p,s", [(3, 1), (3, 2), (3, 3), (5, 1)])
@@ -61,7 +139,7 @@ def test_ring_axioms_and_numeric_agreement(p, s):
         assert ((x * y) * z).coeffs == (x * (y * z)).coeffs
         assert (x * (y + z)).coeffs == (x * y + x * z).coeffs
         # canonical form idempotence
-        assert F.CyclotomicInteger.from_coeffs(p, s, x.coeffs).coeffs == x.coeffs
+        assert Cyc.from_coeffs(p, s, x.coeffs).coeffs == x.coeffs
         # numeric cross-check of the product
         assert cmath.isclose(
             numeric_value(x * y),
@@ -85,36 +163,36 @@ def test_root_power_multiplication():
     p, s = 3, 2
     n = 9
     for a, b in itertools.product(range(n), repeat=2):
-        lhs = F.CyclotomicInteger.root_power(p, s, a) * F.CyclotomicInteger.root_power(p, s, b)
-        assert lhs == F.CyclotomicInteger.root_power(p, s, (a + b) % n)
+        lhs = Cyc.root_power(p, s, a) * Cyc.root_power(p, s, b)
+        assert lhs == Cyc.root_power(p, s, (a + b) % n)
 
 
 def test_cyclotomic_relation_reduces_to_zero():
     # 1 + w^{p^{s-1}} + ... + w^{(p-1) p^{s-1}} = 0
     for p, s in ((3, 1), (3, 2), (3, 3), (5, 2)):
         m = p ** (s - 1)
-        acc = F.CyclotomicInteger.zero(p, s)
+        acc = Cyc.zero(p, s)
         for i in range(p):
-            acc = acc + F.CyclotomicInteger.root_power(p, s, i * m)
+            acc = acc + Cyc.root_power(p, s, i * m)
         assert acc.is_zero()
 
 
 def test_hand_reduction_p3_s1():
-    one_w = F.CyclotomicInteger.from_coeffs(3, 1, [1, 1, 0])
-    one_w2 = F.CyclotomicInteger.from_coeffs(3, 1, [1, 0, 1])
-    assert (one_w * one_w2) == F.CyclotomicInteger.integer(3, 1, 1)
+    one_w = Cyc.from_coeffs(3, 1, [1, 1, 0])
+    one_w2 = Cyc.from_coeffs(3, 1, [1, 0, 1])
+    assert (one_w * one_w2) == Cyc.integer(3, 1, 1)
 
 
 def test_transform_examples():
     ctx = F.FourierContext(3, 2)
     t = ctx.transform_subset({0})
-    assert all(v == F.CyclotomicInteger.integer(3, 2, 1) for v in t.values)
+    assert all(v == Cyc.integer(3, 2, 1) for v in lifted(t))
     t = ctx.transform_subset(range(9))
-    assert t.value_at(0) == F.CyclotomicInteger.integer(3, 2, 9)
+    assert Cyc.of(t.value_at(0)) == Cyc.integer(3, 2, 9)
     assert all(t.value_at(z).is_zero() for z in range(1, 9))
     t = ctx.transform_subset({0, 1, 2})
     assert t.value_at(3).is_zero()  # 1 + w^3 + w^6
-    assert t.value_at(0) == F.CyclotomicInteger.integer(3, 2, 3)
+    assert Cyc.of(t.value_at(0)) == Cyc.integer(3, 2, 3)
 
 
 def test_transform_additive_on_disjoint_subsets():
@@ -123,10 +201,10 @@ def test_transform_additive_on_disjoint_subsets():
     for _ in range(20):
         a = {x for x in range(9) if rng.random() < 0.4}
         b = {x for x in range(9) if rng.random() < 0.4} - a
-        ta, tb = ctx.transform_subset(a), ctx.transform_subset(b)
-        tu = ctx.transform_subset(a | b)
+        ta, tb = lifted(ctx.transform_subset(a)), lifted(ctx.transform_subset(b))
+        tu = lifted(ctx.transform_subset(a | b))
         for z in range(9):
-            assert tu.value_at(z) == ta.value_at(z) + tb.value_at(z)
+            assert tu[z] == ta[z] + tb[z]
 
 
 def test_parseval_count():
@@ -137,12 +215,12 @@ def test_parseval_count():
         rng = random.Random(n)
         for _ in range(10):
             a = {x for x in range(n) if rng.random() < 0.5}
-            ta = ctx.transform_subset(a)
-            tneg = ctx.transform_subset({(-x) % n for x in a})
-            acc = F.CyclotomicInteger.zero(p, s)
+            ta = lifted(ctx.transform_subset(a))
+            tneg = lifted(ctx.transform_subset({(-x) % n for x in a}))
+            acc = Cyc.zero(p, s)
             for z in range(n):
-                acc = acc + ta.value_at(z) * tneg.value_at(z)
-            assert acc == F.CyclotomicInteger.integer(p, s, n * len(a))
+                acc = acc + ta[z] * tneg[z]
+            assert acc == Cyc.integer(p, s, n * len(a))
 
 
 def test_convolution_check_cases():
@@ -163,7 +241,7 @@ def test_inversion_check_cases():
     f[1] = 1
     ctx = F.FourierContext(3, 2)
     double = ctx.transform_table(ctx.transform_function(f))
-    assert double.value_at(8) == F.CyclotomicInteger.integer(3, 2, 9)
+    assert Cyc.of(double.value_at(8)) == Cyc.integer(3, 2, 9)
     assert all(double.value_at(z).is_zero() for z in range(8))
     rng = random.Random(3)
     for _ in range(10):
@@ -256,44 +334,52 @@ def test_fourier_audit_preconditions():
         F.fourier_audit(complete, arr, part)  # diameter 1
 
 
+def reference_row_transforms(group, elements):
+    """[[r_j(z) for z in Z_n] for j in Z_p] of an element set, by the reference arithmetic."""
+    p, s = group.prime_power_pair
+    n = p**s
+    f = [[0] * n for _ in range(p)]
+    for v in elements:
+        a, b = group.unrank(v)
+        f[b][a] = 1
+    return [oracle_transform(p, s, row) for row in f]
+
+
+def row_identity_holds(array, r1, r2, j, z):
+    """sum_i r_i(z) r_{j-i}(z) == k [j=0] + lam r_j(z) + mu r2_j(z), by the reference arithmetic."""
+    p, s = r1[0][0].p, r1[0][0].s
+    lhs = Cyc.zero(p, s)
+    for i in range(p):
+        lhs = lhs + r1[i][z] * r1[(j - i) % p][z]
+    rhs = Cyc.integer(p, s, array.valency if j == 0 else 0)
+    return lhs == rhs + array.a[1] * r1[j][z] + array.c[1] * r2[j][z]
+
+
 def reference_audit(graph, array, partition):
-    """The row-transform identity audit as a loop over CyclotomicInteger values."""
+    """The row-transform identity audit as a loop over every z, by the reference arithmetic."""
     group = graph.group
     p, s = group.prime_power_pair
     n = p**s
     k, lam, mu = array.valency, array.a[1], array.c[1]
-
-    def row_transforms(elements):
-        f = [[0] * n for _ in range(p)]
-        for v in elements:
-            a, b = group.unrank(v)
-            f[b][a] = 1
-        return [oracle_transform(p, s, row) for row in f]
-
-    r1 = row_transforms(graph.connection.members())
-    r2 = row_transforms(partition.layer_elements(2))
+    r1 = reference_row_transforms(group, graph.connection.members())
+    r2 = reference_row_transforms(group, partition.layer_elements(2))
     checked = 0
     for j in range(p):
         for z in range(n):
-            lhs = F.CyclotomicInteger.zero(p, s)
-            for i in range(p):
-                lhs = lhs + r1[i][z] * r1[(j - i) % p][z]
-            rhs = F.CyclotomicInteger.integer(p, s, k if j == 0 else 0)
-            rhs = rhs + lam * r1[j][z] + mu * r2[j][z]
-            if lhs != rhs:
+            if not row_identity_holds(array, r1, r2, j, z):
                 return F.AuditReport(False, checked, 0, f"row identity failed at j={j}, z={z}")
             checked += 1
-    eps_pow = [F.CyclotomicInteger.root_power(p, s, t * n // p) for t in range(p)]
+    eps_pow = [Cyc.root_power(p, s, t * n // p) for t in range(p)]
     weighted = 0
     for i in range(p):
         for z in range(n):
-            x = F.CyclotomicInteger.zero(p, s)
-            w = F.CyclotomicInteger.zero(p, s)
+            x = Cyc.zero(p, s)
+            w = Cyc.zero(p, s)
             for j in range(p):
                 coef = eps_pow[(i * j) % p]
                 x = x + coef * r1[j][z]
                 w = w + coef * (r1[j][z] + r2[j][z])
-            rhs = F.CyclotomicInteger.integer(p, s, k) + (lam - mu) * x + mu * w
+            rhs = Cyc.integer(p, s, k) + (lam - mu) * x + mu * w
             if x * x != rhs:
                 return F.AuditReport(
                     False, checked, weighted, f"weighted identity failed at i={i}, z={z}"
@@ -347,7 +433,62 @@ def test_fourier_audit_matches_reference(spec):
     assert any(r.identities_checked % p**s for r in reports if not r.ok)
 
 
+@pytest.mark.parametrize("spec", ["3^1x3", "5^1x5", "3^2x3", "3^3x3", "5^2x5", "11^1x11"])
+def test_fourier_audit_matches_reference_on_failures_along_unit_orbits(spec):
+    """Failures placed on whole unit orbits, first at z = u p^t for every unit u.
+
+    Cay(G, G - H) with H = K + Z_p, K = p^{s-t} Z_n of order p^t, is complete
+    multipartite with layer 2 = H - 0, whose row 1 is K.  Translating that row
+    by 1 changes r2_1 by F(1_{1+K} - 1_K)(z) = p^t (w^z - 1) [z in p^t Z_n],
+    so row 1 fails exactly on p^t Z_n - 0: on every u p^t, u a unit, and on
+    the orbits above.  The audit evaluates p^t alone of orbit t and must
+    report the reference's first failure, (j, z) = (1, p^t).
+    """
+    desc = G.parse_group(spec)
+    p, s = desc.prime_power_pair
+    n = p**s
+    full = (1 << desc.order) - 1
+    for t in range(s):
+        k_members = range(0, n, p ** (s - t))
+        h = G.mask_of(desc.rank(a, b) for a in k_members for b in range(p))
+        graph = C.build(desc, C.SymmetricSet(desc, full ^ h))
+        part = C.distance_partition(graph)
+        arr = D.check_drg(graph, part)
+        row1 = G.mask_of(desc.rank(a, 1) for a in k_members)
+        assert part.layer_masks[2] & row1 == row1
+        layers = list(part.layer_masks)
+        layers[2] ^= row1 | G.mask_of(desc.rank(a + 1, 1) for a in k_members)
+        tampered = replace(part, layer_masks=tuple(layers))
+        r1 = reference_row_transforms(desc, graph.connection.members())
+        r2 = reference_row_transforms(desc, tampered.layer_elements(2))
+        fails = [z for z in range(n) if not row_identity_holds(arr, r1, r2, 1, z)]
+        assert fails == [z for z in range(1, n) if z % p**t == 0]
+        report = F.fourier_audit(graph, arr, tampered)
+        assert report == reference_audit(graph, arr, tampered)
+        assert report == F.AuditReport(False, n + p**t, 0, f"row identity failed at j=1, z={p**t}")
+
+
 ORACLE_RINGS = ((3, 2), (3, 3), (5, 2), (11, 1))
+
+
+@pytest.mark.parametrize("p,s", ORACLE_RINGS)
+def test_unit_multiples_move_the_transform_by_the_galois_action(p, s):
+    """F(f)(u z) = s_u(F(f)(z)) for every unit u, s_u: w -> w^u, and the audit's
+    points 0, 1, p, ..., p^{s-1} are the least members of the unit orbits."""
+    n = p**s
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    orbits = {frozenset(u * z % n for u in units) for z in range(n)}
+    assert F._orbit_tables(p, s)[0] == tuple(sorted(min(o) for o in orbits))
+    ctx = F.FourierContext(p, s)
+    rng = random.Random(n)
+    for _ in range(4):
+        table = ctx.transform_function([rng.randint(-9, 9) for _ in range(n)]).coeffs.tolist()
+        for u in units:
+            for z in range(n):
+                image = [0] * n
+                for c, v in enumerate(table[z]):
+                    image[u * c % n] += v
+                assert Cyc.from_coeffs(p, s, image).coeffs == tuple(table[u * z % n])
 
 
 @settings(max_examples=30, deadline=None)
@@ -360,12 +501,12 @@ def test_array_path_matches_cyclotomic_oracle(data):
     ctx = F.FourierContext(p, s)
     tf, tg = ctx.transform_function(f), ctx.transform_function(g)
     ref_f, ref_g = oracle_transform(p, s, f), oracle_transform(p, s, g)
-    assert tf.values == tuple(ref_f) and tg.values == tuple(ref_g)
-    assert ctx.transform_table(tf).values == tuple(oracle_table(p, s, ref_f))
+    assert lifted(tf) == tuple(ref_f) and lifted(tg) == tuple(ref_g)
+    assert lifted(ctx.transform_table(tf)) == tuple(oracle_table(p, s, ref_f))
     product = ctx.canonical(ctx.product(tf.coeffs, tg.coeffs))
     assert product.tolist() == [list((x * y).coeffs) for x, y in zip(ref_f, ref_g)]
     canonical = ctx.canonical(np.array(raw, dtype=np.int64))
-    assert canonical.tolist() == list(F.CyclotomicInteger.from_coeffs(p, s, raw).coeffs)
+    assert canonical.tolist() == list(Cyc.from_coeffs(p, s, raw).coeffs)
 
 
 def test_int64_guard_near_2_62():
@@ -375,7 +516,7 @@ def test_int64_guard_near_2_62():
     rng = random.Random(62)
     top = F.INT64_SAFE // (2 * n)
     f = [rng.choice((top, -top, top - 1, 0)) for _ in range(n)]
-    assert ctx.transform_function(f).values == tuple(oracle_transform(p, s, f))
+    assert lifted(ctx.transform_function(f)) == tuple(oracle_transform(p, s, f))
     for bad in (top + 1, -top - 1, 1 << 62, -(1 << 63), 1 << 70):
         with pytest.raises(ValueError, match="int64"):
             ctx.transform_function([bad] + [0] * (n - 1))
@@ -389,6 +530,10 @@ def test_int64_guard_near_2_62():
     assert ctx.product(np.full(n, 1 << 28), np.full(n, -(1 << 28))).tolist() == [-n << 56] * n
     with pytest.raises(ValueError, match="int64"):
         ctx.product(np.full(n, 1 << 29), np.full(n, 1 << 29))
+    # the audit bounds its whole sum, lam r_j(z) included
+    graph, arr, part = next(audit_inputs("3^1x3"))
+    with pytest.raises(ValueError, match="int64"):
+        F.fourier_audit(graph, replace(arr, a=(0, F.INT64_SAFE) + arr.a[2:]), part)
 
 
 @pytest.mark.parametrize(

@@ -18,6 +18,7 @@ round-trip through ``spec()``, and malformed ones must be refused by
 """
 
 import io
+import random
 from collections import deque
 from math import gcd
 
@@ -189,6 +190,35 @@ def test_build_matches_add_table(spec, data):
         sum(1 << int(add[g][s]) for s in sset.members()) for g in desc.elements()
     )
     assert C.build(desc, sset).adjacency == want
+
+
+@pytest.mark.parametrize("spec", BUILD_SPECS + ("12x2",))
+def test_negated_mask_matches_the_neg_table(spec):
+    """-S by bit reversal and one translation equals -S from the neg table.
+
+    Every singleton is checked, then random sets: ``SymmetricSet`` accepts
+    exactly the negation-closed ones and names the least g whose -g is
+    missing, and every union of inverse pairs is its own negation.
+    """
+    desc = G.parse_group(spec)
+    neg = G.group_tables(desc).neg
+    for g in desc.elements():
+        assert C._negated(desc, 1 << g) == 1 << int(neg[g])
+    rng = random.Random(desc.order)
+    for _ in range(50):
+        mask = rng.getrandbits(desc.order) & rng.getrandbits(desc.order) & ~1
+        members = list(G.iter_bits(mask))
+        assert C._negated(desc, mask) == G.mask_of(int(neg[g]) for g in members)
+        missing = [g for g in members if not mask >> int(neg[g]) & 1]
+        if missing:
+            g = missing[0]
+            with pytest.raises(ValueError) as exc:
+                C.SymmetricSet(desc, mask)
+            assert str(exc.value) == f"set is not negation-closed: contains {g} but not {neg[g]}"
+        else:
+            assert C.SymmetricSet(desc, mask).mask == mask
+        closed = C.SymmetricSet.from_pair_bits(desc, rng.getrandbits(len(G.inverse_pairs(desc))))
+        assert C._negated(desc, closed.mask) == closed.mask
 
 
 def grown_closure(desc, mask):
