@@ -435,7 +435,7 @@ def test_fourier_audit_matches_reference(spec):
 
 @pytest.mark.parametrize("spec", ["3^1x3", "5^1x5", "3^2x3", "3^3x3", "5^2x5", "11^1x11"])
 def test_fourier_audit_matches_reference_on_failures_along_unit_orbits(spec):
-    """Failures placed on whole unit orbits, first at z = u p^t for every unit u.
+    """Failures that fill whole unit orbits: row 1 fails at every u p^t, u a unit.
 
     Cay(G, G - H) with H = K + Z_p, K = p^{s-t} Z_n of order p^t, is complete
     multipartite with layer 2 = H - 0, whose row 1 is K.  Translating that row
