@@ -5,13 +5,14 @@ A census candidate is a pair-bits int: bit j selects inverse pair j of
 as pair bits.  The default, ``scan="kernel"``, generates only the sets that
 Schur's multiplier theorem allows and filters them
 (``kernels.census_generate``; the connected count is a Moebius sum over
-the subgroup lattice).  ``scan="library"`` decides all 2^P subsets with the
-exact library check, and ``scan="orbit"`` one lex-leader per Aut(G) orbit.
-The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
-oracle the tests hold the generator to.
+the subgroup lattice) and decides each survivor once with the exact library
+check.  ``scan="library"`` decides all 2^P subsets with that check, and
+``scan="orbit"`` one lex-leader per Aut(G) orbit.  The exhaustive
+``kernels.census_scan`` stays outside ``census`` as the oracle the tests
+hold the generator to.
 
-The report re-verifies every hit in exact library arithmetic and groups the
-hits into Aut(G) orbits under the pair action ``groups.pair_permutations``.
+The report takes the decided hits as given and groups them into Aut(G)
+orbits under the pair action ``groups.pair_permutations``.
 Every field of a record is an orbit invariant, since sigma in Aut(G) gives
 Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is classified: its family
 is tagged, the Schur ring route cross-checked, and the result reconciled
@@ -261,32 +262,20 @@ def _assemble_report(
     checks: list[str],
     funnel: list[tuple[str, int, float]],
 ) -> CensusReport:
-    """The report on ``hits``; ``checks`` are the enumeration's own anomalies
-    and ``funnel`` its stages, to which the hits and orbits stages are added."""
+    """The report on the decided ``hits``; ``checks`` are the enumeration's own
+    anomalies and ``funnel`` its stages, to which the orbits stage is added."""
     _, s = desc.prime_power_pair
     ssets = {bits: SymmetricSet.from_pair_bits(desc, bits) for bits in hits}
     anomalies: list[str] = []
     grouped: set[int] = set()
     orbit_records: list[CensusRecord] = []
-    verified = 0
-    verify_s = 0.0
     start = time.perf_counter()
-    # hits in lex order of their element ranks: the first verified hit met of
-    # each orbit is its lex-least member present, so records come out in lex
-    # order.  The verdict is an Aut(G) invariant, so a failed hit never lies
-    # in the orbit of a verified one.
+    # hits in lex order of their element ranks: the first hit met of each
+    # orbit is its lex-least member present, so records come out in lex order
     for bits in sorted(ssets, key=lambda bits: tuple(iter_bits(ssets[bits].mask))):
-        sset = ssets[bits]
-        verify_start = time.perf_counter()
-        conn, drg = _library_verdict(desc, bits)
-        verify_s += time.perf_counter() - verify_start
-        verified += drg
-        if not conn:
-            anomalies.append(f"kernel hit is disconnected: {sset.member_strs()}")
-        elif not drg:
-            anomalies.append(f"kernel hit fails library DRG check: {sset.member_strs()}")
-        if not drg or bits in grouped:
+        if bits in grouped:
             continue
+        sset = ssets[bits]
         orbit = _pair_orbit(desc, bits)
         record, probs = _classify_hit(sset, s, len(orbit))
         anomalies.extend(probs)
@@ -310,8 +299,7 @@ def _assemble_report(
         family_sets[r.family] = family_sets.get(r.family, 0) + r.orbit_size
         family_orbits[r.family] = family_orbits.get(r.family, 0) + 1
         param_classes.add((r.family, r.array))
-    funnel.append(("hits", verified, verify_s))
-    funnel.append(("orbits", len(orbit_records), time.perf_counter() - start - verify_s))
+    funnel.append(("orbits", len(orbit_records), time.perf_counter() - start))
     return CensusReport(
         group=desc.spec(),
         symmetric_sets=1 << len(inverse_pairs(desc)),
@@ -334,6 +322,9 @@ def _generate(
 
     ``partitions`` splits the generator's index range.  Together the parts
     must decode exactly ``candidate_count`` indices into distinct words.
+    Each survivor is decided once; one that BFS finds disconnected is an
+    anomaly, since the word-level connectivity test passed it.  A connected
+    survivor that is not distance-regular is no hit (c_2 is only necessary).
     """
     ranges = _split_ranges(sum(layer.count for layer in multiplier_layers(desc)), partitions)
     if threads > 1 and len(ranges) > 1:
@@ -354,7 +345,18 @@ def _generate(
         (rows[0][0], sum(row[1] for row in rows), sum(row[2] for row in rows))
         for rows in zip(*(res.funnel for res in results))
     ]
-    hits = [bits for res in results for bits in res.hits.tolist()]
+    tick = time.perf_counter()
+    hits = []
+    for bits in sorted(np.concatenate([res.survivors for res in results]).tolist()):
+        conn, drg = _library_verdict(desc, bits)
+        if not conn:
+            checks.append(
+                "generator survivor is disconnected: "
+                f"{SymmetricSet.from_pair_bits(desc, bits).member_strs()}"
+            )
+        elif drg:
+            hits.append(bits)
+    funnel.append(("hits", len(hits), time.perf_counter() - tick))
     return hits, checks, funnel
 
 
@@ -380,15 +382,13 @@ def census(
         return _census_orbit_first(desc, orbit_budget)
     P = len(inverse_pairs(desc))
     if P > max_pairs:
-        raise CensusBudgetError(
-            f"2^{P} subsets exceeds the full-enumeration budget 2^{max_pairs}; "
-            "use the orbit-first mode"
-        )
+        raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {max_pairs}")
     if scan == "kernel":
         hits, checks, funnel = _generate(desc, partitions, threads)
         return _assemble_report(desc, hits, connected_count(desc), checks, funnel)
     if scan != "library":
         raise ValueError(f"unknown scan mode {scan!r}")
+    tick = time.perf_counter()
     hits = []
     connected = 0
     for lo, hi in _split_ranges(1 << P, partitions):
@@ -397,7 +397,8 @@ def census(
             connected += conn
             if drg:
                 hits.append(bits)
-    return _assemble_report(desc, hits, connected, [], [])
+    funnel = [("hits", len(hits), time.perf_counter() - tick)]
+    return _assemble_report(desc, hits, connected, [], funnel)
 
 
 # -- orbit-first enumeration (experimental) ----------------------------------
@@ -430,6 +431,7 @@ def orbit_leaders(
 
 
 def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
+    tick = time.perf_counter()
     hits: list[int] = []
     connected = 0
     for leader in orbit_leaders(desc, budget):
@@ -440,7 +442,8 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
             connected += len(orbit)
             if drg:
                 hits.extend(orbit)
-    return _assemble_report(desc, hits, connected, [], [])
+    funnel = [("hits", len(hits), time.perf_counter() - tick)]
+    return _assemble_report(desc, hits, connected, [], funnel)
 
 
 # -- family constructors -----------------------------------------------------

@@ -1,9 +1,10 @@
 """Census kernels: multiplier-class generation, with the exhaustive scan as its oracle.
 
-Both paths hand the census the inverse-pair subsets S of G = Z_{p^s} + Z_p
-(bit j selects pair j of ``groups.inverse_pairs``) for which Cay(G, S) is
-connected and distance-regular.  Each runs word-level numpy filters and
-decides every survivor with the library's own check, ``is_drg_pairmask``.
+Both paths narrow the inverse-pair subsets S of G = Z_{p^s} + Z_p (bit j
+selects pair j of ``groups.inverse_pairs``) with word-level numpy filters
+that every connected distance-regular Cay(G, S) passes.  The generator
+hands its survivors to ``classify``, which decides each one exactly once;
+the scan decides its survivors itself with ``is_drg_pairmask``.
 
 Generation (``census_generate``, what ``classify.census`` runs).  The
 distance module of a distance-regular Cayley graph over an abelian group is
@@ -327,7 +328,7 @@ def _constant_on(lam: np.ndarray, sel: np.ndarray) -> np.ndarray:
 
 
 class GeneratorResult(NamedTuple):
-    hits: np.ndarray  # int64 pair words passing is_drg_pairmask, ascending
+    survivors: np.ndarray  # int64 pair words passing the c2 filter, in index order
     words: np.ndarray  # int64 candidate words, in index order
     decoded: int  # generator indices decoded
     funnel: tuple[tuple[str, int, float], ...]  # (stage, sets out, seconds)
@@ -359,30 +360,26 @@ def _filter(ctx: ScanContext, words: np.ndarray, seconds: np.ndarray) -> list[np
 
 
 def census_generate(desc: GroupDescriptor, start: int, stop: int) -> GeneratorResult:
-    """Hits among the generator's candidates at indices [start, stop)."""
+    """The candidates at generator indices [start, stop) that pass every filter."""
     ctx = scan_context(desc)
     tick = time.perf_counter()
     words, decoded = _candidates(desc, start, stop)
     generate_s = time.perf_counter() - tick
     counts = np.zeros(3, dtype=np.int64)
     seconds = np.zeros(3)
-    survivors: list[int] = []
+    survivors = [np.zeros(0, dtype=np.int64)]
     # BATCH words at a time, so that the filter's arrays stay in cache
     for base in range(0, len(words), BATCH):
         passed = _filter(ctx, words[base:base + BATCH], seconds)
         counts += [len(batch) for batch in passed]
-        survivors += passed[-1].tolist()
-    tick = time.perf_counter()
-    hits = [w for w in survivors if is_drg_pairmask(desc, w)]
-    recheck_s = time.perf_counter() - tick
-    stages = ("candidates", "connected", "lambda", "c2", "rechecks")
+        survivors.append(passed[-1])
     return GeneratorResult(
-        hits=np.sort(np.array(hits, dtype=np.int64)),
+        survivors=np.concatenate(survivors),
         words=words,
         decoded=decoded,
         funnel=tuple(zip(
-            stages,
-            [len(words)] + counts.tolist() + [len(survivors)],
-            [generate_s] + seconds.tolist() + [recheck_s],
+            ("candidates", "connected", "lambda", "c2"),
+            [len(words)] + counts.tolist(),
+            [generate_s] + seconds.tolist(),
         )),
     )

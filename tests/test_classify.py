@@ -107,8 +107,8 @@ def test_census_counts_reconcile_with_subgroup_union_formula():
         expected = _theorem_hits(d)
         assert len(expected) == count
         size = sum(layer.count for layer in K.multiplier_layers(d))
-        hits = K.census_generate(d, 0, size).hits.tolist()
-        assert {C.SymmetricSet.from_pair_bits(d, bits).mask for bits in hits} == expected
+        survivors = K.census_generate(d, 0, size).survivors.tolist()
+        assert {C.SymmetricSet.from_pair_bits(d, bits).mask for bits in survivors} == expected
         rep = CL.census(d)
         assert rep.drg_sets == count and rep.anomalies == ()
 
@@ -159,39 +159,27 @@ def test_census_json_shape():
 
 
 def _tamper_generator(monkeypatch, add=(), drop=(), **fields):
-    """The generator returns its true hits with ``add`` put in and ``drop``
-    taken out, and ``fields`` replaced by functions of their true values."""
+    """The generator returns its true survivors with ``add`` put in and
+    ``drop`` taken out, and ``fields`` replaced by functions of their true
+    values."""
     generate = CL.census_generate
 
     def tampered(desc, start, stop):
         res = generate(desc, start, stop)
-        hits = sorted(set(res.hits.tolist()) - set(drop) | set(add))
+        survivors = sorted(set(res.survivors.tolist()) - set(drop) | set(add))
         changed = {name: fn(getattr(res, name)) for name, fn in fields.items()}
-        return res._replace(hits=np.array(hits, dtype=np.int64), **changed)
+        return res._replace(survivors=np.array(survivors, dtype=np.int64), **changed)
 
     monkeypatch.setattr(CL, "census_generate", tampered)
 
 
-# pair bits over 5^1x5: 5 is connected but not distance-regular, 1 spans the
-# subgroup <(0,1)> only, and 135 is the lex-least set of a TD line graph orbit
-# of 15, so the next member of that orbit leads its record
+# pair bits over 5^1x5: 5 is connected but not distance-regular, so the exact
+# decision drops it and the report is the untampered one; 1 spans the
+# subgroup <(0,1)> only; and 135 is the lex-least set of a TD line graph
+# orbit of 15, so the next member of that orbit leads its record
 TAMPERED_HITS = {
-    "non-drg": (
-        (5,),
-        (),
-        (
-            "kernel hit fails library DRG check: ['(0,1)', '(0,4)', '(1,0)', '(4,0)']",
-            "orbit sizes sum to 57, expected 58",
-        ),
-    ),
-    "disconnected": (
-        (1,),
-        (),
-        (
-            "kernel hit is disconnected: ['(0,1)', '(0,4)']",
-            "orbit sizes sum to 57, expected 58",
-        ),
-    ),
+    "non-drg": ((5,), (), ()),
+    "disconnected": ((1,), (), ("generator survivor is disconnected: ['(0,1)', '(0,4)']",)),
     "missing-image": (
         (),
         (135,),
@@ -208,7 +196,10 @@ TAMPERED_HITS = {
 def test_census_reports_tampered_hits(monkeypatch, case):
     add, drop, anomalies = TAMPERED_HITS[case]
     _tamper_generator(monkeypatch, add, drop)
-    assert CL.census(G.pair_group(5, 1)).anomalies == anomalies
+    report = CL.census(G.pair_group(5, 1))
+    assert report.anomalies == anomalies
+    if case == "non-drg":
+        assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["5^1x5"]
 
 
 @pytest.mark.parametrize(
@@ -225,7 +216,7 @@ def test_census_reports_generator_check_failures(monkeypatch, fields, anomaly):
 
 
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
-    add, drop, anomalies = TAMPERED_HITS["non-drg"]
+    add, drop, anomalies = TAMPERED_HITS["disconnected"]
     _tamper_generator(monkeypatch, add, drop)
     out = io.StringIO()
     assert cli.main(["census", "--group", "5^1x5"], out=out) == 2
@@ -247,11 +238,43 @@ def test_census_classifies_one_set_per_orbit(monkeypatch, spec):
     assert len(calls) == rep.orbit_count
 
 
+# per group: hits, then orbit leaders (one exact verdict each in orbit mode)
+EXACT_DECISIONS = {"3^1x3": (11, 5), "3^2x3": (9, 288), "5^1x5": (57, 50)}
+
+
+@pytest.mark.parametrize("spec", sorted(EXACT_DECISIONS))
+def test_census_decides_each_candidate_exactly_once(monkeypatch, spec):
+    """Kernel mode decides each c_2 survivor once with the library verdict
+    and never with is_drg_pairmask; orbit mode decides each leader once."""
+    d = G.parse_group(spec)
+    hits, leaders = EXACT_DECISIONS[spec]
+    verdicts, pairmasks = [], []
+    library_verdict, pairmask = CL._library_verdict, K.is_drg_pairmask
+
+    def counted_verdict(desc, bits):
+        verdicts.append(bits)
+        return library_verdict(desc, bits)
+
+    def counted_pairmask(desc, bits):
+        pairmasks.append(bits)
+        return pairmask(desc, bits)
+
+    monkeypatch.setattr(CL, "_library_verdict", counted_verdict)
+    monkeypatch.setattr(K, "is_drg_pairmask", counted_pairmask)
+    assert CL.census(d).drg_sets == hits
+    assert len(verdicts) == len(set(verdicts)) == hits
+    assert pairmasks == []
+    verdicts.clear()
+    assert CL.census(d, scan="orbit").drg_sets == hits
+    assert len(verdicts) == len(set(verdicts)) == leaders == len(list(CL.orbit_leaders(d)))
+    assert pairmasks == []
+
+
 def test_census_rejects_non_pair_groups_and_big_groups():
     with pytest.raises(ValueError):
         CL.census(G.cyclic_group(27))
     with pytest.raises(CL.CensusBudgetError):
-        CL.census(G.pair_group(3, 3))  # 2^40 subsets
+        CL.census(G.pair_group(3, 3))  # 40 inverse pairs
     with pytest.raises(CL.CensusBudgetError):
         CL.census(G.pair_group(3, 3), scan="orbit", orbit_budget=50)
 

@@ -61,7 +61,7 @@ def test_census_to_file(tmp_path):
     assert data["totals"]["drgSets"] == 11
 
 
-FUNNEL_STAGES = ["candidates", "connected", "lambda", "c2", "rechecks", "hits", "orbits", "report"]
+FUNNEL_STAGES = ["candidates", "connected", "lambda", "c2", "hits", "orbits", "report"]
 
 
 def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
@@ -78,7 +78,7 @@ def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
     assert data["group"] == "5^1x5"
     assert [s["stage"] for s in data["stages"]] == FUNNEL_STAGES
     counts = [s["count"] for s in data["stages"]]
-    assert counts == [791, 773, 349, 57, 57, 57, 5, len(plain.read_bytes())]
+    assert counts == [791, 773, 349, 57, 57, 5, len(plain.read_bytes())]
     assert all(s["seconds"] >= 0 for s in data["stages"])
 
 
@@ -162,9 +162,16 @@ def test_bad_thread_count_exits_64(monkeypatch, capsys):
     assert code == 0
 
 
-def test_budget_exit_65():
-    code, _ = run(["census", "--group", "3^3x3"])
-    assert code == 65
+def test_budget_exit_65(monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the generator ran")
+
+    monkeypatch.setattr(cli.classify, "census_generate", no_work)
+    code, text = run(["census", "--group", "3^3x3"])
+    assert (code, text) == (65, "")
+    assert capsys.readouterr().err == (
+        "budget exceeded: 40 inverse pairs exceed the census budget of 24\n"
+    )
 
 
 @pytest.mark.parametrize("n", ["34", "36", "99999998"])

@@ -152,12 +152,12 @@ def test_scan_context_rejects_large_orders():
 GENERATOR_GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
 
 # per group: generator indices (the closed form), then the funnel's
-# survivors after each stage: candidates, connected, lambda, c2, rechecks
+# survivors after each stage: candidates, connected, lambda, c2
 FUNNEL = {
-    "3^1x3": (16, (15, 11, 11, 11, 11)),
-    "3^2x3": (1152, (190, 160, 78, 9, 9)),
-    "5^1x5": (793, (791, 773, 349, 57, 57)),
-    "7^1x7": (65792, (65790, 65758, 11464, 247, 247)),
+    "3^1x3": (16, (15, 11, 11, 11)),
+    "3^2x3": (1152, (190, 160, 78, 9)),
+    "5^1x5": (793, (791, 773, 349, 57)),
+    "7^1x7": (65792, (65790, 65758, 11464, 247)),
 }
 
 
@@ -169,7 +169,7 @@ def _generate(d, partitions):
         for i in range(partitions)
     ]
     return (
-        sorted(w for res in results for w in res.hits.tolist()),
+        sorted(w for res in results for w in res.survivors.tolist()),
         [w for res in results for w in res.words.tolist()],
         sum(res.decoded for res in results),
     )
@@ -177,9 +177,10 @@ def _generate(d, partitions):
 
 @pytest.mark.parametrize("spec", GENERATOR_GROUPS)
 def test_generator_hits_equal_the_full_scan(spec):
-    """The exhaustive scan is the oracle: same hits at 1 and 4 partitions,
-    the same connected count by Moebius inversion, and the same report bytes.
-    On 7^1x7 this is tier-1's one full 2^24 scan."""
+    """The exhaustive scan is the oracle: its hits are the generator's
+    survivors at 1 and 4 partitions (on these groups every c_2 survivor is
+    distance-regular), the connected count is the Moebius sum, and the report
+    bytes agree.  On 7^1x7 this is tier-1's one full 2^24 scan."""
     d = G.parse_group(spec)
     scan = K.census_scan(d, 0, 1 << len(G.inverse_pairs(d)))
     assert K.connected_count(d) == scan.connected
@@ -199,9 +200,9 @@ def test_generator_funnel_counts(spec):
     assert res.decoded == size == indices
     assert tuple(count for _, count, _ in res.funnel) == counts
     assert [stage for stage, _, _ in res.funnel] == [
-        "candidates", "connected", "lambda", "c2", "rechecks",
+        "candidates", "connected", "lambda", "c2",
     ]
-    assert len(res.hits) == counts[-1]
+    assert len(res.survivors) == counts[-1]
 
 
 def _multiplier_closed(d):
@@ -244,21 +245,15 @@ def _brute_c2_constant(d, bits):
 
 
 @pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
-def test_rechecks_are_the_candidates_passing_every_necessary_condition(spec, monkeypatch):
-    """is_drg_pairmask sees exactly the candidates that are connected, have
+def test_survivors_are_the_candidates_passing_every_necessary_condition(spec):
+    """The survivors are exactly the candidates that are connected, have
     lambda constant on S and c_2 constant, each decided on adjacency masks."""
     d = G.parse_group(spec)
-    seen = []
-    recheck = K.is_drg_pairmask
-
-    def counted(desc, bits):
-        seen.append(bits)
-        return recheck(desc, bits)
-
-    monkeypatch.setattr(K, "is_drg_pairmask", counted)
-    _, words, _ = _generate(d, 1)
-    expected = [w for w in words if _brute_prefilter(d, w) and _brute_c2_constant(d, w)]
-    assert seen == expected
+    res = K.census_generate(d, 0, K.candidate_count(d))
+    expected = [
+        w for w in res.words.tolist() if _brute_prefilter(d, w) and _brute_c2_constant(d, w)
+    ]
+    assert res.survivors.tolist() == expected
 
 
 def test_connected_count_on_groups_beyond_the_scan():
