@@ -1,17 +1,19 @@
-"""Census by multiplier-class generation against the 2^P scan: writes BENCH_census_generator.json.
+"""census() and the benchmark, this checkout against a parent: writes BENCH_census_generator.json.
 
     python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT [--pairs 10]
 
-PARENT_CHECKOUT is a checkout of the commit before the generator (for
-example ``git archive <parent> | tar -x -C DIR``); the change is this
-checkout.  The script records two things, each side in fresh interpreters
-with the program imported from that checkout's ``src``:
+PARENT_CHECKOUT is a checkout of the commit to compare against (a ``git
+clone`` at that commit, or ``git archive <parent> | tar -x -C DIR``); the
+change is this checkout.  The output's ``what`` names both sides by path
+and, where the side is a git checkout, by ``git rev-parse HEAD`` (an
+archive extract has no commit to name).  The script records two things,
+each side in fresh interpreters with the program imported from that
+checkout's ``src``:
 
-- ``census``: wall time of ``census()`` per census group on both sides (the
-  parent's census runs the full 2^P ``census_scan``), and of the full
-  ``census_scan`` oracle itself on this side.  The first call in a fresh
-  process is reported as ``cold_s``; the median of the later calls as
-  ``warm_s``.
+- ``census``: wall time of ``census()`` per census group on both sides, and
+  of the full ``census_scan`` oracle where the side has the generator.  The
+  first call in a fresh process is reported as ``cold_s``; the median of
+  the later calls as ``warm_s``.
 - ``pairs``: alternating 35 s ``perfbench/run.py`` runs of both sides
   (parent first on even pair index), ``--pairs`` pairs of ``census-small``
   and ``--other-pairs`` pairs each of ``census-7x7`` and ``certify-large``,
@@ -70,6 +72,19 @@ def _python(checkout: Path, args: list[str]) -> str:
         [sys.executable, *args], cwd=checkout, env=env, capture_output=True, text=True, check=True
     )
     return proc.stdout.strip().splitlines()[-1]
+
+
+def describe(checkout: Path) -> str:
+    """The checkout's path and, when it is a git checkout, its HEAD commit."""
+    if not (checkout / ".git").exists():
+        return f"{checkout} (no git metadata)"
+
+    def git(*args: str) -> str:
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    dirty = " with uncommitted changes" if git("status", "--porcelain") else ""
+    return f"{checkout} at {git('rev-parse', 'HEAD')}{dirty}"
 
 
 def time_census(checkout: Path, reps: int) -> dict:
@@ -147,8 +162,7 @@ def main(argv=None) -> int:
                       f"{run['metrics']['sets_per_s']:.1f}", file=sys.stderr)
             seed += 1
     payload = {
-        "what": "census() by multiplier-class generation (side change) against the parent's "
-                "full 2^P census_scan (side parent)",
+        "what": f"side change: {describe(ROOT)}; side parent: {describe(sides['parent'])}",
         "command": f"python3 perfbench/run.py --workload <w> --seed <s> --seconds {args.seconds} "
                    "--trace 0",
         "order": "pairs alternate which side runs first (parent first on even pair index); "

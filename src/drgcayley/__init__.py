@@ -12,7 +12,6 @@ from .cayley import (
     RowDecomposition,
     SymmetricSet,
     build,
-    common_neighbors,
     distance_partition,
     edge_list,
     is_connected,
@@ -51,7 +50,6 @@ __all__ = [
     "build",
     "census",
     "check_drg",
-    "common_neighbors",
     "construct_family",
     "cyclic_group",
     "distance_partition",

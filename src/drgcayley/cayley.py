@@ -268,48 +268,6 @@ def distance_partition(graph: CayleyGraph) -> DistancePartition:
     return DistancePartition(graph.group, graph.layers)
 
 
-def common_neighbors(graph: CayleyGraph, target: int) -> int:
-    """|N(identity) & N(target)|, computed two independent ways.
-
-    The mask intersection must agree with the row-wise sum
-    sum_t |R_t & (i - R_{(j-t) mod q})| for target (i, j); any disagreement
-    is a bug, not a property of the input.
-    """
-    by_mask = (graph.adjacency[0] & graph.adjacency[target]).bit_count()
-    group = graph.group
-    m, q = group.first_modulus, group.second_modulus
-    rows = graph.connection.rows().rows
-    i, j = group.unrank(target)
-    by_rows = 0
-    for t in range(q):
-        other = rows[(j - t) % q]
-        shifted = {(i - u) % m for u in other}
-        by_rows += len(rows[t] & shifted)
-    if by_mask != by_rows:
-        raise AssertionError(
-            f"common-neighbor count mismatch at {group.element_str(target)}: "
-            f"{by_mask} by masks vs {by_rows} by rows"
-        )
-    return by_mask
-
-
-@dataclass(frozen=True)
-class PlainGraph:
-    """A small undirected graph on re-indexed vertices (quotients, halves)."""
-
-    labels: tuple[str, ...]
-    adjacency: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.adjacency)
-
-    def is_complete(self) -> bool:
-        n = self.order
-        want = (1 << n) - 1
-        return all(self.adjacency[v] == want ^ (1 << v) for v in range(n))
-
-
 def edge_list(adjacency: Sequence[int]) -> str:
     """One "u v" line per undirected edge, ranks ascending."""
     lines = []

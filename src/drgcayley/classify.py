@@ -56,10 +56,10 @@ from .structure import (
 
 
 class CensusBudgetError(RuntimeError):
-    """Enumeration would exceed the configured budget."""
+    """Enumeration would exceed the census budget, MAX_PAIRS inverse pairs."""
 
 
-DEFAULT_MAX_PAIRS = 24
+MAX_PAIRS = 24  # groups with more inverse pairs are refused
 DEFAULT_ORBIT_BUDGET = 2_000_000
 
 
@@ -366,7 +366,6 @@ def census(
     partitions: int = 1,
     threads: int = 1,
     scan: str = "kernel",
-    max_pairs: int = DEFAULT_MAX_PAIRS,
     orbit_budget: int = DEFAULT_ORBIT_BUDGET,
 ) -> CensusReport:
     """Find every distance-regular connection set, classify hits, reconcile families.
@@ -381,8 +380,8 @@ def census(
     if scan == "orbit":
         return _census_orbit_first(desc, orbit_budget)
     P = len(inverse_pairs(desc))
-    if P > max_pairs:
-        raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {max_pairs}")
+    if P > MAX_PAIRS:
+        raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {MAX_PAIRS}")
     if scan == "kernel":
         hits, checks, funnel = _generate(desc, partitions, threads)
         return _assemble_report(desc, hits, connected_count(desc), checks, funnel)

@@ -124,7 +124,6 @@ def cmd_census(args, out) -> int:
         partitions=args.partitions,
         threads=_thread_count(args.threads),
         scan="orbit" if args.orbit_first else "kernel",
-        max_pairs=args.max_pairs,
         orbit_budget=args.orbit_budget,
     )
     start = time.perf_counter()
@@ -288,7 +287,6 @@ def build_parser() -> _Parser:
         "--stats", default=None, help="write the per-stage counts and seconds here as JSON"
     )
     p_census.add_argument("--orbit-first", action="store_true")
-    p_census.add_argument("--max-pairs", type=int, default=classify.DEFAULT_MAX_PAIRS)
     p_census.add_argument(
         "--orbit-budget", type=int, default=classify.DEFAULT_ORBIT_BUDGET
     )

@@ -23,6 +23,8 @@ p n products per coefficient; with M the largest |coefficient| of its
 unreduced row transforms (M <= n for the 0/1 rows it reads), no integer it
 forms exceeds p n M^2 + (|lam| + |mu|) M + k.  Each of the four raises
 ``ValueError`` when its bound exceeds 2^62, so int64 never wraps.
+``convolution_check``, ``inversion_check``, ``transversal_zeros`` and
+``rational_image_orbits`` check the lemmas their docstrings state.
 """
 
 from __future__ import annotations
@@ -194,7 +196,7 @@ class CheckReport:
 
 
 def convolution_check(p: int, s: int, a: Iterable[int], b: Iterable[int]) -> CheckReport:
-    """Oracle: F(f * g) = F(f) . F(g) and (D_A * D_B)(i) = |(i-A) & B|."""
+    """Lemma checked: F(f * g) = F(f) . F(g) and (D_A * D_B)(i) = |(i-A) & B|."""
     ctx = FourierContext(p, s)
     n = ctx.n
     aset = {x % n for x in a}
@@ -215,7 +217,7 @@ def convolution_check(p: int, s: int, a: Iterable[int], b: Iterable[int]) -> Che
 
 
 def inversion_check(p: int, s: int, f: Sequence[int]) -> CheckReport:
-    """Oracle: F(F(f))(z) = n f(-z), pointwise in Z[w]."""
+    """Lemma checked, Fourier inversion: F(F(f))(z) = n f(-z), pointwise in Z[w]."""
     ctx = FourierContext(p, s)
     n = ctx.n
     double = ctx.transform_table(ctx.transform_function(f))
@@ -228,7 +230,7 @@ def inversion_check(p: int, s: int, f: Sequence[int]) -> CheckReport:
 
 
 def transversal_zeros(p: int, s: int, subset: Iterable[int], r: int) -> bool:
-    """Transform of a transversal of rZ_n vanishes on (n/r)Z_n minus 0.
+    """Lemma checked: the transform of a transversal of rZ_n vanishes on (n/r)Z_n minus 0.
 
     The precondition (subset transversal of rZ_n) is checked; a False result
     would certify a contradiction with the predicted vanishing and is
@@ -264,9 +266,10 @@ def rational_image_orbits(
 ) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
     """Orbit decomposition of the subset when its transform is rational.
 
-    Rationality is decided exactly from canonical forms.  Consistency is
-    asserted both ways: a rational transform must come from a union of unit
-    orbits, and a union of unit orbits must transform rationally.
+    Lemma checked (Bridges and Mena, J. Combin. Theory A 32, 1982): the
+    transform is rational exactly when the subset is a union of unit orbits.
+    Rationality is decided exactly from canonical forms, and the lemma is
+    asserted both ways.
     """
     ctx = FourierContext(p, s)
     n = ctx.n

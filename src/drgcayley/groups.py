@@ -265,8 +265,24 @@ def inverse_pairs(desc: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
+def pair_of_rank(desc: GroupDescriptor) -> np.ndarray:
+    """The index in ``inverse_pairs`` of each nonzero rank, a read-only intp array.
+
+    A pair is named by its least rank min(g, -g).  Entry 0, the identity, is 0.
+    """
+    firsts = [cell[0] for cell in inverse_pairs(desc)]
+    pair_of = np.searchsorted(firsts, np.minimum(np.arange(desc.order), group_tables(desc).neg))
+    pair_of.flags.writeable = False
+    return pair_of
+
+
+@lru_cache(maxsize=None)
 def atom_partition(desc: GroupDescriptor) -> tuple[tuple[int, ...], ...]:
-    """Cells [g] = {x : <x> = <g>}; the identity forms its own cell."""
+    """Cells [g] = {x : <x> = <g>}, the unit orbits; the identity forms its own cell.
+
+    Lemma checked: a set has a rational transform exactly when it is a union
+    of cells (Bridges and Mena 1982; see ``fourier.rational_image_orbits``).
+    """
     by_subgroup: dict[int, list[int]] = {}
     for g in desc.elements():
         key = cyclic_subgroup_mask(desc, g)
@@ -450,10 +466,9 @@ def pair_permutations(desc: GroupDescriptor) -> np.ndarray:
     is the identity.
     """
     auts = np.array([aut.perm for aut in automorphism_group(desc)], dtype=np.intp)
-    firsts = np.array([cell[0] for cell in inverse_pairs(desc)], dtype=np.intp)
-    # a pair is named by its least rank, so this maps every rank to its pair
-    pair_of = np.searchsorted(firsts, np.minimum(np.arange(desc.order), group_tables(desc).neg))
+    firsts = [cell[0] for cell in inverse_pairs(desc)]
     # sorted(set()) and not np.unique(axis=0), which imports numpy.ma (~17 ms)
-    perms = np.array(sorted(set(map(tuple, pair_of[auts[:, firsts]].tolist()))), dtype=np.intp)
+    images = pair_of_rank(desc)[auts[:, firsts]]
+    perms = np.array(sorted(set(map(tuple, images.tolist()))), dtype=np.intp)
     perms.flags.writeable = False
     return perms

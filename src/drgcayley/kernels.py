@@ -74,10 +74,10 @@ from .drg import check_drg
 from .groups import (
     GroupDescriptor,
     all_subgroups,
-    group_tables,
     inverse_pairs,
     linear_map,
     maximal_subgroup_masks,
+    pair_of_rank,
 )
 
 # Subsets per vectorized pre-filter step.  At this size each step's arrays
@@ -126,6 +126,12 @@ def scan_context(desc: GroupDescriptor) -> ScanContext:
     )
 
 
+def _pair_bits(words: np.ndarray, count: int) -> np.ndarray:
+    """Bit j of each 64-bit word as column j of a (len(words), count) float64 0/1 array."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, count=count, bitorder="little").astype(np.float64)
+
+
 def common_neighbors(ctx: ScanContext, bits: np.ndarray) -> np.ndarray:
     """lambda at each pair's representative, one row per 0/1 row of ``bits``."""
     spec = bits @ ctx.spectrum
@@ -166,9 +172,7 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
                 conn &= (gray & np.uint64(outside)) != 0
             gray = gray[conn]
         connected += len(gray)
-        octets = gray.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        sel = np.unpackbits(octets, axis=1, count=ctx.pair_count, bitorder="little")
-        sel = sel.astype(np.float64)
+        sel = _pair_bits(gray, ctx.pair_count)
         # lambda constant on S <=> s0 * s2 == s1^2 (Cauchy-Schwarz); in place, see BATCH
         lam = common_neighbors(ctx, sel)
         lam *= sel
@@ -201,11 +205,9 @@ def _multiplier_action(desc: GroupDescriptor) -> np.ndarray:
         if len({pow(u, k, ps) for k in range(2 * order)}) == 2 * order
     )
     units = np.array([pow(g, k, ps) for k in range(order)])
-    firsts = np.array([cell[0] for cell in inverse_pairs(desc)])
-    # a pair is named by its least rank, so this maps every rank to its pair
-    pair_of = np.searchsorted(firsts, np.minimum(np.arange(desc.order), group_tables(desc).neg))
+    firsts = [cell[0] for cell in inverse_pairs(desc)]
     images = linear_map(desc, desc, units * desc.second_modulus, units % desc.second_modulus)
-    return pair_of[images[:, firsts]]
+    return pair_of_rank(desc)[images[:, firsts]]
 
 
 def _orbits(perms: np.ndarray, members) -> list[list[int]]:
@@ -344,9 +346,7 @@ def _filter(ctx: ScanContext, words: np.ndarray, seconds: np.ndarray) -> list[np
         words = words[words & outside != 0]
     passed = [words]
     clock.append(time.perf_counter())
-    octets = words.astype("<u8").view(np.uint8).reshape(-1, 8)
-    sel = np.unpackbits(octets, axis=1, count=ctx.pair_count, bitorder="little")
-    sel = sel.astype(np.float64)
+    sel = _pair_bits(words, ctx.pair_count)
     lam = common_neighbors(ctx, sel)
     keep = _constant_on(lam, sel)
     passed.append(words[keep])

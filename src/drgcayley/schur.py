@@ -1,11 +1,12 @@
-"""Group-algebra layer: class sums, distance modules, Schur-ring checks.
+"""Group-algebra layer: distance modules, Schur-ring checks, multipliers.
 
 Cell partitions are verified as Schur rings by forming every product of two
 cell sums at once and testing that each is constant on every cell; over an
 abelian group that implies inverse closure (see ``is_schur_ring``).  All
 arithmetic is 64-bit integer: a product coefficient counts pairs (g, h) with
 fixed g, so it is at most |G|, and the bincount keys that index the r cells'
-products stay below r^2 |G|.
+products stay below r^2 |G|.  ``power_map`` checks the lemma the census
+generator prunes by.
 """
 
 from __future__ import annotations
@@ -17,35 +18,6 @@ import numpy as np
 
 from .cayley import CayleyGraph, DistancePartition, iter_bits, mask_of
 from .groups import GroupDescriptor, closure_mask, group_tables
-
-
-@dataclass(frozen=True)
-class ClassSum:
-    """An element of the integral group algebra as a coefficient vector."""
-
-    group: GroupDescriptor
-    coeffs: tuple[int, ...]
-
-    @classmethod
-    def of_subset(cls, group: GroupDescriptor, mask: int) -> "ClassSum":
-        vec = [0] * group.order
-        for g in iter_bits(mask):
-            vec[g] = 1
-        return cls(group, tuple(vec))
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=np.int64)
-
-
-def convolve(x: ClassSum, y: ClassSum) -> ClassSum:
-    """Group-algebra product: coefficient of g is sum_h x(h) * y(g - h)."""
-    if x.group != y.group:
-        raise ValueError("class sums over different groups")
-    sub = group_tables(x.group).sub
-    xv = x.vector()
-    yv = y.vector()
-    prod = yv[sub] @ xv  # (y[g-h])_{g,h} . x
-    return ClassSum(x.group, tuple(int(v) for v in prod))
 
 
 @dataclass(frozen=True)
@@ -118,10 +90,6 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     return constants
 
 
-def is_trivial(basis: CellPartition) -> bool:
-    return basis.cell_count == 2
-
-
 def is_primitive(basis: CellPartition) -> bool:
     """True when every non-identity cell generates the whole group."""
     full = (1 << basis.group.order) - 1
@@ -133,9 +101,10 @@ def is_primitive(basis: CellPartition) -> bool:
 def power_map(basis: CellPartition, m: int) -> tuple[int, ...]:
     """The cell permutation induced by g -> m*g, for gcd(m, |G|) = 1.
 
-    On a verified Schur basis over an abelian group the image of every cell
-    is again a cell; a non-cell image means the input was not a verified
-    basis and is raised as such.
+    Lemma checked: Schur's multiplier theorem (Wielandt, Thm 23.9), the
+    census generator's pruning rule: on a Schur ring over an abelian group
+    the image of every cell is a cell.  A non-cell image means the input was
+    not a verified basis and is raised as such.
     """
     desc = basis.group
     if gcd(m, desc.order) != 1:

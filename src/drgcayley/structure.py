@@ -1,4 +1,4 @@
-"""Imprimitivity analysis: bipartitions, antipodal classes, quotients, halves.
+"""Imprimitivity analysis: bipartitions, antipodal classes, quotients.
 
 Everything here is exact and decided from the definitions, not from
 parameter shortcuts.  Antipodality is the distance-{0, d} relation being an
@@ -11,14 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
 
 import numpy as np
 
 from .cayley import (
     CayleyGraph,
     DistancePartition,
-    PlainGraph,
     SymmetricSet,
     build,
     iter_bits,
@@ -42,12 +40,6 @@ class VertexPartition:
 
     def block_sizes(self) -> tuple[int, ...]:
         return tuple(b.bit_count() for b in self.blocks)
-
-    def block_of(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if b >> v & 1:
-                return i
-        raise ValueError(f"vertex {v} not covered")
 
 
 def is_bipartite(graph: CayleyGraph) -> tuple[int, int] | None:
@@ -156,123 +148,11 @@ def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> QuotientResult:
     return QuotientResult(q_graph, coset_of)
 
 
-def halved_graphs(
-    graph: CayleyGraph, bipartition: tuple[int, int]
-) -> tuple[PlainGraph, PlainGraph]:
-    """The two components of the distance-2 graph, one per color class."""
-    if bipartition is None:
-        raise ValueError("graph is not bipartite")
-    n = graph.order
-    halves = []
-    for cls in bipartition:
-        verts = list(iter_bits(cls))
-        index = {v: i for i, v in enumerate(verts)}
-        adj = [0] * len(verts)
-        for v in verts:
-            reach = 0
-            for w in iter_bits(graph.adjacency[v]):
-                reach |= graph.adjacency[w]
-            reach &= cls
-            reach &= ~(1 << v)
-            for w in iter_bits(reach):
-                adj[index[v]] |= 1 << index[w]
-        labels = tuple(graph.group.element_str(v) for v in verts)
-        halves.append(PlainGraph(labels, tuple(adj)))
-    return (halves[0], halves[1])
-
-
-def is_equitable(
-    graph: CayleyGraph, partition: VertexPartition
-) -> tuple[tuple[int, ...], ...] | None:
-    """Block-degree matrix b_ij when constant within blocks, else None."""
-    mat: list[tuple[int, ...]] = []
-    for bi in partition.blocks:
-        row_ref: tuple[int, ...] | None = None
-        for v in iter_bits(bi):
-            row = tuple(
-                (graph.adjacency[v] & bj).bit_count() for bj in partition.blocks
-            )
-            if row_ref is None:
-                row_ref = row
-            elif row != row_ref:
-                return None
-        assert row_ref is not None
-        mat.append(row_ref)
-    return tuple(mat)
-
-
-@dataclass(frozen=True)
-class AntipodalSpectrum:
-    """Eigenvalue data of a non-bipartite antipodal diameter-3 cover.
-
-    For valency k, covering index r, and common-neighbor counts lam/mu with
-    k = mu(r-1) + lam + 1, the spectrum is k, theta1, -1, theta3 with
-    theta_{1,3} = (lam-mu)/2 +- delta and delta^2 = k + ((lam-mu)/2)^2.
-    """
-
-    k: int
-    r: int
-    lam: int
-    mu: int
-    v: int
-    delta: float
-    theta1: float
-    theta3: float
-    m1: float
-    m3: float
-    integral: bool
-    feasible: bool
-
-    def intersection_array(self) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
-        return ((self.k, self.mu * (self.r - 1), 1), (1, self.mu, self.k))
-
-
-def antipodal_spectrum(k: int, r: int, lam: int, mu: int) -> AntipodalSpectrum:
-    """Evaluate the diameter-3 antipodal spectrum formulas exactly.
-
-    The discriminant 4k + (lam-mu)^2 is handled in integer arithmetic so the
-    integrality flag is exact; lam != mu forces integrality, and violations
-    are reported infeasible rather than silently accepted.
-    """
-    if min(k, lam, mu) < 0 or r < 2:
-        raise ValueError("parameters out of range")
-    if k != mu * (r - 1) + lam + 1:
-        raise ValueError(
-            f"inconsistent parameters: k={k} but mu(r-1)+lam+1={mu * (r - 1) + lam + 1}"
-        )
-    disc = 4 * k + (lam - mu) ** 2  # (2*delta)^2
-    root = isqrt(disc)
-    is_square = root * root == disc
-    # theta integral iff 2*delta is an integer of the same parity as lam-mu
-    integral = is_square and (lam - mu + root) % 2 == 0
-    delta = (root if is_square else disc**0.5) / 2.0
-    theta1 = (lam - mu) / 2.0 + delta
-    theta3 = (lam - mu) / 2.0 - delta
-    total = (r - 1) * (k + 1)
-    m1 = -theta3 / (theta1 - theta3) * total
-    m3 = theta1 / (theta1 - theta3) * total
-    feasible = integral or lam == mu
-    return AntipodalSpectrum(
-        k=k,
-        r=r,
-        lam=lam,
-        mu=mu,
-        v=r * (k + 1),
-        delta=delta,
-        theta1=theta1,
-        theta3=theta3,
-        m1=m1,
-        m3=m3,
-        integral=integral,
-        feasible=feasible,
-    )
-
-
 def identity_antipodal_subgroup(
     graph: CayleyGraph, classes: VertexPartition
 ) -> Subgroup:
     """The antipodal class containing the identity, as a verified subgroup."""
-    mask = classes.blocks[classes.block_of(0)]
+    mask = next(b for b in classes.blocks if b & 1)
     for h in all_subgroups(graph.group):
         if h.mask == mask:
             return h

@@ -161,38 +161,6 @@ def test_translation_invariant_distance_profile():
         assert sorted(dict_bfs(g.adjacency, v).values()) == base
 
 
-def test_common_neighbors():
-    d = G.pair_group(3, 1)
-    complete = C.build(d, C.SymmetricSet.from_elements(d, range(1, 9)))
-    for v in range(1, 9):
-        assert C.common_neighbors(complete, v) == 7
-    d, s = lattice_set()
-    g = C.build(d, s)
-    adjacent = s.members()[0]
-    assert C.common_neighbors(g, adjacent) == 1
-    non_adjacent = next(
-        v for v in range(1, 9) if not g.has_edge(0, v)
-    )
-    assert C.common_neighbors(g, non_adjacent) == 2
-
-
-def test_common_neighbors_mask_equals_row_sum_exhaustively():
-    # every subset of the order-9 group, every target; order-27 sampled
-    d = G.pair_group(3, 1)
-    for bits in range(1 << 4):
-        s = C.SymmetricSet.from_pair_bits(d, bits)
-        g = C.build(d, s)
-        for v in range(d.order):
-            C.common_neighbors(g, v)  # raises on any mismatch
-    d9 = G.pair_group(3, 2)
-    rng = random.Random(31)
-    for _ in range(60):
-        bits = rng.randrange(1 << 13)
-        g = C.build(d9, C.SymmetricSet.from_pair_bits(d9, bits))
-        for v in range(d9.order):
-            C.common_neighbors(g, v)
-
-
 def test_row_decomposition_round_trip():
     d = G.pair_group(3, 2)
     rng = random.Random(23)

@@ -3,7 +3,8 @@
 The traced benchmark run (perfbench/spans.py) looks functions up by module
 and name; a rename or deletion here would silently drop a span from it.
 Every name a source module imports is also used there, since no linter
-runs on the package.
+runs on the package.  And every top-level function and class of the package
+is reached by a program path or checks a lemma listed here.
 """
 
 import ast
@@ -82,3 +83,178 @@ def _unused_imports(tree):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
+
+
+
+# Code that no program path calls but that checks a stated lemma; its unit
+# tests are the check.  Every other top-level function and class of the
+# package must be reached from src/, perfbench/ or scripts/.
+LEMMA_CHECKERS = {
+    "schur.power_map": (
+        "Schur's multiplier theorem (Wielandt, Finite Permutation Groups, Thm 23.9): "
+        "x -> m x, gcd(m, |G|) = 1, permutes the cells of a Schur ring over an "
+        "abelian group; the census generator prunes by it"
+    ),
+    "fourier.rational_image_orbits": (
+        "Bridges-Mena 1982: a subset of Z_n has a rational transform exactly when "
+        "it is a union of orbits of the units"
+    ),
+    "groups.atom_partition": (
+        "Bridges-Mena 1982: a set has a rational transform exactly when it is a union "
+        "of the classes {x : <x> = <g>}, the unit orbits"
+    ),
+    "fourier.convolution_check": "F(f * g) = F(f) F(g), and (D_A * D_B)(i) = |(i - A) & B|",
+    "fourier.inversion_check": "Fourier inversion: F(F(f))(z) = n f(-z)",
+    "fourier.transversal_zeros": (
+        "the transform of a transversal of rZ_n vanishes on (n/r)Z_n minus 0"
+    ),
+    "designs.line_graph": (
+        "the line graph of TD(r, p) is Cay(G, union of r order-p subgroups minus 0)"
+    ),
+    "designs.diffset_search": (
+        "the double-layer graph over Z_n + Z_2 is a non-antipodal diameter-3 DRG exactly "
+        "when its shifted rows form a nontrivial difference set in the even-index subgroup"
+    ),
+}
+MODULES = {p.stem for p in SOURCES} - {"__init__"}
+PROGRAM_FILES = (
+    [p for p in SOURCES if p.stem in MODULES]
+    + sorted((ROOT / "perfbench").glob("*.py"))
+    + sorted((ROOT / "scripts").glob("*.py"))
+)
+
+
+def _top_level(tree):
+    return [
+        node for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    ]
+
+
+def _package_imports(tree, here):
+    """Module aliases and imported names that bind package code in ``tree``.
+
+    Returns ({local: module}, {local: (module, name)}), with module "" for the
+    package itself; ``here`` is the tree's own module, None outside the package.
+    """
+    modules, names = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "drgcayley":
+                    if alias.asname:
+                        modules[alias.asname] = ".".join(parts[1:])
+                    else:
+                        modules["drgcayley"] = ""
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 1 and here is not None:
+                source = node.module or ""
+            elif node.level == 0 and (node.module or "").split(".")[0] == "drgcayley":
+                source = node.module.partition(".")[2]
+            else:
+                continue
+            for alias in node.names:
+                if not source and alias.name in MODULES:
+                    modules[alias.asname or alias.name] = alias.name
+                else:
+                    names[alias.asname or alias.name] = (source, alias.name)
+    return modules, names
+
+
+def _trees(path):
+    """The file's syntax tree, and that of each string literal in it that
+    parses as a program importing the package (a script run by ``python -c``)."""
+    tree = ast.parse(path.read_text())
+    yield tree
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                program = ast.parse(node.value)
+            except SyntaxError:
+                continue
+            if _package_imports(program, None) != ({}, {}):
+                yield program
+
+
+def _references(path):
+    """(user, (module, name)) for every package binding the file reads.
+
+    A name is read through an import of it (``from .m import f``; ``f``) or of
+    its module (``m.f``), or, in its own module, anywhere outside its own
+    definition.  The user is the package's top-level definition holding the
+    read, or None for module-level code and for files outside the package.
+    The binding may be a re-import; ``_resolve`` follows it.
+    """
+    here = path.stem if path.parent.name == "drgcayley" else None
+    found = set()
+    for tree in _trees(path):
+        modules, names = _package_imports(tree, here)
+        holder = {}  # node id -> the top-level definition holding it
+        for definition in (_top_level(tree) if here else []):
+            names[definition.name] = (here, definition.name)
+            holder.update((id(n), (here, definition.name)) for n in ast.walk(definition))
+        quoted = [  # string annotations, read where they stand
+            (holder.get(id(annotation)), ast.parse(node.value, mode="eval"))
+            for annotation in _annotations(tree)
+            for node in ast.walk(annotation)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        ]
+        for node, user in [(n, holder.get(id(n))) for n in ast.walk(tree)] + [
+            (n, user) for user, expr in quoted for n in ast.walk(expr)
+        ]:
+            target = None
+            if isinstance(node, ast.Name) and node.id in names:
+                target = names[node.id]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id in modules:
+                    target = (modules[node.value.id], node.attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+                outer = node.value
+                if isinstance(outer.value, ast.Name) and modules.get(outer.value.id) == "":
+                    target = (outer.attr, node.attr)
+            if target is not None and target != user:
+                found.add((user, target))
+    return found
+
+
+def _resolve(reference, imports, defined):
+    """Follow re-imports to the module that defines the name, or None."""
+    while reference not in defined:
+        reference = imports.get(reference[0], {}).get(reference[1])
+        if reference is None:
+            return None
+    return reference
+
+
+def test_package_code_is_reached_by_a_program_or_checks_a_lemma():
+    """Reached: read by module-level code of the package, by perfbench/ or
+    scripts/, traced by perfbench, or read by a reached or lemma-checking
+    definition.  Names are module-qualified, so ``kernels.common_neighbors``
+    does not reach a ``cayley.common_neighbors``, and the ``__init__``
+    re-exports reach nothing."""
+    defined, imports = set(), {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        module = "" if path.stem == "__init__" else path.stem
+        defined.update((module, node.name) for node in _top_level(tree))
+        imports[module] = _package_imports(tree, module)[1]
+    uses = {}  # user -> the definitions it reads
+    for path in PROGRAM_FILES:
+        for user, reference in _references(path):
+            target = _resolve(reference, imports, defined)
+            if target is not None:  # None: a constant or a submodule
+                uses.setdefault(user, set()).add(target)
+    lemmas = {tuple(key.split(".")) for key in LEMMA_CHECKERS}
+    assert sorted(lemmas - defined) == []
+
+    def closure(frontier):
+        reached = set()
+        while frontier:
+            reached |= frontier
+            frontier = set().union(*(uses.get(d, set()) for d in frontier)) - reached
+        return reached
+
+    program = closure(uses.get(None, set()) | {(m, f) for m, f, _ in _traced_targets()})
+    assert sorted(lemmas & program) == []  # a program path reaches it; drop the entry
+    assert sorted(f"{m}.{n}" for m, n in defined - closure(program | lemmas)) == []

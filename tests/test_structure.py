@@ -115,99 +115,6 @@ def test_quotient_rejects_contained_connection_set():
         S.quotient_by_subgroup(g, h9)
 
 
-def test_halved_graphs():
-    z6 = G.cyclic_group(6)
-    c6 = C.build(z6, C.SymmetricSet.from_elements(z6, [1, 5]))
-    h1, h2 = S.halved_graphs(c6, S.is_bipartite(c6))
-    assert (h1.order, h2.order) == (3, 3)
-    assert h1.is_complete() and h2.is_complete()
-
-    z10 = G.cyclic_group(10)
-    crown = C.build(z10, C.SymmetricSet.from_elements(z10, [1, 3, 7, 9]))
-    g1, g2 = S.halved_graphs(crown, S.is_bipartite(crown))
-    assert g1.order == g2.order == 5
-    assert g1.is_complete() and g2.is_complete()
-
-    odds = tuple(range(1, 16, 2))
-    big = bipartite_double_check(16, odds, odds).graph
-    b1, b2 = S.halved_graphs(big, S.is_bipartite(big))
-    assert b1.order == b2.order == 16
-
-
-def test_is_equitable_on_distance_partition():
-    d, g = lattice()
-    part = C.distance_partition(g)
-    mat = S.is_equitable(g, S.VertexPartition(tuple(part.layer_masks)))
-    arr = D.check_drg(g, part)
-    # rows must be the tridiagonal (c_i, a_i, b_i)
-    assert mat == (
-        (0, arr.b[0], 0),
-        (arr.c[0], arr.a[1], arr.b[1]),
-        (0, arr.c[1], arr.a[2]),
-    )
-
-
-def test_is_equitable_parts_and_singletons():
-    d, g = k3x3()
-    part = C.distance_partition(g)
-    classes = S.antipodal_classes(g, part)
-    mat = S.is_equitable(g, classes)
-    assert mat is not None
-    for i, row in enumerate(mat):
-        assert row[i] == 0
-        assert all(x == 3 for j, x in enumerate(row) if j != i)
-    singles = S.VertexPartition(tuple(1 << v for v in range(9)))
-    mat = S.is_equitable(g, singles)
-    assert all(sum(row) == 6 for row in mat)
-
-
-def test_is_equitable_absent():
-    d, g = lattice()
-    blocks = (1 | 2, ((1 << 9) - 1) ^ 3)
-    assert S.is_equitable(g, S.VertexPartition(blocks)) is None
-
-
-def test_antipodal_spectrum_example():
-    sp = S.antipodal_spectrum(3, 2, 1, 1)
-    assert sp.v == 8
-    assert sp.theta1 == pytest.approx(3**0.5)
-    assert sp.theta3 == pytest.approx(-(3**0.5))
-    assert sp.m1 == pytest.approx(2) and sp.m3 == pytest.approx(2)
-    assert not sp.integral and sp.feasible
-    assert sp.intersection_array() == ((3, 1, 1), (1, 1, 3))
-
-
-def test_antipodal_spectrum_consistency_rejection():
-    with pytest.raises(ValueError):
-        S.antipodal_spectrum(3, 2, 0, 1)
-
-
-def test_antipodal_spectrum_trace_identity_randomized():
-    rng = random.Random(41)
-    for _ in range(200):
-        r = rng.randint(2, 6)
-        mu = rng.randint(1, 8)
-        lam = rng.randint(0, 8)
-        k = mu * (r - 1) + lam + 1
-        sp = S.antipodal_spectrum(k, r, lam, mu)
-        assert sp.m1 * sp.theta1 + sp.m3 * sp.theta3 == pytest.approx(0, abs=1e-9)
-        assert sp.m1 + sp.m3 == pytest.approx((r - 1) * (k + 1))
-        assert sp.v == r * (k + 1)
-        # full trace: k + sum of eigenvalues with multiplicity = 0
-        assert k + sp.m1 * sp.theta1 + k * (-1) + sp.m3 * sp.theta3 == pytest.approx(
-            k - k, abs=1e-9
-        )
-        if lam != mu:
-            # integral or explicitly infeasible, never silently irrational
-            assert sp.integral == sp.feasible
-
-
-def test_antipodal_spectrum_integrality_exact():
-    # the 6-cycle as a 2-fold cover of K_3: disc = 9, eigenvalues 1 and -2
-    sp = S.antipodal_spectrum(2, 2, 0, 1)
-    assert sp.integral and sp.theta1 == 1.0 and sp.theta3 == -2.0
-
-
 def test_diameter3_antipodal_cover_machinery():
     """Crown graph over Z_6 + Z_2: a 2-fold antipodal cover of K_6.
 
@@ -227,6 +134,3 @@ def test_diameter3_antipodal_cover_machinery():
     q = S.quotient_by_subgroup(g, sub)
     q_arr = D.check_drg(q.graph)
     assert q_arr is not None and q_arr.diameter == 1 and q.graph.order == 6
-    # spectrum bookkeeping for the same cover parameters
-    sp = S.antipodal_spectrum(arr.valency, 2, arr.a[1], arr.c[1])
-    assert sp.v == g.order
