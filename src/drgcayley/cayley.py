@@ -148,21 +148,27 @@ class CayleyGraph:
 
     @cached_property
     def layers(self) -> tuple[int, ...]:
-        """BFS layer masks N_0, N_1, ... from the identity, over its component only."""
+        """BFS layer masks N_0, N_1, ... from the identity, over its component only.
+
+        The search stops as soon as every vertex is reached, so a connected
+        graph never expands its last layer.
+        """
         adjacency = self.adjacency
+        full = (1 << self.group.order) - 1
         layers = [1]
         visited = 1
         frontier = 1
-        while True:
+        while visited != full:
             nxt = 0
             for v in iter_bits(frontier):
                 nxt |= adjacency[v]
             nxt &= ~visited
             if not nxt:
-                return tuple(layers)
+                break
             layers.append(nxt)
             visited |= nxt
             frontier = nxt
+        return tuple(layers)
 
 
 @lru_cache(maxsize=None)
@@ -181,6 +187,12 @@ def _block_masks(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
 def _pair_masks(group: GroupDescriptor) -> tuple[int, ...]:
     """The mask of each cell of ``inverse_pairs``, in its order."""
     return tuple(mask_of(cell) for cell in inverse_pairs(group))
+
+
+@lru_cache(maxsize=None)
+def _negation_half(group: GroupDescriptor) -> int:
+    """The mask of the g with g <= -g: the identity and the least member of each pair."""
+    return 1 | mask_of(cell[0] for cell in inverse_pairs(group))
 
 
 def _negated(group: GroupDescriptor, mask: int) -> int:

@@ -218,8 +218,8 @@ def _classify_hit(
     if antip:
         sub = identity_antipodal_subgroup(graph, classes)
         quotient = quotient_by_subgroup(graph, sub)
-        q_part = distance_partition(quotient.graph)
-        q_array = check_drg(quotient.graph, q_part)
+        q_part = distance_partition(quotient)
+        q_array = check_drg(quotient, q_part)
         if q_array is None or q_part.diameter != d // 2:
             anomalies.append(
                 f"antipodal quotient not DRG of half diameter for {sset.member_strs()}"

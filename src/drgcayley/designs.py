@@ -154,13 +154,7 @@ def td_from_pcp(pcp: PartialCongruencePartition) -> TransversalDesign:
     return td
 
 
-@dataclass(frozen=True)
-class LineGraphResult:
-    cayley: CayleyGraph
-    isomorphic: bool
-
-
-def line_graph(pcp: PartialCongruencePartition, td: TransversalDesign) -> LineGraphResult:
+def line_graph(pcp: PartialCongruencePartition, td: TransversalDesign) -> CayleyGraph:
     """Lines as vertices, adjacency = shared point; checked against Cayley.
 
     Lemma checked: L(TD(r, p)) is Cay(G, union of the subgroups minus
@@ -184,10 +178,9 @@ def line_graph(pcp: PartialCongruencePartition, td: TransversalDesign) -> LineGr
         union_mask |= sub.mask
     sset = SymmetricSet(desc, union_mask ^ 1)
     cay = build(desc, sset)
-    iso = all(adj[g] == cay.adjacency[g] for g in range(n))
-    if not iso:
+    if any(adj[g] != cay.adjacency[g] for g in range(n)):
         raise AssertionError("line graph is not isomorphic to the Cayley graph")
-    return LineGraphResult(cay, iso)
+    return cay
 
 
 def td_line_srg_params(r: int, v: int) -> SrgParams:

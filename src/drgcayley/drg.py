@@ -8,6 +8,7 @@ from math import isqrt
 from .cayley import (
     CayleyGraph,
     DistancePartition,
+    _negation_half,
     distance_partition,
     iter_bits,
     verify_translation_invariance,
@@ -104,11 +105,19 @@ def check_drg(
     translation-automorphism property is asserted once per group (cached),
     after which constancy of (c_i, a_i, b_i) over each BFS layer from the
     identity decides distance-regularity exactly.
+
+    Only one vertex of each pair {v, -v} is read.  Since S = -S, the map
+    x -> -x is an automorphism of Cay(G, S) (h - g in S iff (-h) - (-g) in
+    S) that fixes the identity, so it maps every layer N_i onto itself and
+    the neighbors of v in N_{i-1}, N_i, N_{i+1} onto those of -v: the two
+    triples are equal.  Each layer is negation-closed, so its least member
+    v has v <= -v and every layer keeps a vertex to read.
     """
     verify_translation_invariance(graph.group)
     if partition is None:
         partition = distance_partition(graph)
     layers = partition.layer_masks
+    half = _negation_half(graph.group)
     d = partition.diameter
     b: list[int] = []
     c: list[int] = []
@@ -117,7 +126,7 @@ def check_drg(
         prev = layers[i - 1] if i > 0 else 0
         nxt = layers[i + 1] if i < d else 0
         ref = None
-        for v in iter_bits(layer):
+        for v in iter_bits(layer & half):
             adj = graph.adjacency[v]
             triple = (
                 (adj & prev).bit_count(),

@@ -18,8 +18,9 @@ int64 bound.  With M the largest |input| coefficient, no integer on the
 array path exceeds 2 n M in ``transform_function`` and ``transform_table``
 (before reduction each output coefficient is a sum of at most n inputs, and
 reduction subtracts one such sum from another) and n M_a M_b in ``product``.
-``fourier_audit`` forms every sum sum_i r_i(z) r_{j-i}(z) in one einsum of
-p n products per coefficient; with M the largest |coefficient| of its
+``fourier_audit`` forms every product r_i(z) r_{i'}(z) in one int64 matmul
+per z, n products per coefficient, and each sum sum_i r_i(z) r_{j-i}(z) by
+adding p of them (a fold over Z_p); with M the largest |coefficient| of its
 unreduced row transforms (M <= n for the 0/1 rows it reads), no integer it
 forms exceeds p n M^2 + (|lam| + |mu|) M + k.  Each of the four raises
 ``ValueError`` when its bound exceeds 2^62, so int64 never wraps.
@@ -310,26 +311,52 @@ def _rows(group: GroupDescriptor, mask: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _orbit_tables(p: int, s: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-    """(reps, columns, gather) for the audit over Z_n, n = p^s.
+def _orbit_tables(p: int, s: int) -> tuple[tuple[int, ...], np.ndarray]:
+    """(reps, columns) for the audit over Z_n, n = p^s.
 
     reps = (0, 1, p, ..., p^{s-1}) are the least members of the s + 1
     orbits of the units on Z_n, in ascending order.  columns (n, (s+1) n)
     holds the one-hot columns at them: columns[i, t n + c] = [i reps[t] = c].
-    gather indexes a flattened (p, s+1, n) array r so that entry
-    (i, j, t, c, e) of r.ravel()[gather] is r[(j - i) mod p, t, (c - e) mod n].
     Built on first use, read-only.
     """
     n = p**s
     reps = (0,) + tuple(p**t for t in range(s))
-    _, shift, onehot = _index_tables(n)
-    columns = onehot.reshape(n, n, n)[:, list(reps)].reshape(n, -1)
-    ap, at = np.arange(p), np.arange(len(reps))
-    rolled = (ap - ap[:, None]) % p  # rolled[i, j] = (j - i) mod p
-    gather = (rolled[:, :, None, None, None] * len(reps) + at[:, None, None]) * n + shift
-    for table in (columns, gather):
+    columns = _index_tables(n)[2].reshape(n, n, n)[:, list(reps)].reshape(n, -1)
+    columns.setflags(write=False)
+    return reps, columns
+
+
+@lru_cache(maxsize=None)
+def _product_tables(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, fold) for ``_row_products`` over Z_n, n = p^s.
+
+    gather, of shape (s+1, n, p n), indexes a flattened (p, s+1, n) array r
+    so that entry (t, e, i n + c) of r.ravel()[gather] is
+    r[i, t, (c - e) mod n].  fold (p, p) holds fold[i, j] = i p + (j - i)
+    mod p.  Built on first use, read-only.
+    """
+    n = p**s
+    shift = _index_tables(n)[1]
+    ap, at = np.arange(p), np.arange(s + 1)
+    gather = (ap[:, None] * (s + 1) + at[:, None, None, None]) * n + shift.T[:, None, :]
+    gather = gather.reshape(s + 1, n, p * n)
+    fold = ap[:, None] * p + (ap - ap[:, None]) % p
+    for table in (gather, fold):
         table.setflags(write=False)
-    return reps, columns, gather
+    return gather, fold
+
+
+def _row_products(r1: np.ndarray, p: int, s: int) -> np.ndarray:
+    """lhs[j, t] = sum_i r1[i, t] r1[(j - i) mod p, t] mod x^n - 1, for r1 of shape (p, s+1, n).
+
+    One int64 matmul per t forms the Z_n convolution of every pair of rows:
+    conv[t, i, i2 n + c] = sum_e r1[i, t, e] r1[i2, t, (c - e) mod n].  The
+    fold over Z_p then adds conv[t, i, (j - i) mod p] over i.
+    """
+    gather, fold = _product_tables(p, s)
+    n = p**s
+    conv = np.matmul(r1.transpose(1, 0, 2), r1.reshape(-1)[gather])
+    return conv.reshape(s + 1, p * p, n)[:, fold].sum(axis=1).transpose(1, 0, 2)
 
 
 def fourier_audit(graph, array, partition) -> AuditReport:
@@ -375,7 +402,7 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     k = array.valency
     lam = array.a[1]
     mu = array.c[1]
-    reps, columns, gather = _orbit_tables(p, s)
+    reps, columns = _orbit_tables(p, s)
     rows = np.concatenate(
         (_rows(group, graph.connection.mask), _rows(group, partition.layer_masks[2]))
     )
@@ -383,9 +410,7 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     r1, r2 = r  # r1[j, t] = r_j(reps[t]), not reduced
     top = _max_abs(r)
     _require_int64((p * n * top + abs(lam) + abs(mu)) * top + abs(k))
-    # lhs[j, t, c] = sum_i sum_e r1[i, t, e] r1[(j - i) mod p, t, (c - e) mod n]
-    lhs = np.einsum("ite,ijtce->jtc", r1, r1.reshape(-1)[gather])
-    diff = lhs - lam * r1 - mu * r2
+    diff = _row_products(r1, p, s) - lam * r1 - mu * r2
     diff[0, :, 0] -= k
     bad = _first(ctx.canonical(diff).any(axis=-1))
     if bad is not None:

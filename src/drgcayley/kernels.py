@@ -246,9 +246,14 @@ class MultiplierLayer(NamedTuple):
 
 @lru_cache(maxsize=None)
 def multiplier_layers(desc: GroupDescriptor) -> tuple[MultiplierLayer, ...]:
-    """One layer per subgroup H of M (one per divisor of |M|), by order of H."""
+    """One layer per subgroup H of M (one per divisor of |M|), by order of H.
+
+    Words are int64, so groups with more than 62 inverse pairs are refused.
+    """
     perms = _multiplier_action(desc)
-    order = perms.shape[0]
+    order, pairs = perms.shape
+    if pairs > 62:
+        raise ValueError(f"{desc.spec()} has {pairs} inverse pairs; pair words hold 62")
     layers = []
     for t in (t for t in range(order, 0, -1) if order % t == 0):
         tables = []

@@ -2,16 +2,18 @@
 
 Cell partitions are verified as Schur rings by forming every product of two
 cell sums at once and testing that each is constant on every cell; over an
-abelian group that implies inverse closure (see ``is_schur_ring``).  All
-arithmetic is 64-bit integer: a product coefficient counts pairs (g, h) with
-fixed g, so it is at most |G|, and the bincount keys that index the r cells'
-products stay below r^2 |G|.  ``power_map`` checks the lemma the census
-generator prunes by.
+abelian group that implies inverse closure (see ``is_schur_ring``, which also
+derives two rows of products by counting and, for negation-closed cells,
+evaluates half the group).  All arithmetic is 64-bit integer: a product
+coefficient counts pairs (g, h) with fixed g, so it is at most |G|, and the
+bincount keys that index the r cells' products stay below r^2 |G|.
+``power_map`` checks the lemma the census generator prunes by.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -53,15 +55,36 @@ def distance_module(graph: CayleyGraph, partition: DistancePartition) -> CellPar
     return CellPartition(graph.group, tuple(partition.layer_masks))
 
 
+@lru_cache(maxsize=None)
+def _half_differences(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """The g with g <= -g, ascending, and the rows sub[g] of the subtraction table."""
+    tabs = group_tables(desc)
+    rows = np.flatnonzero(np.arange(desc.order) <= tabs.neg)
+    diffs = tabs.sub[rows]
+    diffs.setflags(write=False)
+    return rows, diffs
+
+
 def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     """Structure constants p[i][j][k] when the partition spans a Schur ring.
 
     Each element is labelled with its cell id and each cell has one
-    representative, its least member.  The coefficient at g of T_i T_j
-    counts the h in T_i with g - h in T_j, so one bincount over all pairs
+    representative, its least member.  The coefficient p(i, j, g) at g of
+    T_i T_j counts the h in T_i with g - h in T_j, so one bincount over pairs
     (g, h) gives every product at every g; the ring closes when each product
     is constant on each cell, i.e. equals its value at the cell's
     representative.  Returns None when it does not.
+
+    Two rows of products need no pairs.  Row 0 is p(0, j, g) = [g in T_j].
+    For the largest non-identity cell T_L, sum_i p(i, j, g) = |T_j| at every
+    g (each h in G is in one cell), so p(L, j, g) = |T_j| - sum_{i != L}
+    p(i, j, g).  Both rows are constant on the cells when the others are, so
+    only the h outside {0} and T_L are keyed.
+
+    When every cell is negation-closed, only the g with g <= -g are keyed:
+    h -> -h maps T_i onto itself, so p(i, j, -g) counts the h in T_i with
+    g - h in -T_j = T_j, which is p(i, j, g); and g, -g share a cell, whose
+    least member v has v <= -v.
 
     Over an abelian group product closure implies inverse closure.  The
     Fourier transform takes the span of the cell sums to a unital algebra of
@@ -82,11 +105,21 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     )
     cid = bits.argmax(axis=0)  # the cell of each element
     rep = bits.argmax(axis=1)  # the least member of each cell
-    keys = (cid * r + cid[tabs.sub]) * n + np.arange(n)[:, None]
+    sizes = bits.sum(axis=1, dtype=np.int64)
+    big = int(sizes[1:].argmax()) + 1 if r > 1 else 0  # 0: the trivial group
+    if (cid[tabs.neg] == cid).all():
+        g, diffs = _half_differences(desc)
+    else:
+        g, diffs = np.arange(n), tabs.sub
+    h = np.flatnonzero((cid != 0) & (cid != big))
+    keys = (cid[h] * r + cid[diffs[:, h]]) * n + g[:, None]
     prods = np.bincount(keys.ravel(), minlength=r * r * n).reshape(r, r, n)
     constants = prods[:, :, rep]
-    if (prods != constants[:, :, cid]).any():
+    if (prods[:, :, g] != constants[:, :, cid[g]]).any():
         return None
+    constants[0] = np.eye(r, dtype=np.int64)
+    if big:
+        constants[big] = sizes[:, None] - constants.sum(axis=0)
     return constants
 
 

@@ -89,12 +89,6 @@ def antipodal_classes(
     return VertexPartition(tuple(sorted(classes.values())))
 
 
-@dataclass(frozen=True)
-class QuotientResult:
-    graph: CayleyGraph
-    coset_of: tuple[int, ...]  # original rank -> quotient rank
-
-
 @lru_cache(maxsize=None)
 def _quotient_embedding(
     desc: GroupDescriptor, sub: Subgroup
@@ -122,7 +116,7 @@ def _quotient_embedding(
     raise AssertionError(f"no homomorphism of {desc.spec()} has kernel {sub.mask:#x}")
 
 
-def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> QuotientResult:
+def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> CayleyGraph:
     """Cay(G/B, S/B); block adjacency is verified against the quotient."""
     s_mask = graph.connection.mask
     if s_mask & ~sub.mask == 0:
@@ -145,7 +139,7 @@ def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> QuotientResult:
                 continue
             if seen_edge[i][j] != q_graph.has_edge(i, j):
                 raise AssertionError("block adjacency disagrees with quotient graph")
-    return QuotientResult(q_graph, coset_of)
+    return q_graph
 
 
 def identity_antipodal_subgroup(

@@ -199,6 +199,14 @@ def test_check_non_negation_closed_set_exits_64(capsys):
     assert capsys.readouterr().err == "usage error: set is not negation-closed: contains 3 but not 6\n"
 
 
+def test_census_past_the_pair_word_exits_64(monkeypatch, capsys):
+    # with the pair budget lifted, the generator itself refuses 84 pairs
+    monkeypatch.setattr(cli.classify, "MAX_PAIRS", 100)
+    code, text = run(["census", "--group", "13^1x13"])
+    assert (code, text) == (64, "")
+    assert "84 inverse pairs; pair words hold 62" in capsys.readouterr().err
+
+
 def test_check_past_the_table_bound_exits_64(capsys):
     code, _ = run(["check", "--group", "99999999x1", "--set", "1"])
     assert code == 64

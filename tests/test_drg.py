@@ -200,3 +200,101 @@ def test_recognize_other_for_unmatched():
     arr = D.check_drg(c5)
     tag = D.recognize(c5, arr)
     assert tag.kind == D.FamilyTag.CYCLE
+
+
+# -- the negation shortcut and the early-stopping BFS against plain references --
+
+
+def plain_layers(graph):
+    """Layer masks from the identity by a queue BFS that runs until the queue empties."""
+    dist = {0: 0}
+    queue = [0]
+    while queue:
+        nxt = []
+        for v in queue:
+            for w in C.iter_bits(graph.adjacency[v]):
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        queue = nxt
+    layers = [0] * (max(dist.values()) + 1)
+    for v, dv in dist.items():
+        layers[dv] |= 1 << v
+    return tuple(layers)
+
+
+def full_vertex_array(graph):
+    """(b, c, a, k) with (c_i, a_i, b_i) read at every vertex of every layer, or None."""
+    layers = plain_layers(graph)
+    d = len(layers) - 1
+    b, c, a = [], [], []
+    for i, layer in enumerate(layers):
+        prev = layers[i - 1] if i else 0
+        nxt = layers[i + 1] if i < d else 0
+        triples = {
+            tuple((graph.adjacency[v] & m).bit_count() for m in (prev, layer, nxt))
+            for v in C.iter_bits(layer)
+        }
+        if len(triples) != 1:
+            return None
+        (ci, ai, bi), = triples
+        c += [ci] if i else []
+        a.append(ai)
+        b += [bi] if i < d else []
+    return tuple(b), tuple(c), tuple(a), tuple(m.bit_count() for m in layers)
+
+
+def assert_matches_references(d, mask):
+    """The library's layers and check_drg equal the plain references.
+
+    Returns the diameter, or None for a disconnected graph."""
+    graph = C.build(d, C.SymmetricSet(d, mask))
+    layers = plain_layers(graph)
+    assert graph.layers == layers
+    if sum(layers) != (1 << d.order) - 1:
+        assert not C.is_connected(graph)
+        return None
+    got, want = D.check_drg(graph), full_vertex_array(graph)
+    assert (got is None) == (want is None)
+    if got is not None:
+        assert (got.b, got.c, got.a, got.k) == want
+    return len(layers) - 1
+
+
+@pytest.mark.parametrize("spec,diameters", [
+    ("3^1x3", {None, 1, 2}),
+    ("3^2x3", {None, 1, 2, 3, 4, 5}),
+])
+def test_shortcuts_match_the_references_on_every_set(spec, diameters):
+    d = G.parse_group(spec)
+    seen = {
+        assert_matches_references(d, C.SymmetricSet.from_pair_bits(d, bits).mask)
+        for bits in range(1, 1 << len(G.inverse_pairs(d)))
+    }
+    assert seen == diameters
+
+
+@pytest.mark.parametrize("spec,diameters", [
+    ("5^2x5", {None, 1, 2, 3, 4, 5, 6, 12, 14}),
+    ("11^1x11", {None, 1, 2, 3, 4, 5, 8, 10}),
+])
+def test_shortcuts_match_the_references_on_seeded_sets(spec, diameters):
+    """Random sets of 1 to P pairs (sparse ones reach the large diameters),
+    and the family members: G minus each proper subgroup, and unions of
+    subgroups minus the identity."""
+    d = G.parse_group(spec)
+    P = len(G.inverse_pairs(d))
+    full = (1 << d.order) - 1
+    subs = G.all_subgroups(d)
+    rng = random.Random(16)
+    masks = [full ^ h.mask for h in subs[:-1]]
+    for size in (1, 2, 3, 4, 6, 10, P // 2, P):
+        for _ in range(6):
+            bits = sum(1 << j for j in rng.sample(range(P), size))
+            masks.append(C.SymmetricSet.from_pair_bits(d, bits).mask)
+    for _ in range(12):
+        union = 0
+        for h in rng.sample(subs[1:], rng.randint(1, 4)):
+            union |= h.mask
+        masks.append(union ^ 1)
+    assert {assert_matches_references(d, mask) for mask in masks} == diameters

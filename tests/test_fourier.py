@@ -509,6 +509,29 @@ def test_array_path_matches_cyclotomic_oracle(data):
     assert canonical.tolist() == list(Cyc.from_coeffs(p, s, raw).coeffs)
 
 
+def einsum_row_products(r1, p, s):
+    """The audit's sums sum_i r1[i, t] r1[(j - i) mod p, t] mod x^n - 1 as one
+    einsum over a (p, p, s+1, n, n) gather: the oracle for its matmul and fold."""
+    n = p**s
+    orbits = s + 1
+    ar, ap = np.arange(n), np.arange(p)
+    shift = (ar[:, None] - ar) % n
+    rolled = (ap - ap[:, None]) % p
+    gather = (rolled[:, :, None, None, None] * orbits + np.arange(orbits)[:, None, None]) * n + shift
+    return np.einsum("ite,ijtce->jtc", r1, r1.reshape(-1)[gather])
+
+
+@pytest.mark.parametrize("p,s", [(2, 3), (3, 1), (3, 3), (5, 2), (7, 1), (11, 1)])
+def test_row_products_match_the_einsum(p, s):
+    n = p**s
+    rng = np.random.default_rng(100 * p + s)
+    for bound in (1, n, 1 << 20):
+        r1 = rng.integers(-bound, bound + 1, size=(p, s + 1, n))
+        got = F._row_products(r1, p, s)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, einsum_row_products(r1, p, s))
+
+
 def test_int64_guard_near_2_62():
     p, s = 3, 3
     n = p**s

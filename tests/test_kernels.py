@@ -149,6 +149,13 @@ def test_scan_context_rejects_large_orders():
 
 # -- multiplier-class generation ------------------------------------------------
 
+
+def test_multiplier_layers_refuse_more_than_62_pairs():
+    """13^1x13 has 84 pairs: in int64 words pair 63 would turn its word
+    negative and pairs 64-83 would drop out (numpy's 1 << 64 is 0)."""
+    with pytest.raises(ValueError, match="84 inverse pairs; pair words hold 62"):
+        K.multiplier_layers(G.parse_group("13^1x13"))
+
 GENERATOR_GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
 
 # per group: generator indices (the closed form), then the funnel's

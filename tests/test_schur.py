@@ -1,13 +1,15 @@
 """Group-algebra layer: convolution, distance modules and Schur-ring checks.
 
-``is_schur_ring`` (one array pass) is compared with a reference that checks
-the cell list and every product of two class sums cell by cell through
-``convolve``.  ``ClassSum`` and ``convolve``, the reference's group-algebra
+``is_schur_ring`` (one array pass, with two rows of products eliminated and
+only half the group keyed when every cell is negation-closed) is compared
+with a reference that checks the cell list and every product of two class
+sums cell by cell through ``convolve``.  ``ClassSum`` and ``convolve``, the reference's group-algebra
 arithmetic, live here with it.
 """
 
 import random
 from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 import pytest
@@ -292,3 +294,64 @@ def test_one_pass_check_matches_the_reference_on_every_partition(spec):
         basis = SR.CellPartition(desc, (1, *(G.mask_of(cell) for cell in part)))
         rings += assert_matches_reference(basis) is not None
     assert rings == SCHUR_RING_COUNTS[spec]
+
+
+def unit_orbit_partition(desc, u):
+    """The orbits of g -> u g, a Schur ring (the orbit partition of a group of
+    automorphisms); its cells are negation-closed exactly when -1 is a power of u."""
+    cells, seen = [], 0
+    for g in desc.elements():
+        if not seen >> g & 1:
+            cell, x = 0, g
+            while not cell >> x & 1:
+                cell |= 1 << x
+                x = desc.scale(u, x)
+            cells.append(cell)
+            seen |= cell
+    return SR.CellPartition(desc, tuple(cells))
+
+
+def negation_closed(basis):
+    neg = G.group_tables(basis.group).neg
+    return all(G.mask_of(int(neg[g]) for g in G.iter_bits(c)) == c for c in basis.cells)
+
+
+@pytest.mark.parametrize("spec", ("Zn:7", "Zn:13", "3^2x3", "5^1x5"))
+def test_unit_orbit_rings_with_and_without_negation_closed_cells(spec):
+    """Every unit u of Z_{p^s}: u = 1 gives the singletons (no cell
+    negation-closed, all tied for the largest), u = -1 the inverse pairs
+    (all closed, all tied), and the others mix sizes."""
+    desc = G.parse_group(spec)
+    closed = set()
+    for u in range(1, desc.first_modulus):
+        if gcd(u, desc.first_modulus) == 1:
+            basis = unit_orbit_partition(desc, u)
+            assert assert_matches_reference(basis) is not None
+            closed.add(negation_closed(basis))
+    assert closed == {True, False}
+
+
+@pytest.mark.parametrize("spec", ("3^2x3", "5^1x5", "Zn:12"))
+def test_random_partitions_with_and_without_negation_closed_cells(spec):
+    """Random partitions into unions of inverse pairs (every cell
+    negation-closed) and into unions of elements (almost never), most of them
+    not Schur rings; dealing the atoms round-robin ties the largest cells."""
+    desc = G.parse_group(spec)
+    rng = random.Random(17)
+    units = {
+        True: [G.mask_of(cell) for cell in G.inverse_pairs(desc)],
+        False: [1 << g for g in range(1, desc.order)],
+    }
+    for closed, atoms in units.items():
+        ties = 0
+        for _ in range(60):
+            cells = [0] * rng.randint(1, 5)
+            dealt = rng.random() < 0.5  # round-robin: sizes differ by at most one atom
+            for i, atom in enumerate(rng.sample(atoms, len(atoms))):
+                cells[i % len(cells) if dealt else rng.randrange(len(cells))] |= atom
+            basis = SR.CellPartition(desc, (1, *(c for c in cells if c)))
+            assert negation_closed(basis) or not closed
+            sizes = sorted(basis.cell_sizes()[1:])
+            ties += len(sizes) > 1 and sizes[-1] == sizes[-2]
+            assert_matches_reference(basis)
+        assert ties >= 10

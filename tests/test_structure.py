@@ -84,9 +84,9 @@ def test_quotient_k3x3_by_part_is_k3():
     part = C.distance_partition(g)
     sub = S.identity_antipodal_subgroup(g, S.antipodal_classes(g, part))
     q = S.quotient_by_subgroup(g, sub)
-    assert q.graph.order == 3
-    arr = D.check_drg(q.graph)
-    assert D.recognize(q.graph, arr).kind == D.FamilyTag.COMPLETE
+    assert q.order == 3
+    arr = D.check_drg(q)
+    assert D.recognize(q, arr).kind == D.FamilyTag.COMPLETE
 
 
 def test_quotient_k9_by_any_order3():
@@ -94,8 +94,8 @@ def test_quotient_k9_by_any_order3():
     complete = graph_from(d, ((1 << 9) - 1) ^ 1)
     for sub in G.subgroups_of_order(d, 3):
         q = S.quotient_by_subgroup(complete, sub)
-        arr = D.check_drg(q.graph)
-        assert arr is not None and arr.diameter == 1 and q.graph.order == 3
+        arr = D.check_drg(q)
+        assert arr is not None and arr.diameter == 1 and q.order == 3
 
 
 def test_quotient_k3x9_over_z9z3():
@@ -103,8 +103,8 @@ def test_quotient_k3x9_over_z9z3():
     h9 = G.subgroups_of_order(d, 9)[0]
     g = graph_from(d, ((1 << 27) - 1) ^ h9.mask)
     q = S.quotient_by_subgroup(g, h9)
-    assert q.graph.order == 3
-    assert D.check_drg(q.graph).diameter == 1
+    assert q.order == 3
+    assert D.check_drg(q).diameter == 1
 
 
 def test_quotient_rejects_contained_connection_set():
@@ -132,5 +132,5 @@ def test_diameter3_antipodal_cover_machinery():
     sub = S.identity_antipodal_subgroup(g, classes)
     assert sub.members() == (0, d.rank(0, 1))
     q = S.quotient_by_subgroup(g, sub)
-    q_arr = D.check_drg(q.graph)
-    assert q_arr is not None and q_arr.diameter == 1 and q.graph.order == 6
+    q_arr = D.check_drg(q)
+    assert q_arr is not None and q_arr.diameter == 1 and q.order == 6
