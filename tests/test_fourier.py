@@ -517,7 +517,8 @@ def einsum_row_products(r1, p, s):
     ar, ap = np.arange(n), np.arange(p)
     shift = (ar[:, None] - ar) % n
     rolled = (ap - ap[:, None]) % p
-    gather = (rolled[:, :, None, None, None] * orbits + np.arange(orbits)[:, None, None]) * n + shift
+    at = np.arange(orbits)
+    gather = (rolled[:, :, None, None, None] * orbits + at[:, None, None]) * n + shift
     return np.einsum("ite,ijtce->jtc", r1, r1.reshape(-1)[gather])
 
 

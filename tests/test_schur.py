@@ -3,8 +3,8 @@
 ``is_schur_ring`` (one array pass, with two rows of products eliminated and
 only half the group keyed when every cell is negation-closed) is compared
 with a reference that checks the cell list and every product of two class
-sums cell by cell through ``convolve``.  ``ClassSum`` and ``convolve``, the reference's group-algebra
-arithmetic, live here with it.
+sums cell by cell through ``convolve``.  ``ClassSum`` and ``convolve``, the
+reference's group-algebra arithmetic, live here with it.
 """
 
 import random
@@ -338,11 +338,11 @@ def test_random_partitions_with_and_without_negation_closed_cells(spec):
     not Schur rings; dealing the atoms round-robin ties the largest cells."""
     desc = G.parse_group(spec)
     rng = random.Random(17)
-    units = {
+    atoms_of = {
         True: [G.mask_of(cell) for cell in G.inverse_pairs(desc)],
         False: [1 << g for g in range(1, desc.order)],
     }
-    for closed, atoms in units.items():
+    for closed, atoms in atoms_of.items():
         ties = 0
         for _ in range(60):
             cells = [0] * rng.randint(1, 5)
