@@ -4,9 +4,9 @@
 
 PARENT_CHECKOUT is a checkout of the commit to compare against (a ``git
 clone`` at that commit, or ``git archive <parent> | tar -x -C DIR``); the
-change is this checkout.  The output's ``what`` names both sides by path
-and, where the side is a git checkout, by ``git rev-parse HEAD`` (an
-archive extract has no commit to name).  The script records two things,
+change is this checkout.  The output's ``what`` names each side by its
+``git rev-parse HEAD``, or as "no git metadata" for an archive extract,
+which has no commit to name.  The script records two things,
 each side in fresh interpreters with the program imported from that
 checkout's ``src``:
 
@@ -75,16 +75,16 @@ def _python(checkout: Path, args: list[str]) -> str:
 
 
 def describe(checkout: Path) -> str:
-    """The checkout's path and, when it is a git checkout, its HEAD commit."""
+    """The checkout's HEAD commit, or "no git metadata"."""
     if not (checkout / ".git").exists():
-        return f"{checkout} (no git metadata)"
+        return "no git metadata"
 
     def git(*args: str) -> str:
         return subprocess.run(["git", "-C", str(checkout), *args],
                               capture_output=True, text=True, check=True).stdout.strip()
 
     dirty = " with uncommitted changes" if git("status", "--porcelain") else ""
-    return f"{checkout} at {git('rev-parse', 'HEAD')}{dirty}"
+    return f"{git('rev-parse', 'HEAD')}{dirty}"
 
 
 def time_census(checkout: Path, reps: int) -> dict:

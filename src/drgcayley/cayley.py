@@ -123,11 +123,6 @@ class RowDecomposition:
             if {(-u) % m for u in self.rows[j]} != self.rows[q - j]:
                 raise ValueError(f"row {j} must be the negation of row {q - j}")
 
-    def to_set(self) -> SymmetricSet:
-        group = self.group
-        elems = [group.rank(u, j) for j, row in enumerate(self.rows) for u in row]
-        return SymmetricSet.from_elements(group, elems)
-
 
 @dataclass(frozen=True)
 class CayleyGraph:
@@ -259,15 +254,6 @@ class DistancePartition:
 
     def layer_sizes(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.layer_masks)
-
-    def layer_elements(self, j: int) -> tuple[int, ...]:
-        return tuple(iter_bits(self.layer_masks[j]))
-
-    def distance_of(self, v: int) -> int:
-        for j, mask in enumerate(self.layer_masks):
-            if mask >> v & 1:
-                return j
-        raise ValueError(f"vertex {v} not reached")
 
 
 def distance_partition(graph: CayleyGraph) -> DistancePartition:

@@ -46,7 +46,7 @@ from .cayley import (
 )
 from .drg import FamilyTag, IntersectionArray, check_drg, recognize
 from .groups import GroupDescriptor, inverse_pairs, pair_permutations, subgroups_of_order
-from .kernels import candidate_count, census_generate, connected_count, multiplier_layers
+from .kernels import candidate_count, census_generate, connected_count
 from .structure import (
     antipodal_classes,
     identity_antipodal_subgroup,
@@ -320,24 +320,23 @@ def _generate(
 ) -> tuple[list[int], list[str], list[tuple[str, int, float]]]:
     """Hits, generator checks and funnel of the multiplier-class generator.
 
-    ``partitions`` splits the generator's index range.  Together the parts
-    must decode exactly ``candidate_count`` indices into distinct words.
+    ``partitions`` splits the generator's ``candidate_count`` indices.
+    Together the parts must produce exactly that many words, all distinct.
     Each survivor is decided once; one that BFS finds disconnected is an
     anomaly, since the word-level connectivity test passed it.  A connected
     survivor that is not distance-regular is no hit (c_2 is only necessary).
     """
-    ranges = _split_ranges(sum(layer.count for layer in multiplier_layers(desc)), partitions)
+    expected = candidate_count(desc)
+    ranges = _split_ranges(expected, partitions)
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda rg: census_generate(desc, rg[0], rg[1]), ranges))
     else:
         results = [census_generate(desc, lo, hi) for lo, hi in ranges]
     checks = []
-    decoded = sum(res.decoded for res in results)
-    expected = candidate_count(desc)
-    if decoded != expected:
-        checks.append(f"generator decoded {decoded} of {expected} candidates")
     words = np.concatenate([res.words for res in results])
+    if len(words) != expected:
+        checks.append(f"generator produced {len(words)} of {expected} candidates")
     repeats = len(words) - len(np.unique(words))
     if repeats:
         checks.append(f"generator repeated {repeats} candidate words")

@@ -202,10 +202,6 @@ class DifferenceSetCertificate:
     lam: int
 
     @property
-    def order_n(self) -> int:
-        return self.k - self.lam
-
-    @property
     def nontrivial(self) -> bool:
         return self.k not in (0, 1, self.v - 1, self.v)
 

@@ -66,12 +66,6 @@ class SrgParams:
     lam: int
     mu: int
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.n, self.k, self.lam, self.mu)
-
-    def feasible(self) -> bool:
-        return self.k * (self.k - self.lam - 1) == (self.n - self.k - 1) * self.mu
-
     def __str__(self) -> str:
         return f"({self.n},{self.k},{self.lam},{self.mu})"
 

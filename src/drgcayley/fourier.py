@@ -60,9 +60,6 @@ class CyclotomicInteger:
     def modulus(self) -> int:
         return self.p**self.s
 
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.coeffs)
-
     def __str__(self) -> str:
         terms = [
             (f"{c}" if e == 0 else f"{c}*w^{e}")
@@ -88,11 +85,6 @@ class TransformTable:
     def values(self) -> tuple[CyclotomicInteger, ...]:
         return tuple(
             CyclotomicInteger(self.p, self.s, tuple(row)) for row in self.coeffs.tolist()
-        )
-
-    def value_at(self, z: int) -> CyclotomicInteger:
-        return CyclotomicInteger(
-            self.p, self.s, tuple(self.coeffs[z % self.modulus].tolist())
         )
 
     def to_json_obj(self) -> dict:

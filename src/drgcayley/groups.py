@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -128,13 +127,6 @@ class GroupDescriptor:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def element_order(self, x: int) -> int:
-        a, b = self.unrank(x)
-        m, q = self.first_modulus, self.second_modulus
-        oa = m // gcd(a, m)
-        ob = q // gcd(b, q)
-        return oa * ob // gcd(oa, ob)
 
     def generators(self) -> tuple[int, ...]:
         """Canonical generating ranks: (1,0) and, when q > 1, (0,1)."""
@@ -425,12 +417,6 @@ def is_transversal(desc: GroupDescriptor, elements: Iterable[int], sub: Subgroup
 class GroupAutomorphism:
     group: GroupDescriptor
     perm: tuple[int, ...]
-
-    def apply_mask(self, mask: int) -> int:
-        out = 0
-        for v in iter_bits(mask):
-            out |= 1 << self.perm[v]
-        return out
 
 
 @lru_cache(maxsize=None)

@@ -14,14 +14,17 @@ unit u of Z_{p^s}, where S^(u) = {u x : x in S}.  Modulo +-1 the
 multipliers form a cyclic group M of order phi(p^s)/2 acting on the pairs.
 Let H be the stabilizer of S in M.  S is H-invariant, and it meets every
 M-orbit of pairs in at most one H-orbit: two, x H and y H with y = u x,
-would put y in S^(u) & S with u outside H.  So for each H <= M the
-generator picks in every M-orbit either nothing or one H-orbit, one
-mixed-radix digit per M-orbit, and keeps S != 0 when S^(u) & S = 0 for one
-u from each coset of H other than H (S^(u) depends only on the coset of u).
-The kept words are the nonzero sets with the multiplier property, each
-produced once, under its own stabilizer.  ``candidate_count`` gives the
-number of indices, sum over H of prod over O of (1 + #H-orbits in O), from
-the M-orbit sizes alone.
+would put y in S^(u) & S with u outside H.  Conversely, such a union S of
+H-orbits has stabilizer exactly H, and S^(u) & S = 0 for every u outside H,
+exactly when every chosen pair x has Stab_M(x) <= H: u x lies in x H
+exactly when u is in Stab_M(x) H.  M is cyclic, so with t = [M : H] that is
+a test on each M-orbit O alone, t divides |O|, and such an O splits into
+exactly t H-orbits.  So the layer of H keeps the k M-orbits that pass, and
+each contributes one digit with 1 + t values: nothing, or one of its t
+H-orbits.  The layer is the nonzero base-(1 + t) numbers with k digits, and
+every one of its (1 + t)^k - 1 indices is a candidate: the nonzero sets with
+the multiplier property, each produced once, under its own stabilizer.
+``candidate_count`` is the sum of these closed forms over H <= M.
 
 The candidates then pass one vectorized funnel: connected (S meets the
 complement of every maximal subgroup; a pair lies wholly inside or wholly
@@ -64,7 +67,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, prod
+from math import prod
 from typing import NamedTuple
 
 import numpy as np
@@ -223,24 +226,29 @@ def _orbits(perms: np.ndarray, members) -> list[list[int]]:
 
 
 class MultiplierLayer(NamedTuple):
-    """The candidates whose stabilizer in M is one subgroup H.
+    """The candidates whose stabilizer in M is one subgroup H, of index t.
 
-    One int64 table per M-orbit O, of shape ([M : H], 1 + #H-orbits in O):
-    column 0 is the empty choice and column i the word of the i-th H-orbit
-    in O; row 0 holds the words, and row c their images under g^c, one
-    multiplier from each coset of H.  Candidate index i decodes to one
-    column per table, the mixed-radix digits of i, first table lowest.
+    One int64 table per M-orbit O whose pairs x have Stab_M(x) <= H (t
+    divides |O|): entry 0 is the empty word and entry i the
+    word of the i-th H-orbit in O, 1 + t entries in all.  Layer index i
+    decodes to one entry per table, the mixed-radix digits of i + 1, first
+    table lowest, so every index gives a distinct nonzero word.
     """
 
+    cosets: int  # t = [M : H]
     tables: tuple[np.ndarray, ...]
-    count: int  # product of the radices
+
+    @property
+    def count(self) -> int:
+        return prod(len(table) for table in self.tables) - 1
 
     def decode(self, idx: np.ndarray) -> np.ndarray:
-        """Row 0: the words at indices ``idx``; row c: their images under g^c."""
-        out = np.zeros((self.tables[0].shape[0], len(idx)), dtype=np.int64)
+        """The words at layer indices ``idx``."""
+        idx = idx + 1
+        out = np.zeros(len(idx), dtype=np.int64)
         for table in self.tables:
-            idx, digit = np.divmod(idx, table.shape[1])
-            out |= table[:, digit]
+            idx, digit = np.divmod(idx, len(table))
+            out |= table[digit]
         return out
 
 
@@ -256,54 +264,36 @@ def multiplier_layers(desc: GroupDescriptor) -> tuple[MultiplierLayer, ...]:
         raise ValueError(f"{desc.spec()} has {pairs} inverse pairs; pair words hold 62")
     layers = []
     for t in (t for t in range(order, 0, -1) if order % t == 0):
-        tables = []
-        for orbit in _orbits(perms, range(perms.shape[1])):
-            words = [(1 << perms[:t, h]).sum(axis=1) for h in _orbits(perms[::t], orbit)]
-            tables.append(np.column_stack([np.zeros(t, dtype=np.int64)] + words))
-        count = prod(table.shape[1] for table in tables)
-        layers.append(MultiplierLayer(tuple(tables), count))
+        tables = tuple(
+            np.array([0] + [sum(1 << j for j in h) for h in _orbits(perms[::t], orbit)], np.int64)
+            for orbit in _orbits(perms, range(pairs))
+            if len(orbit) % t == 0
+        )
+        layers.append(MultiplierLayer(t, tables))
     return tuple(layers)
 
 
 def candidate_count(desc: GroupDescriptor) -> int:
-    """Sum over H <= M of prod over M-orbits O of (1 + #H-orbits in O).
+    """Sum over H <= M of (1 + [M : H])^k - 1, k the M-orbits its layer keeps.
 
-    From the M-orbit sizes alone: M is cyclic, so the stabilizer of a pair in
-    an orbit O has order |M|/|O|, H meets it in gcd(|H|, |M|/|O|) elements,
-    and O splits into |O| gcd(|H|, |M|/|O|) / |H| H-orbits.
+    An M-orbit O with Stab_M(x) <= H splits into exactly [M : H] H-orbits,
+    so this closed form is the layers' size exactly when each table holds
+    1 + [M : H] words.
     """
-    perms = _multiplier_action(desc)
-    order = perms.shape[0]
-    sizes = [len(orbit) for orbit in _orbits(perms, range(perms.shape[1]))]
-    total = 0
-    for h in (h for h in range(1, order + 1) if order % h == 0):
-        term = 1
-        for size in sizes:
-            term *= 1 + size * gcd(h, order // size) // h
-        total += term
-    return total
+    return sum((1 + layer.cosets) ** len(layer.tables) - 1 for layer in multiplier_layers(desc))
 
 
-def _candidates(desc: GroupDescriptor, start: int, stop: int) -> tuple[np.ndarray, int]:
-    """Candidate words at generator indices [start, stop), and the indices decoded.
-
-    The index range runs through the layers in order.  An index becomes a
-    candidate when its word is nonzero and disjoint from its images under
-    the coset representatives, so that its stabilizer in M is its layer's H.
-    """
+def _candidates(desc: GroupDescriptor, start: int, stop: int) -> np.ndarray:
+    """Candidate words at generator indices [start, stop); the range runs
+    through the layers in order."""
     words = [np.zeros(0, dtype=np.int64)]
-    decoded = 0
     offset = 0
     for layer in multiplier_layers(desc):
         lo, hi = max(start - offset, 0), min(stop - offset, layer.count)
         offset += layer.count
-        if lo >= hi:
-            continue
-        decoded += hi - lo
-        out = layer.decode(np.arange(lo, hi, dtype=np.int64))
-        keep = (out[0] != 0) & ~(out[1:] & out[0]).any(axis=0)
-        words.append(out[0, keep])
-    return np.concatenate(words), decoded
+        if lo < hi:
+            words.append(layer.decode(np.arange(lo, hi, dtype=np.int64)))
+    return np.concatenate(words)
 
 
 def connected_count(desc: GroupDescriptor) -> int:
@@ -337,7 +327,6 @@ def _constant_on(lam: np.ndarray, sel: np.ndarray) -> np.ndarray:
 class GeneratorResult(NamedTuple):
     survivors: np.ndarray  # int64 pair words passing the c2 filter, in index order
     words: np.ndarray  # int64 candidate words, in index order
-    decoded: int  # generator indices decoded
     funnel: tuple[tuple[str, int, float], ...]  # (stage, sets out, seconds)
 
 
@@ -368,7 +357,7 @@ def census_generate(desc: GroupDescriptor, start: int, stop: int) -> GeneratorRe
     """The candidates at generator indices [start, stop) that pass every filter."""
     ctx = scan_context(desc)
     tick = time.perf_counter()
-    words, decoded = _candidates(desc, start, stop)
+    words = _candidates(desc, start, stop)
     generate_s = time.perf_counter() - tick
     counts = np.zeros(3, dtype=np.int64)
     seconds = np.zeros(3)
@@ -381,7 +370,6 @@ def census_generate(desc: GroupDescriptor, start: int, stop: int) -> GeneratorRe
     return GeneratorResult(
         survivors=np.concatenate(survivors),
         words=words,
-        decoded=decoded,
         funnel=tuple(zip(
             ("candidates", "connected", "lambda", "c2"),
             [len(words)] + counts.tolist(),

@@ -38,9 +38,6 @@ from .groups import (
 class VertexPartition:
     blocks: tuple[int, ...]  # disjoint vertex bitmasks covering the vertex set
 
-    def block_sizes(self) -> tuple[int, ...]:
-        return tuple(b.bit_count() for b in self.blocks)
-
 
 def is_bipartite(graph: CayleyGraph) -> tuple[int, int] | None:
     """Two color-class masks by BFS parity, or None on an odd cycle.

@@ -8,6 +8,7 @@ measured on the first call per group and cached for the later criteria.
 import hashlib
 import random
 import time
+from dataclasses import astuple
 from itertools import combinations, product
 from math import comb
 
@@ -88,11 +89,11 @@ def test_a03_census_z5_z5():
     }
     d = G.parse_group("5^1x5")
     for r, tup in ((2, (25, 8, 3, 2)), (3, (25, 12, 5, 6)), (4, (25, 16, 9, 12))):
-        assert DS.td_line_srg_params(r, 5).as_tuple() == tup
+        assert astuple(DS.td_line_srg_params(r, 5)) == tup
         recs = [q for q in rep.records if q.family == f"TDLineGraph({r},5)"]
         assert len(recs) == 1
         arr = D.check_drg(C.build(d, C.SymmetricSet.parse(d, ",".join(recs[0].set_strs))))
-        assert D.srg_params(arr).as_tuple() == tup
+        assert astuple(D.srg_params(arr)) == tup
     assert rep.anomalies == ()
     assert elapsed < 5.0
     ok("A03", f"census 5^1x5: 57/4096 sets, SRG tuples match, {elapsed:.3f}s")

@@ -119,8 +119,9 @@ def test_distance_partition_matches_plain_bfs():
     g = C.build(d, s)
     part = C.distance_partition(g)
     dist = dict_bfs(g.adjacency, 0)
-    for v in range(d.order):
-        assert part.distance_of(v) == dist[v]
+    for j, mask in enumerate(part.layer_masks):
+        assert list(G.iter_bits(mask)) == sorted(v for v in dist if dist[v] == j)
+    assert sum(part.layer_sizes()) == len(dist) == d.order
 
 
 def test_one_bfs_per_graph():
@@ -168,7 +169,9 @@ def test_row_decomposition_round_trip():
     for _ in range(20):
         bits = rng.randrange(1 << len(pairs))
         s = C.SymmetricSet.from_pair_bits(d, bits)
-        assert s.rows().to_set() == s
+        rows = s.rows().rows
+        elems = [d.rank(u, j) for j, row in enumerate(rows) for u in row]
+        assert C.SymmetricSet.from_elements(d, elems) == s
 
 
 def test_row_decomposition_validation():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import astuple
 
 import pytest
 
@@ -116,8 +117,9 @@ def test_lattice_srg_and_tag():
     g = C.build(d, C.SymmetricSet(d, (subs[0].mask | subs[1].mask) ^ 1))
     arr = D.check_drg(g)
     params = D.srg_params(arr)
-    assert params.as_tuple() == (9, 4, 1, 2)
-    assert params.feasible()
+    n, k, lam, mu = astuple(params)
+    assert (n, k, lam, mu) == (9, 4, 1, 2)
+    assert k * (k - lam - 1) == (n - k - 1) * mu  # the srg counting identity
     assert str(D.recognize(g, arr)) == "TDLineGraph(2,3)"
 
 
@@ -127,7 +129,7 @@ def test_td35_srg_params():
     mask = subs[0].mask | subs[1].mask | subs[2].mask
     g = C.build(d, C.SymmetricSet(d, mask ^ 1))
     arr = D.check_drg(g)
-    assert D.srg_params(arr).as_tuple() == (25, 12, 5, 6)
+    assert astuple(D.srg_params(arr)) == (25, 12, 5, 6)
     assert str(D.recognize(g, arr)) == "TDLineGraph(3,5)"
 
 

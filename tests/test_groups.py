@@ -32,8 +32,9 @@ def test_rank_bijection_is_fixed():
 
 def test_element_order_examples():
     d = G.pair_group(3, 2)
-    assert d.element_order(d.rank(0, 0)) == 1
-    assert d.element_order(d.rank(3, 0)) == 3
+    order_of = G.group_tables(d).order_of
+    assert order_of[d.rank(0, 0)] == 1
+    assert order_of[d.rank(3, 0)] == 3
     # iterate addition until identity, independently
     g = d.rank(1, 1)
     x, t = g, 1
@@ -41,13 +42,12 @@ def test_element_order_examples():
         x = d.add(x, g)
         t += 1
     assert t == 9
-    assert d.element_order(g) == 9
+    assert order_of[g] == 9
 
 
 def test_element_orders_divide_group_order():
     for desc in (G.pair_group(3, 2), G.pair_group(5, 1), G.cyclic_group(12), G.product_group(12, 2)):
-        for g in desc.elements():
-            assert desc.order % desc.element_order(g) == 0
+        assert (desc.order % G.group_tables(desc).order_of == 0).all()
 
 
 @pytest.mark.parametrize(
@@ -91,8 +91,7 @@ def test_z9z3_order9_subgroup_shapes():
     d = G.pair_group(3, 2)
     shapes = []
     for h in G.subgroups_of_order(d, 9):
-        orders = sorted(d.element_order(x) for x in h.members())
-        shapes.append(max(orders))
+        shapes.append(G.group_tables(d).order_of[list(h.members())].max())
     # one Z_3+Z_3 (exponent 3), three Z_9 (exponent 9)
     assert sorted(shapes) == [3, 9, 9, 9]
 
@@ -192,10 +191,10 @@ def test_automorphisms_preserve_structure():
     atom_masks = {sum(1 << g for g in c) for c in G.atom_partition(d)}
     for aut in G.automorphism_group(d)[:30]:
         for mask, order in sub_masks.items():
-            image = aut.apply_mask(mask)
+            image = G.mask_of(aut.perm[x] for x in G.iter_bits(mask))
             assert image in sub_masks and sub_masks[image] == order
         for mask in atom_masks:
-            assert aut.apply_mask(mask) in atom_masks
+            assert G.mask_of(aut.perm[x] for x in G.iter_bits(mask)) in atom_masks
 
 
 def test_automorphism_bound_error():

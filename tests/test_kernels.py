@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from drgcayley import cayley as C
@@ -158,19 +159,19 @@ def test_multiplier_layers_refuse_more_than_62_pairs():
 
 GENERATOR_GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
 
-# per group: generator indices (the closed form), then the funnel's
-# survivors after each stage: candidates, connected, lambda, c2
+# per group: the funnel's survivors after each stage: candidates (the closed
+# form), connected, lambda, c2
 FUNNEL = {
-    "3^1x3": (16, (15, 11, 11, 11)),
-    "3^2x3": (1152, (190, 160, 78, 9)),
-    "5^1x5": (793, (791, 773, 349, 57)),
-    "7^1x7": (65792, (65790, 65758, 11464, 247)),
+    "3^1x3": (15, 11, 11, 11),
+    "3^2x3": (190, 160, 78, 9),
+    "5^1x5": (791, 773, 349, 57),
+    "7^1x7": (65790, 65758, 11464, 247),
 }
 
 
 def _generate(d, partitions):
-    """Concatenated generator results over ``partitions`` equal index ranges."""
-    size = sum(layer.count for layer in K.multiplier_layers(d))
+    """Sorted survivors and candidate words over ``partitions`` equal index ranges."""
+    size = K.candidate_count(d)
     results = [
         K.census_generate(d, size * i // partitions, size * (i + 1) // partitions)
         for i in range(partitions)
@@ -178,7 +179,6 @@ def _generate(d, partitions):
     return (
         sorted(w for res in results for w in res.survivors.tolist()),
         [w for res in results for w in res.words.tolist()],
-        sum(res.decoded for res in results),
     )
 
 
@@ -200,16 +200,27 @@ def test_generator_hits_equal_the_full_scan(spec):
 @pytest.mark.parametrize("spec", GENERATOR_GROUPS)
 def test_generator_funnel_counts(spec):
     d = G.parse_group(spec)
-    indices, counts = FUNNEL[spec]
-    assert K.candidate_count(d) == indices
-    size = sum(layer.count for layer in K.multiplier_layers(d))
-    res = K.census_generate(d, 0, size)
-    assert res.decoded == size == indices
+    counts = FUNNEL[spec]
+    assert K.candidate_count(d) == counts[0]
+    res = K.census_generate(d, 0, counts[0])
     assert tuple(count for _, count, _ in res.funnel) == counts
     assert [stage for stage, _, _ in res.funnel] == [
         "candidates", "connected", "lambda", "c2",
     ]
     assert len(res.survivors) == counts[-1]
+
+
+@pytest.mark.parametrize("spec,count", [("3^3x3", 6117), ("5^2x5", 348018)])
+def test_every_generator_index_is_a_distinct_candidate_beyond_the_scan(spec, count):
+    """Orders 81 and 125 lie past ``scan_context``'s bound, but generation
+    alone needs only P <= 62 pair bits (40 and 62 here)."""
+    d = G.parse_group(spec)
+    assert K.candidate_count(d) == count
+    assert sum(layer.count for layer in K.multiplier_layers(d)) == count
+    words = K._candidates(d, 0, count)
+    assert len(words) == count
+    assert np.all(words > 0)
+    assert len(np.unique(words)) == count
 
 
 def _multiplier_closed(d):
@@ -234,9 +245,8 @@ def _multiplier_closed(d):
 def test_generator_words_are_the_multiplier_closed_sets_once_each(spec):
     d = G.parse_group(spec)
     for partitions in (1, 3):
-        _, words, decoded = _generate(d, partitions)
-        assert decoded == K.candidate_count(d)
-        assert len(words) == len(set(words))
+        _, words = _generate(d, partitions)
+        assert len(words) == K.candidate_count(d) == len(set(words))
         assert set(words) == _multiplier_closed(d)
 
 
