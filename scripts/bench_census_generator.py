@@ -1,14 +1,16 @@
-"""census() and the benchmark, this checkout against a parent: writes BENCH_census_generator.json.
+"""census() and the benchmark, this checkout against a parent, written to a BENCH_*.json.
 
     python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT [--pairs 10]
+        [--other-pairs 3] [--out BENCH_census_generator.json]
 
 PARENT_CHECKOUT is a checkout of the commit to compare against (a ``git
 clone`` at that commit, or ``git archive <parent> | tar -x -C DIR``); the
 change is this checkout.  The output's ``what`` names each side by its
 ``git rev-parse HEAD``, or as "no git metadata" for an archive extract,
-which has no commit to name.  The script records two things,
-each side in fresh interpreters with the program imported from that
-checkout's ``src``:
+which has no commit to name.  The record goes to ``--out``, by default
+``BENCH_census_generator.json`` at the root of this checkout.  The script
+records two things, each side in fresh interpreters with the program
+imported from that checkout's ``src``:
 
 - ``census``: wall time of ``census()`` per census group on both sides, and
   of the full ``census_scan`` oracle where the side has the generator.  The

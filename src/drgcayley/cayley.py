@@ -8,10 +8,13 @@ Translation is done on the mask itself.  Element (a, b) has rank a*q + b, so
 the mask is m blocks of q bits, block a holding {b : (a, b) in S}.  Adding
 (0, b0) rotates every block by b0 (bits with b < q - b0 move up by b0, the
 rest down by q - b0, two masks per b0); adding (a0, 0) then rotates the whole
-n-bit word by a0*q, which moves block a to block a + a0 mod m.  Cyclic groups
-(q = 1) need the word rotation only.  Each graph runs one BFS, cached as
-``CayleyGraph.layers``.  No add table is read, so ``is_connected`` still
-cross-checks it against ``closure_mask``, which reads the subgroup lattice.
+n-bit word by a0*q, which moves block a to block a + a0 mod m.  Each such
+rotation is a window of the doubled word w = t << n | t of the block-rotated
+mask t: t rotated left by k is (w >> (n - k)) & (2^n - 1), one shift and one
+mask per row.  Cyclic groups (q = 1) need the word rotation only.  Each graph
+runs one BFS, cached as ``CayleyGraph.layers``.  No add table is read, so
+``is_connected`` still cross-checks it against ``closure_mask``, which reads
+the subgroup lattice.
 """
 
 from __future__ import annotations
@@ -221,9 +224,8 @@ def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
     ]
     # (a0, b0) + S: rotate the whole word by a0 * q; rank a0 * q + b0 is row-major
     full = (1 << n) - 1
-    adjacency = tuple(
-        (t << k | t >> (n - k)) & full for k in range(0, n, q) for t in columns
-    )
+    doubled = [t << n | t for t in columns]
+    adjacency = tuple(w >> (n - k) & full for k in range(0, n, q) for w in doubled)
     return CayleyGraph(group, connection, adjacency)
 
 

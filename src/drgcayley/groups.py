@@ -31,12 +31,18 @@ class AutomorphismBoundError(RuntimeError):
     """Group order exceeds the automorphism enumeration bound."""
 
 
+# the set bit positions of each byte value, ascending
+_BYTE_BITS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
 def iter_bits(mask: int) -> Iterator[int]:
-    """Yield set bit positions of ``mask`` in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    """Yield set bit positions of ``mask`` in increasing order, a byte at a time."""
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) // 8, "little"):
+        if byte:
+            for i in _BYTE_BITS[byte]:
+                yield base + i
+        base += 8
 
 
 def mask_of(elements: Iterable[int]) -> int:
@@ -127,12 +133,6 @@ class GroupDescriptor:
 
     def elements(self) -> range:
         return range(self.order)
-
-    def generators(self) -> tuple[int, ...]:
-        """Canonical generating ranks: (1,0) and, when q > 1, (0,1)."""
-        if self.is_cyclic:
-            return (self.rank(1, 0),)
-        return (self.rank(1, 0), self.rank(0, 1))
 
     # -- literals ----------------------------------------------------------
     def spec(self) -> str:

@@ -4,9 +4,10 @@ Cell partitions are verified as Schur rings by forming every product of two
 cell sums at once and testing that each is constant on every cell; over an
 abelian group that implies inverse closure (see ``is_schur_ring``, which also
 derives two rows of products by counting and, for negation-closed cells,
-evaluates half the group).  All arithmetic is 64-bit integer: a product
-coefficient counts pairs (g, h) with fixed g, so it is at most |G|, and the
-bincount keys that index the r cells' products stay below r^2 |G|.
+evaluates half the group).  The products come from one float64 matmul of 0/1
+rows: a coefficient is a sum of at most |G| <= ``MAX_TABLE_ORDER`` terms, each
+0 or 1, so every partial sum is an integer far below 2^53 and exact in any
+order of summation, and the constants are returned as 64-bit integers.
 ``power_map`` checks the lemma the census generator prunes by.
 """
 
@@ -68,18 +69,20 @@ def _half_differences(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray]:
 def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     """Structure constants p[i][j][k] when the partition spans a Schur ring.
 
-    Each element is labelled with its cell id and each cell has one
-    representative, its least member.  The coefficient p(i, j, g) at g of
-    T_i T_j counts the h in T_i with g - h in T_j, so one bincount over pairs
-    (g, h) gives every product at every g; the ring closes when each product
-    is constant on each cell, i.e. equals its value at the cell's
-    representative.  Returns None when it does not.
+    The coefficient p(i, j, g) at g of T_i T_j counts the h in T_i with
+    g - h in T_j, which is e_i . e_j[g - G] for the 0/1 rows e of the cells.
+    The ring closes when each product is constant on each cell, i.e. equals
+    its value at the cell's least member.  Returns None when it does not.
 
-    Two rows of products need no pairs.  Row 0 is p(0, j, g) = [g in T_j].
+    Two rows of products need no matmul.  Row 0 is p(0, j, g) = [g in T_j].
     For the largest non-identity cell T_L, sum_i p(i, j, g) = |T_j| at every
     g (each h in G is in one cell), so p(L, j, g) = |T_j| - sum_{i != L}
     p(i, j, g).  Both rows are constant on the cells when the others are, so
-    only the h outside {0} and T_L are keyed.
+    only the keyed cells, those other than {0} and T_L, are gathered over
+    g - G, and one float64 matmul against every row e_j gives the rest.  Its
+    sums have at most |G| terms, each 0 or 1, so they are exact integers.
+    Since p(i, j, g) = p(j, i, g) (h -> g - h), the keyed products fill
+    rows of the constants.
 
     When every cell is negation-closed, only the g with g <= -g are keyed:
     h -> -h maps T_i onto itself, so p(i, j, -g) counts the h in T_i with
@@ -95,31 +98,34 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
     """
     desc = basis.group
     n = desc.order
-    tabs = group_tables(desc)
     r = basis.cell_count
-    width = (n + 7) // 8
-    packed = b"".join(c.to_bytes(width, "little") for c in basis.cells)
-    bits = np.unpackbits(
-        np.frombuffer(packed, dtype=np.uint8).reshape(r, width),
-        axis=1, count=n, bitorder="little",
-    )
-    cid = bits.argmax(axis=0)  # the cell of each element
-    rep = bits.argmax(axis=1)  # the least member of each cell
-    sizes = bits.sum(axis=1, dtype=np.int64)
-    big = int(sizes[1:].argmax()) + 1 if r > 1 else 0  # 0: the trivial group
-    if (cid[tabs.neg] == cid).all():
-        g, diffs = _half_differences(desc)
-    else:
-        g, diffs = np.arange(n), tabs.sub
-    h = np.flatnonzero((cid != 0) & (cid != big))
-    keys = (cid[h] * r + cid[diffs[:, h]]) * n + g[:, None]
-    prods = np.bincount(keys.ravel(), minlength=r * r * n).reshape(r, r, n)
-    constants = prods[:, :, rep]
-    if (prods[:, :, g] != constants[:, :, cid[g]]).any():
-        return None
+    sizes = basis.cell_sizes()
+    big = sizes.index(max(sizes[1:]), 1) if r > 1 else 0  # 0: the trivial group
+    keyed = [i for i in range(1, r) if i != big]
+    constants = np.zeros((r, r, r), dtype=np.int64)
+    if keyed:
+        tabs = group_tables(desc)
+        width = (n + 7) // 8
+        packed = b"".join(c.to_bytes(width, "little") for c in basis.cells)
+        bits = np.unpackbits(
+            np.frombuffer(packed, dtype=np.uint8).reshape(r, width),
+            axis=1, count=n, bitorder="little",
+        )
+        cid = bits.argmax(axis=0)  # the cell of each element
+        if (cid[tabs.neg] == cid).all():
+            g, diffs = _half_differences(desc)
+        else:
+            g, diffs = np.arange(n), tabs.sub
+        e = bits.astype(np.float64)
+        # prods[t, x, i] = p(i, keyed[t], g[x]); 0/1 terms, so every sum is exact
+        prods = e[keyed].take(diffs, axis=1) @ e.T
+        at_rep = prods[:, bits[:, g].argmax(axis=1)]  # at each cell's least member
+        if (prods != at_rep[:, cid[g]]).any():
+            return None
+        constants[keyed] = at_rep.transpose(0, 2, 1)  # p(t, i, k) = p(i, t, k)
     constants[0] = np.eye(r, dtype=np.int64)
     if big:
-        constants[big] = sizes[:, None] - constants.sum(axis=0)
+        constants[big] = np.array(sizes)[:, None] - constants.sum(axis=0)
     return constants
 
 

@@ -3,8 +3,9 @@
 The traced benchmark run (perfbench/spans.py) looks functions up by module
 and name; a rename or deletion here would silently drop a span from it.
 Every name a source module imports is also used there, since no linter
-runs on the package.  And every top-level function and class of the package
-is reached by a program path or checks a lemma listed here.
+runs on the package.  And every top-level function and class of the package,
+and every method and property of its classes, is reached by a program path
+or checks a lemma listed here.
 """
 
 import ast
@@ -116,6 +117,10 @@ LEMMA_CHECKERS = {
         "when its shifted rows form a nontrivial difference set in the even-index subgroup"
     ),
 }
+# Methods that a library calls, overriding its own; no program names them.
+LIBRARY_CALLBACKS = {
+    "cli._Parser.error": "argparse.ArgumentParser calls it on a usage error",
+}
 MODULES = {p.stem for p in SOURCES} - {"__init__"}
 PROGRAM_FILES = (
     [p for p in SOURCES if p.stem in MODULES]
@@ -129,6 +134,32 @@ def _top_level(tree):
         node for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
     ]
+
+
+def _methods(definition):
+    """The methods and properties of a class, ``__dunder__`` names left out:
+    those are called by the language, not by name.  Dataclass fields are
+    assignments, not functions, so they are not listed either."""
+    if not isinstance(definition, ast.ClassDef):
+        return []
+    return [
+        node for node in definition.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+
+
+def _holders(definition, module):
+    """(node id, holder) for every node of a top-level definition.  The
+    holder is ``Class.method`` inside a method ``_methods`` lists, else the
+    definition's own name."""
+    inner = {}
+    for method in _methods(definition):
+        inner.update(
+            (id(n), (module, f"{definition.name}.{method.name}")) for n in ast.walk(method)
+        )
+    for n in ast.walk(definition):
+        yield id(n), inner.get(id(n), (module, definition.name))
 
 
 def _package_imports(tree, here):
@@ -178,22 +209,23 @@ def _trees(path):
 
 
 def _references(path):
-    """(user, (module, name)) for every package binding the file reads.
+    """(user, (module, name)) for every package binding the file reads, and
+    (user, name) for every attribute it reads.
 
     A name is read through an import of it (``from .m import f``; ``f``) or of
     its module (``m.f``), or, in its own module, anywhere outside its own
-    definition.  The user is the package's top-level definition holding the
-    read, or None for module-level code and for files outside the package.
-    The binding may be a re-import; ``_resolve`` follows it.
+    definition.  The user is the package's top-level definition or method
+    holding the read, or None for module-level code and for files outside
+    the package.  The binding may be a re-import; ``_resolve`` follows it.
     """
     here = path.stem if path.parent.name == "drgcayley" else None
-    found = set()
+    found, attributes = set(), set()
     for tree in _trees(path):
         modules, names = _package_imports(tree, here)
-        holder = {}  # node id -> the top-level definition holding it
+        holder = {}  # node id -> the top-level definition or method holding it
         for definition in (_top_level(tree) if here else []):
             names[definition.name] = (here, definition.name)
-            holder.update((id(n), (here, definition.name)) for n in ast.walk(definition))
+            holder.update(_holders(definition, here))
         quoted = [  # string annotations, read where they stand
             (holder.get(id(annotation)), ast.parse(node.value, mode="eval"))
             for annotation in _annotations(tree)
@@ -203,6 +235,8 @@ def _references(path):
         for node, user in [(n, holder.get(id(n))) for n in ast.walk(tree)] + [
             (n, user) for user, expr in quoted for n in ast.walk(expr)
         ]:
+            if isinstance(node, ast.Attribute):
+                attributes.add((user, node.attr))
             target = None
             if isinstance(node, ast.Name) and node.id in names:
                 target = names[node.id]
@@ -215,7 +249,7 @@ def _references(path):
                     target = (outer.attr, node.attr)
             if target is not None and target != user:
                 found.add((user, target))
-    return found
+    return found, attributes
 
 
 def _resolve(reference, imports, defined):
@@ -229,23 +263,33 @@ def _resolve(reference, imports, defined):
 
 def test_package_code_is_reached_by_a_program_or_checks_a_lemma():
     """Reached: read by module-level code of the package, by perfbench/ or
-    scripts/, traced by perfbench, or read by a reached or lemma-checking
-    definition.  Names are module-qualified, so ``kernels.common_neighbors``
-    does not reach a ``cayley.common_neighbors``, and the ``__init__``
-    re-exports reach nothing."""
-    defined, imports = set(), {}
+    scripts/, traced by perfbench, called by a library, or read by a reached
+    or lemma-checking definition.  Names are module-qualified, so
+    ``kernels.common_neighbors`` does not reach a ``cayley.common_neighbors``,
+    and the ``__init__`` re-exports reach nothing.  A method or property is
+    reached when such code reads an attribute of its name, on any object: the
+    type behind an attribute is not known here, so a read reaches every
+    method so named."""
+    defined, imports, methods = set(), {}, {}
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         module = "" if path.stem == "__init__" else path.stem
-        defined.update((module, node.name) for node in _top_level(tree))
+        for node in _top_level(tree):
+            defined.add((module, node.name))
+            for method in _methods(node):
+                methods.setdefault(method.name, set()).add((module, f"{node.name}.{method.name}"))
         imports[module] = _package_imports(tree, module)[1]
     uses = {}  # user -> the definitions it reads
     for path in PROGRAM_FILES:
-        for user, reference in _references(path):
+        found, attributes = _references(path)
+        for user, reference in found:
             target = _resolve(reference, imports, defined)
             if target is not None:  # None: a constant or a submodule
                 uses.setdefault(user, set()).add(target)
-    lemmas = {tuple(key.split(".")) for key in LEMMA_CHECKERS}
+        for user, name in attributes:
+            uses.setdefault(user, set()).update(methods.get(name, set()))
+    defined |= set().union(*methods.values())
+    lemmas = {tuple(key.split(".", 1)) for key in LEMMA_CHECKERS}
     assert sorted(lemmas - defined) == []
 
     def closure(frontier):
@@ -255,6 +299,10 @@ def test_package_code_is_reached_by_a_program_or_checks_a_lemma():
             frontier = set().union(*(uses.get(d, set()) for d in frontier)) - reached
         return reached
 
-    program = closure(uses.get(None, set()) | {(m, f) for m, f, _ in _traced_targets()})
+    callbacks = {tuple(key.split(".", 1)) for key in LIBRARY_CALLBACKS}
+    assert sorted(callbacks - defined) == []
+    program = closure(
+        uses.get(None, set()) | callbacks | {(m, f) for m, f, _ in _traced_targets()}
+    )
     assert sorted(lemmas & program) == []  # a program path reaches it; drop the entry
     assert sorted(f"{m}.{n}" for m, n in defined - closure(program | lemmas)) == []

@@ -246,3 +246,30 @@ def test_element_literals():
     z9 = G.cyclic_group(9)
     assert z9.parse_element("7") == 7
     assert z9.element_str(7) == "7"
+
+
+def lowest_bit_positions(mask):
+    """Reference for ``iter_bits``: peel the lowest set bit until none is left."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_iter_bits_matches_the_lowest_bit_loop():
+    """Zero, single bits on and across byte and word boundaries, all-ones
+    words of every width to 130, and seeded masks of several densities."""
+    masks = [0]
+    masks += [1 << i for i in (0, 7, 8, 63, 64, 124, 200)]
+    masks += [(1 << w) - 1 for w in range(1, 131)]
+    rng = random.Random(18)
+    for width in (8, 49, 62, 81, 121, 125, 250):
+        for density in (0.02, 0.1, 0.5, 0.9):
+            for _ in range(20):
+                masks.append(sum(1 << i for i in range(width) if rng.random() < density))
+    for mask in masks:
+        got = list(G.iter_bits(mask))
+        assert got == lowest_bit_positions(mask)
+        assert got == sorted(set(got))  # ascending, each bit once
