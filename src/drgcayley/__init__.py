@@ -9,7 +9,6 @@ kernel-accelerated census of connection sets with family reconciliation.
 from .cayley import (
     CayleyGraph,
     DistancePartition,
-    RowDecomposition,
     SymmetricSet,
     build,
     distance_partition,
@@ -41,7 +40,6 @@ __all__ = [
     "FamilyTag",
     "GroupDescriptor",
     "IntersectionArray",
-    "RowDecomposition",
     "SrgParams",
     "Subgroup",
     "SymmetricSet",

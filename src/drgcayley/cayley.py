@@ -99,33 +99,6 @@ class SymmetricSet:
     def member_strs(self) -> list[str]:
         return [self.group.element_str(g) for g in self.members()]
 
-    def rows(self) -> "RowDecomposition":
-        group = self.group
-        buckets: list[set[int]] = [set() for _ in range(group.second_modulus)]
-        for g in self.members():
-            a, b = group.unrank(g)
-            buckets[b].add(a)
-        return RowDecomposition(group, tuple(frozenset(b) for b in buckets))
-
-
-@dataclass(frozen=True)
-class RowDecomposition:
-    """Connection set sliced by second coordinate: row j = {u : (u,j) in S}."""
-
-    group: GroupDescriptor
-    rows: tuple[frozenset[int], ...]
-
-    def __post_init__(self) -> None:
-        m = self.group.first_modulus
-        q = self.group.second_modulus
-        if len(self.rows) != q:
-            raise ValueError(f"expected {q} rows, got {len(self.rows)}")
-        if {(-u) % m for u in self.rows[0]} != self.rows[0]:
-            raise ValueError("row 0 must be negation-closed")
-        for j in range(1, q):
-            if {(-u) % m for u in self.rows[j]} != self.rows[q - j]:
-                raise ValueError(f"row {j} must be the negation of row {q - j}")
-
 
 @dataclass(frozen=True)
 class CayleyGraph:
@@ -140,9 +113,6 @@ class CayleyGraph:
     @property
     def valency(self) -> int:
         return self.connection.size
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adjacency[u] >> v & 1)
 
     @cached_property
     def layers(self) -> tuple[int, ...]:

@@ -44,15 +44,17 @@ from .cayley import (
     is_connected,
     iter_bits,
 )
+from .designs import td_line_srg_params
 from .drg import FamilyTag, IntersectionArray, check_drg, recognize
-from .groups import GroupDescriptor, inverse_pairs, pair_permutations, subgroups_of_order
-from .kernels import candidate_count, census_generate, connected_count
-from .structure import (
-    antipodal_classes,
-    identity_antipodal_subgroup,
-    is_bipartite,
-    quotient_by_subgroup,
+from .groups import (
+    GroupDescriptor,
+    all_subgroups,
+    inverse_pairs,
+    pair_permutations,
+    subgroups_of_order,
 )
+from .kernels import candidate_count, census_generate, connected_count
+from .structure import is_antipodal, is_bipartite, quotient_by_subgroup
 
 
 class CensusBudgetError(RuntimeError):
@@ -196,8 +198,7 @@ def _classify_hit(
     array = check_drg(graph, part)
     d = part.diameter
     bip = is_bipartite(graph) is not None
-    classes = antipodal_classes(graph, part) if d >= 2 else None
-    antip = classes is not None
+    antip = is_antipodal(graph, part)
     primitive = not bip and not antip
     if not array.is_monotone():
         anomalies.append(f"non-monotone intersection array {array} for {sset.member_strs()}")
@@ -216,7 +217,8 @@ def _classify_hit(
                 f"primitivity {primitive} for {sset.member_strs()}"
             )
     if antip:
-        sub = identity_antipodal_subgroup(graph, classes)
+        anti = part.layer_masks[0] | part.layer_masks[d]
+        sub = next(h for h in all_subgroups(sset.group) if h.mask == anti)
         quotient = quotient_by_subgroup(graph, sub)
         q_part = distance_partition(quotient)
         q_array = check_drg(quotient, q_part)
@@ -459,28 +461,18 @@ def construct_family(
     if kind == "complete":
         if n < 2:
             raise ValueError(f"the complete family needs |G| >= 2, got {n}")
-        sset = SymmetricSet(desc, ((1 << n) - 1) ^ 1)
-        graph = build(desc, sset)
-        array = check_drg(graph)
-        if array is None or array.diameter != 1:
-            raise AssertionError("complete construction failed verification")
-        return graph, array
-    if kind == "multipartite":
+        mask = ((1 << n) - 1) ^ 1
+        expected = ((n - 1,), (1,))
+    elif kind == "multipartite":
         t, m = params["t"], params["m"]
         if t * m != n or m < 2 or t < 2:
             raise ValueError(f"need t*m = {n} with t, m >= 2; got t={t}, m={m}")
         subs = subgroups_of_order(desc, m)
         if not subs:
             raise ValueError(f"no subgroup of order {m}")
-        sset = SymmetricSet(desc, ((1 << n) - 1) ^ subs[0].mask)
-        graph = build(desc, sset)
-        array = check_drg(graph)
-        expect_b = (n - m, m - 1)
-        expect_c = (1, n - m)
-        if array is None or (array.b, array.c) != (expect_b, expect_c):
-            raise AssertionError("multipartite construction failed verification")
-        return graph, array
-    if kind == "td-line":
+        mask = ((1 << n) - 1) ^ subs[0].mask
+        expected = ((n - m, m - 1), (1, n - m))
+    elif kind == "td-line":
         r = params["r"]
         pp = desc.prime_power_pair
         if pp is None or pp[1] != 1:
@@ -488,21 +480,18 @@ def construct_family(
         p = pp[0]
         if not 2 <= r <= p - 1:
             raise ValueError(f"need 2 <= r <= p-1 = {p - 1}, got r = {r}")
-        subs = subgroups_of_order(desc, p)
         mask = 0
-        for h in subs[:r]:
+        for h in subgroups_of_order(desc, p)[:r]:
             mask |= h.mask
-        sset = SymmetricSet(desc, mask ^ 1)
-        graph = build(desc, sset)
-        array = check_drg(graph)
-        from .designs import td_line_srg_params
-        from .drg import srg_params
-
-        want = td_line_srg_params(r, p)
-        got = srg_params(array) if array is not None else None
-        if got is None or got != want:
-            raise AssertionError(
-                f"td-line construction expected {want}, got {got}"
-            )
-        return graph, array
-    raise ValueError(f"unknown family kind {kind!r}")
+        mask ^= 1
+        # a strongly regular (n, k, lam, mu) graph has the array {k, k - 1 - lam; 1, mu}
+        srg = td_line_srg_params(r, p)
+        expected = ((srg.k, srg.k - 1 - srg.lam), (1, srg.mu))
+    else:
+        raise ValueError(f"unknown family kind {kind!r}")
+    graph = build(desc, SymmetricSet(desc, mask))
+    array = check_drg(graph)
+    got = None if array is None else (array.b, array.c)
+    if got != expected:
+        raise AssertionError(f"{kind} construction expected {expected}, got {got}")
+    return graph, array

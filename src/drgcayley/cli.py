@@ -146,7 +146,8 @@ def cmd_census(args, out) -> int:
 
 
 def cmd_construct(args, out) -> int:
-    design = None
+    if args.design_out and args.family != "td-line":
+        raise UsageError("--design-out applies to --family td-line only")
     if args.family == "td-line":
         _require(args, "td-line", "p", "r")
         desc = pair_group(args.p, 1)
@@ -177,8 +178,6 @@ def cmd_construct(args, out) -> int:
         with open(args.edges_out, "w", encoding="utf-8") as fh:
             fh.write(edge_list(graph.adjacency))
     if args.design_out:
-        if design is None:
-            raise UsageError("--design-out applies to --family td-line only")
         with open(args.design_out, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(design.to_json_obj(), indent=2, sort_keys=True) + "\n")
     _emit(payload, args.format, out)
@@ -205,11 +204,10 @@ def cmd_fourier_audit(args, out) -> int:
         "failure": report.failure or None,
     }
     if args.tables:
-        p, s = desc.prime_power_pair
-        ctx = fourier.FourierContext(p, s)
-        rows = sset.rows().rows
+        ctx = fourier.FourierContext(*desc.prime_power_pair)
         payload["rowTransforms"] = [
-            ctx.transform_subset(rows[j]).to_json_obj() for j in range(p)
+            ctx.transform_function(row).to_json_obj()
+            for row in fourier.row_indicators(desc, sset.mask)
         ]
     _emit(payload, args.format, out)
     return EXIT_OK if report.ok else EXIT_NEGATIVE

@@ -11,7 +11,7 @@ coefficients; a transform table is an (n, n) array whose row z holds F(z).
 Products are taken mod x^n - 1 and reduced once at the end: reduction mod
 Phi is a ring homomorphism from Z[x]/(x^n - 1) and linear, so
 canonical(lhs - rhs) == 0 is the same test as comparing canonical forms.
-``CyclotomicInteger`` is the value type callers receive; the tuple
+Callers receive values as rows of a ``TransformTable``; the tuple
 arithmetic the tests compare the arrays against lives with the tests.
 
 int64 bound.  With M the largest |input| coefficient, no integer on the
@@ -48,27 +48,6 @@ from .groups import (
 INT64_SAFE = 1 << 62
 
 
-@dataclass(frozen=True)
-class CyclotomicInteger:
-    """A value of Z[w]: its canonical coefficient vector, read-only."""
-
-    p: int
-    s: int
-    coeffs: tuple[int, ...]
-
-    @property
-    def modulus(self) -> int:
-        return self.p**self.s
-
-    def __str__(self) -> str:
-        terms = [
-            (f"{c}" if e == 0 else f"{c}*w^{e}")
-            for e, c in enumerate(self.coeffs)
-            if c
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
 @dataclass(frozen=True, eq=False)
 class TransformTable:
     """Row z of ``coeffs`` (read-only, int64, canonical) holds F(z)."""
@@ -80,12 +59,6 @@ class TransformTable:
     @property
     def modulus(self) -> int:
         return self.p**self.s
-
-    @property
-    def values(self) -> tuple[CyclotomicInteger, ...]:
-        return tuple(
-            CyclotomicInteger(self.p, self.s, tuple(row)) for row in self.coeffs.tolist()
-        )
 
     def to_json_obj(self) -> dict:
         """Coefficient vectors per evaluation point, JSON-ready."""
@@ -294,8 +267,11 @@ class AuditReport:
     failure: str = ""
 
 
-def _rows(group: GroupDescriptor, mask: int) -> np.ndarray:
-    """(q, m) 0/1 array whose entry (j, a) is bit rank(a, j) = a q + j of mask."""
+def row_indicators(group: GroupDescriptor, mask: int) -> np.ndarray:
+    """(q, m) 0/1 array whose entry (j, a) is bit rank(a, j) = a q + j of mask.
+
+    Row j is the indicator on Z_m of row j of the set, {a : (a, j) in S}.
+    """
     m, q = group.first_modulus, group.second_modulus
     octets = np.frombuffer(mask.to_bytes((m * q + 7) // 8, "little"), np.uint8)
     bits = np.unpackbits(octets, count=m * q, bitorder="little")
@@ -395,9 +371,8 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     lam = array.a[1]
     mu = array.c[1]
     reps, columns = _orbit_tables(p, s)
-    rows = np.concatenate(
-        (_rows(group, graph.connection.mask), _rows(group, partition.layer_masks[2]))
-    )
+    masks = (graph.connection.mask, partition.layer_masks[2])
+    rows = np.concatenate([row_indicators(group, mask) for mask in masks])
     r = (rows @ columns).reshape(2, p, len(reps), n)
     r1, r2 = r  # r1[j, t] = r_j(reps[t]), not reduced
     top = _max_abs(r)

@@ -123,10 +123,6 @@ class GroupDescriptor:
         a2, b2 = self.unrank(y)
         return self.rank(a1 + a2, b1 + b2)
 
-    def neg(self, x: int) -> int:
-        a, b = self.unrank(x)
-        return self.rank(-a, -b)
-
     def scale(self, c: int, x: int) -> int:
         a, b = self.unrank(x)
         return self.rank(c * a, c * b)

@@ -143,6 +143,21 @@ def common_neighbors(ctx: ScanContext, bits: np.ndarray) -> np.ndarray:
     return np.rint(lam, out=lam)
 
 
+def _constant_on(lam: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Rows where ``lam`` takes one value on the pairs ``sel`` marks (0/1 floats).
+
+    The Cauchy-Schwarz equality s0 * s2 == s1^2, with s_k the sum of lam^k
+    over the marked pairs; it holds for an empty selection too.  Each sum is
+    a matmul with a ones vector, which numpy runs faster than ``sum(axis=1)``.
+    ``lam`` is overwritten: the scan allocates no array here (see BATCH).
+    """
+    ones = np.ones(sel.shape[1])
+    lam *= sel
+    s0, s1 = sel @ ones, lam @ ones
+    lam *= lam
+    return s0 * (lam @ ones) == s1 * s1
+
+
 @dataclass(frozen=True)
 class ScanResult:
     hits: np.ndarray  # int64 pair-subset bitmasks, ascending
@@ -163,7 +178,6 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
     ctx = scan_context(desc)
     hits: list[int] = []
     connected = 0
-    ones = np.ones(ctx.pair_count)
     for base in range(start - start % BATCH, stop, BATCH):
         idx = np.arange(max(base, start), min(base + BATCH, stop), dtype=np.uint64)
         gray = idx ^ (idx >> np.uint64(1))
@@ -176,12 +190,7 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
             gray = gray[conn]
         connected += len(gray)
         sel = _pair_bits(gray, ctx.pair_count)
-        # lambda constant on S <=> s0 * s2 == s1^2 (Cauchy-Schwarz); in place, see BATCH
-        lam = common_neighbors(ctx, sel)
-        lam *= sel
-        s0, s1 = sel @ ones, lam @ ones
-        lam *= lam
-        for g in gray[s0 * (lam @ ones) == s1 * s1].tolist():
+        for g in gray[_constant_on(common_neighbors(ctx, sel), sel)].tolist():
             if is_drg_pairmask(desc, g):
                 hits.append(g)
     out = np.sort(np.array(hits, dtype=np.int64))
@@ -314,16 +323,6 @@ def connected_count(desc: GroupDescriptor) -> int:
     return total
 
 
-def _constant_on(lam: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Rows where ``lam`` takes one value on the pairs ``sel`` marks (0/1 floats).
-
-    The Cauchy-Schwarz equality s0 * s2 == s1^2, with s_k the sum of lam^k
-    over the marked pairs; it holds for an empty selection too.
-    """
-    on = lam * sel
-    return sel.sum(axis=1) * (on * on).sum(axis=1) == on.sum(axis=1) ** 2
-
-
 class GeneratorResult(NamedTuple):
     survivors: np.ndarray  # int64 pair words passing the c2 filter, in index order
     words: np.ndarray  # int64 candidate words, in index order
@@ -342,12 +341,12 @@ def _filter(ctx: ScanContext, words: np.ndarray, seconds: np.ndarray) -> list[np
     clock.append(time.perf_counter())
     sel = _pair_bits(words, ctx.pair_count)
     lam = common_neighbors(ctx, sel)
-    keep = _constant_on(lam, sel)
+    keep = _constant_on(lam.copy(), sel)
     passed.append(words[keep])
     lam, sel = lam[keep], sel[keep]
     clock.append(time.perf_counter())
     # the distance-2 layer: the pairs outside S where lambda > 0
-    passed.append(passed[-1][_constant_on(lam, (lam > 0) & (sel == 0))])
+    passed.append(passed[-1][_constant_on(lam, (lam > 0) * (1 - sel))])
     clock.append(time.perf_counter())
     seconds += np.diff(clock)
     return passed

@@ -25,11 +25,11 @@ from .cayley import (
 from .groups import (
     GroupDescriptor,
     Subgroup,
-    all_subgroups,
     closure_mask,
     coset_keys,
     group_tables,
     linear_map,
+    mask_of,
     product_group,
 )
 
@@ -122,29 +122,11 @@ def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> CayleyGraph:
     q_elems = {coset_of[s] for s in iter_bits(s_mask) if not sub.mask >> s & 1}
     q_set = SymmetricSet.from_elements(qdesc, q_elems)
     q_graph = build(qdesc, q_set)
-    # verify block adjacency: blocks B_i ~ B_j in the original graph iff
-    # the quotient graph has the edge
-    qn = qdesc.order
-    seen_edge = [[False] * qn for _ in range(qn)]
+    # verify block adjacency: blocks B_i ~ B_j (i != j) in the original graph
+    # iff the quotient graph has the edge; blocks[i] holds the j with B_i ~ B_j
+    blocks = [0] * qdesc.order
     for u in range(graph.order):
-        cu = coset_of[u]
-        for v in iter_bits(graph.adjacency[u]):
-            seen_edge[cu][coset_of[v]] = True
-    for i in range(qn):
-        for j in range(qn):
-            if i == j:
-                continue
-            if seen_edge[i][j] != q_graph.has_edge(i, j):
-                raise AssertionError("block adjacency disagrees with quotient graph")
+        blocks[coset_of[u]] |= mask_of(coset_of[v] for v in iter_bits(graph.adjacency[u]))
+    if [mask & ~(1 << i) for i, mask in enumerate(blocks)] != list(q_graph.adjacency):
+        raise AssertionError("block adjacency disagrees with quotient graph")
     return q_graph
-
-
-def identity_antipodal_subgroup(
-    graph: CayleyGraph, classes: VertexPartition
-) -> Subgroup:
-    """The antipodal class containing the identity, as a verified subgroup."""
-    mask = next(b for b in classes.blocks if b & 1)
-    for h in all_subgroups(graph.group):
-        if h.mask == mask:
-            return h
-    raise AssertionError("identity antipodal class is not a subgroup")

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from drgcayley import cayley as C
+from drgcayley import fourier as F
 from drgcayley import groups as G
 from drgcayley import structure as S
 
@@ -75,7 +76,7 @@ def test_neighborhood_translation_law():
     """N((i,j)) must be the union of the translated rows (i+R_t, j+t)."""
     d, s = lattice_set(5)
     g = C.build(d, s)
-    rows = s.rows().rows
+    rows = [set(row.nonzero()[0].tolist()) for row in F.row_indicators(d, s.mask)]
     rng = random.Random(11)
     m, q = d.first_modulus, d.second_modulus
     for _ in range(10):
@@ -163,21 +164,22 @@ def test_translation_invariant_distance_profile():
 
 
 def test_row_decomposition_round_trip():
+    """Row j of S, {u : (u, j) in S}, rebuilds S, and S = -S makes row j the
+    negation of row -j."""
     d = G.pair_group(3, 2)
+    m, q = d.first_modulus, d.second_modulus
     rng = random.Random(23)
     pairs = G.inverse_pairs(d)
     for _ in range(20):
         bits = rng.randrange(1 << len(pairs))
         s = C.SymmetricSet.from_pair_bits(d, bits)
-        rows = s.rows().rows
+        indicators = F.row_indicators(d, s.mask)
+        assert indicators.shape == (q, m) and set(indicators.ravel().tolist()) <= {0, 1}
+        rows = [set(row.nonzero()[0].tolist()) for row in indicators]
         elems = [d.rank(u, j) for j, row in enumerate(rows) for u in row]
         assert C.SymmetricSet.from_elements(d, elems) == s
-
-
-def test_row_decomposition_validation():
-    d = G.pair_group(3, 1)
-    with pytest.raises(ValueError):
-        C.RowDecomposition(d, (frozenset({1}), frozenset(), frozenset()))
+        for j in range(q):
+            assert {(-u) % m for u in rows[j]} == rows[-j % q]
 
 
 def test_edge_list_format():

@@ -356,3 +356,19 @@ def test_construct_family():
         CL.construct_family(d, "multipartite", t=5, m=9)
     with pytest.raises(ValueError):
         CL.construct_family(d, "td-line", r=2)  # needs s = 1
+
+
+@pytest.mark.parametrize(
+    "desc,kind,params",
+    [
+        (G.pair_group(3, 2), "complete", {}),
+        (G.pair_group(3, 2), "multipartite", {"t": 3, "m": 9}),
+        (G.pair_group(5, 1), "td-line", {"r": 2}),
+    ],
+)
+def test_construct_family_refuses_a_graph_that_fails_its_check(monkeypatch, desc, kind, params):
+    """Every family goes through the one array comparison: a graph that
+    check_drg does not certify is refused."""
+    monkeypatch.setattr(CL, "check_drg", lambda graph: None)
+    with pytest.raises(AssertionError, match=f"{kind} construction expected .*, got None"):
+        CL.construct_family(desc, kind, **params)

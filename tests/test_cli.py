@@ -106,6 +106,16 @@ def test_construct_command():
     assert code == 0 and "{8;1}" in text
 
 
+def test_design_out_outside_td_line_writes_nothing(tmp_path):
+    edges, design = tmp_path / "e.txt", tmp_path / "d.json"
+    code, text = run(
+        ["construct", "--family", "complete", "--group", "3^1x3",
+         "--edges-out", str(edges), "--design-out", str(design)]
+    )
+    assert (code, text) == (64, "")
+    assert not edges.exists() and not design.exists()
+
+
 def test_fourier_audit_command():
     code, text = run(
         ["fourier-audit", "--group", "3^1x3", "--set", "(1,0),(2,0),(0,1),(0,2)"]

@@ -137,7 +137,8 @@ def test_mixed_set_is_not_drg():
     d = G.pair_group(5, 1)
     subs = G.subgroups_of_order(d, 5)
     extra = next(m for m in subs[1].members() if m != 0)
-    mask = (subs[0].mask ^ 1) | (1 << extra) | (1 << d.neg(extra))
+    a, b = d.unrank(extra)
+    mask = (subs[0].mask ^ 1) | (1 << extra) | (1 << d.rank(-a, -b))
     g = C.build(d, C.SymmetricSet(d, mask))
     assert C.is_connected(g)
     assert D.check_drg(g) is None

@@ -6,6 +6,12 @@ Every name a source module imports is also used there, since no linter
 runs on the package.  And every top-level function and class of the package,
 and every method and property of its classes, is reached by a program path
 or checks a lemma listed here.
+
+Methods and properties are reached by the way an attribute is read: a
+method only by a read that is called (``x.f(...)``), a property only by a
+read that is not (``x.f``).  So ``counts.values()`` does not keep a
+``values`` property alive, and ``tables.neg[g]`` does not keep a ``neg``
+method alive.
 """
 
 import ast
@@ -149,6 +155,15 @@ def _methods(definition):
     ]
 
 
+def _is_property(method):
+    """Whether a ``_methods`` entry is a ``property`` or ``cached_property``."""
+    return any(
+        (decorator.id if isinstance(decorator, ast.Name) else getattr(decorator, "attr", None))
+        in ("property", "cached_property")
+        for decorator in method.decorator_list
+    )
+
+
 def _holders(definition, module):
     """(node id, holder) for every node of a top-level definition.  The
     holder is ``Class.method`` inside a method ``_methods`` lists, else the
@@ -210,7 +225,8 @@ def _trees(path):
 
 def _references(path):
     """(user, (module, name)) for every package binding the file reads, and
-    (user, name) for every attribute it reads.
+    (user, name, called) for every attribute it reads, ``called`` telling
+    whether the read is the function of a call.
 
     A name is read through an import of it (``from .m import f``; ``f``) or of
     its module (``m.f``), or, in its own module, anywhere outside its own
@@ -232,11 +248,12 @@ def _references(path):
             for node in ast.walk(annotation)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
         ]
+        calls = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call)}
         for node, user in [(n, holder.get(id(n))) for n in ast.walk(tree)] + [
             (n, user) for user, expr in quoted for n in ast.walk(expr)
         ]:
             if isinstance(node, ast.Attribute):
-                attributes.add((user, node.attr))
+                attributes.add((user, node.attr, id(node) in calls))
             target = None
             if isinstance(node, ast.Name) and node.id in names:
                 target = names[node.id]
@@ -266,18 +283,21 @@ def test_package_code_is_reached_by_a_program_or_checks_a_lemma():
     scripts/, traced by perfbench, called by a library, or read by a reached
     or lemma-checking definition.  Names are module-qualified, so
     ``kernels.common_neighbors`` does not reach a ``cayley.common_neighbors``,
-    and the ``__init__`` re-exports reach nothing.  A method or property is
-    reached when such code reads an attribute of its name, on any object: the
+    and the ``__init__`` re-exports reach nothing.  A method is reached when
+    such code calls an attribute of its name, and a property when such code
+    reads an attribute of its name without calling it, on any object: the
     type behind an attribute is not known here, so a read reaches every
-    method so named."""
-    defined, imports, methods = set(), {}, {}
+    method, or every property, so named."""
+    defined, imports = set(), {}
+    members = {False: {}, True: {}}  # called?: name -> methods, else properties
     for path in SOURCES:
         tree = ast.parse(path.read_text())
         module = "" if path.stem == "__init__" else path.stem
         for node in _top_level(tree):
             defined.add((module, node.name))
             for method in _methods(node):
-                methods.setdefault(method.name, set()).add((module, f"{node.name}.{method.name}"))
+                by_name = members[not _is_property(method)]
+                by_name.setdefault(method.name, set()).add((module, f"{node.name}.{method.name}"))
         imports[module] = _package_imports(tree, module)[1]
     uses = {}  # user -> the definitions it reads
     for path in PROGRAM_FILES:
@@ -286,9 +306,9 @@ def test_package_code_is_reached_by_a_program_or_checks_a_lemma():
             target = _resolve(reference, imports, defined)
             if target is not None:  # None: a constant or a submodule
                 uses.setdefault(user, set()).add(target)
-        for user, name in attributes:
-            uses.setdefault(user, set()).update(methods.get(name, set()))
-    defined |= set().union(*methods.values())
+        for user, name, called in attributes:
+            uses.setdefault(user, set()).update(members[called].get(name, set()))
+    defined |= set().union(*members[False].values(), *members[True].values())
     lemmas = {tuple(key.split(".", 1)) for key in LEMMA_CHECKERS}
     assert sorted(lemmas - defined) == []
 

@@ -3,7 +3,7 @@ import io
 import itertools
 import json
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from math import gcd
 
 import numpy as np
@@ -18,13 +18,18 @@ from drgcayley import fourier as F
 from drgcayley import groups as G
 
 
-class Cyc(F.CyclotomicInteger):
-    """The library value type with tuple arithmetic: the reference that the
-    int64 array path is compared against.  ``Cyc.of`` lifts a library value."""
+@dataclass(frozen=True)
+class Cyc:
+    """A value of Z[w] as its canonical coefficient tuple, with tuple
+    arithmetic: the reference that the int64 array path is compared against."""
 
-    @classmethod
-    def of(cls, x: F.CyclotomicInteger) -> "Cyc":
-        return cls(x.p, x.s, x.coeffs)
+    p: int
+    s: int
+    coeffs: tuple[int, ...]
+
+    @property
+    def modulus(self) -> int:
+        return self.p**self.s
 
     @classmethod
     def _reduced(cls, p: int, s: int, vec: list[int]) -> "Cyc":
@@ -98,13 +103,11 @@ class Cyc(F.CyclotomicInteger):
 
 
 def lifted(table: F.TransformTable) -> tuple[Cyc, ...]:
-    """A transform table's values with the reference arithmetic."""
-    values = table.values
-    assert all(type(v) is F.CyclotomicInteger for v in values)
-    return tuple(map(Cyc.of, values))
+    """A transform table's rows as values with the reference arithmetic."""
+    return tuple(Cyc(table.p, table.s, tuple(row)) for row in table.coeffs.tolist())
 
 
-def numeric_value(x: F.CyclotomicInteger) -> complex:
+def numeric_value(x: Cyc) -> complex:
     """Independent check route: evaluate at w = exp(2 pi i / p^s)."""
     n = x.modulus
     w = cmath.exp(2j * cmath.pi / n)

@@ -120,7 +120,8 @@ def test_inverse_pair_counts(desc, count):
         for g in cell:
             assert g not in seen
             seen.add(g)
-        assert desc.neg(cell[0]) == cell[1]
+        a, b = desc.unrank(cell[0])
+        assert desc.rank(-a, -b) == cell[1]
     assert seen == set(range(1, desc.order))
 
 
@@ -129,7 +130,8 @@ def test_inverse_pairs_involutions_become_singletons():
     cells = G.inverse_pairs(d)
     singles = [c for c in cells if len(c) == 1]
     assert sorted(singles) == sorted(
-        (g,) for g in d.elements() if g != 0 and d.neg(g) == g
+        (d.rank(a, b),) for a, b in map(d.unrank, d.elements())
+        if (a, b) != (0, 0) and d.rank(-a, -b) == d.rank(a, b)
     )
     assert len(singles) == 3
 

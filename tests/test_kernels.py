@@ -210,6 +210,28 @@ def test_generator_funnel_counts(spec):
     assert len(res.survivors) == counts[-1]
 
 
+def test_constant_on_matches_a_per_row_reference():
+    """``_constant_on`` against len(set(lam on the marked pairs)) <= 1, in both
+    forms the funnel uses: the lambda test on S and the c_2 test on
+    (lam > 0) * (1 - S).  Seeded random rows, a quarter of them with empty
+    selections, and every 30th 7^1x7 candidate with its true lambda."""
+    rng = np.random.default_rng(19)
+    lam = rng.integers(0, 4, size=(400, 24)).astype(np.float64)
+    lam[::3] = lam[::3, :1]  # a third of the rows constant before masking
+    density = rng.choice([0.0, 0.05, 0.3, 0.7], size=400)[:, None]
+    sel = (rng.random((400, 24)) < density).astype(np.float64)
+    d = G.parse_group("7^1x7")
+    ctx = K.scan_context(d)
+    words = K._candidates(d, 0, K.candidate_count(d))[::30]
+    real = K._pair_bits(words, ctx.pair_count)
+    for lam_rows, sel_rows in ((lam, sel), (K.common_neighbors(ctx, real), real)):
+        for mask in (sel_rows, (lam_rows > 0) * (1 - sel_rows)):
+            want = [len(set(row[marks > 0].tolist())) <= 1 for row, marks in zip(lam_rows, mask)]
+            assert K._constant_on(lam_rows.copy(), mask).tolist() == want
+            assert 0 < sum(want) < len(want)
+    assert (sel.sum(axis=1) == 0).sum() > 50
+
+
 @pytest.mark.parametrize("spec,count", [("3^3x3", 6117), ("5^2x5", 348018)])
 def test_every_generator_index_is_a_distinct_candidate_beyond_the_scan(spec, count):
     """Orders 81 and 125 lie past ``scan_context``'s bound, but generation

@@ -252,15 +252,16 @@ def test_atom_partitions_are_schur_rings(spec):
 def test_cells_that_negation_does_not_map_onto_a_cell():
     d = G.pair_group(5, 1)
     x, y, z = d.rank(1, 0), d.rank(0, 1), d.rank(1, 1)
+    minus_x = d.rank(-1, 0)
     full = (1 << d.order) - 1
 
     def basis(*cells):
         return SR.CellPartition(d, (1, *cells, full ^ 1 ^ sum(cells)))
 
     # -{x, y} meets {-x, z} and the rest
-    spans_two = basis(1 << x | 1 << y, 1 << d.neg(x) | 1 << z)
+    spans_two = basis(1 << x | 1 << y, 1 << minus_x | 1 << z)
     # -{x} lies strictly inside the larger cell {-x, z}
-    strictly_inside = basis(1 << x, 1 << d.neg(x) | 1 << z)
+    strictly_inside = basis(1 << x, 1 << minus_x | 1 << z)
     for bad in (spans_two, strictly_inside):
         assert assert_matches_reference(bad) is None
 

@@ -13,6 +13,13 @@ def graph_from(desc, mask):
     return C.build(desc, C.SymmetricSet(desc, mask))
 
 
+def subgroup_with_mask(desc, mask):
+    """The subgroup whose members are the bits of ``mask``; fails when there is none."""
+    found = [h for h in G.all_subgroups(desc) if h.mask == mask]
+    assert len(found) == 1, f"{mask:#x} is not a subgroup"
+    return found[0]
+
+
 def k3x3():
     d = G.pair_group(3, 1)
     h = G.subgroups_of_order(d, 3)[0]
@@ -60,8 +67,9 @@ def test_antipodal_classes_k3x3():
     part = C.distance_partition(g)
     classes = S.antipodal_classes(g, part)
     assert classes is not None and [b.bit_count() for b in classes.blocks] == [3, 3, 3]
-    sub = S.identity_antipodal_subgroup(g, classes)
-    assert sub.order == 3
+    identity_class = next(b for b in classes.blocks if b & 1)
+    assert identity_class == part.layer_masks[0] | part.layer_masks[-1]
+    assert subgroup_with_mask(d, identity_class).order == 3
 
 
 def test_antipodal_classes_lattice_absent():
@@ -82,7 +90,8 @@ def test_antipodal_diameter_precondition():
 def test_quotient_k3x3_by_part_is_k3():
     d, g = k3x3()
     part = C.distance_partition(g)
-    sub = S.identity_antipodal_subgroup(g, S.antipodal_classes(g, part))
+    assert S.is_antipodal(g, part)
+    sub = subgroup_with_mask(d, part.layer_masks[0] | part.layer_masks[-1])
     q = S.quotient_by_subgroup(g, sub)
     assert q.order == 3
     arr = D.check_drg(q)
@@ -107,6 +116,24 @@ def test_quotient_k3x9_over_z9z3():
     assert D.check_drg(q).diameter == 1
 
 
+def test_quotient_refuses_a_graph_that_disagrees_with_the_blocks(monkeypatch):
+    """The built Cay(G/B, S/B) is compared, row by row, with the blocks that
+    the original graph joins: here one quotient edge is dropped."""
+    d, g = k3x3()
+    part = C.distance_partition(g)
+    sub = subgroup_with_mask(d, part.layer_masks[0] | part.layer_masks[-1])
+    build = S.build
+
+    def without_an_edge(desc, sset):
+        graph = build(desc, sset)
+        adjacency = (graph.adjacency[0] & ~2, graph.adjacency[1] & ~1) + graph.adjacency[2:]
+        return C.CayleyGraph(desc, sset, adjacency)
+
+    monkeypatch.setattr(S, "build", without_an_edge)
+    with pytest.raises(AssertionError, match="block adjacency"):
+        S.quotient_by_subgroup(g, sub)
+
+
 def test_quotient_rejects_contained_connection_set():
     d = G.pair_group(3, 2)
     h9 = G.subgroups_of_order(d, 9)[0]
@@ -129,7 +156,7 @@ def test_diameter3_antipodal_cover_machinery():
     assert arr is not None and part.diameter == 3
     classes = S.antipodal_classes(g, part)
     assert classes is not None and {b.bit_count() for b in classes.blocks} == {2}
-    sub = S.identity_antipodal_subgroup(g, classes)
+    sub = subgroup_with_mask(d, next(b for b in classes.blocks if b & 1))
     assert sub.members() == (0, d.rank(0, 1))
     q = S.quotient_by_subgroup(g, sub)
     q_arr = D.check_drg(q)
