@@ -1,7 +1,7 @@
 """census() and the benchmark, this checkout against a parent, written to a BENCH_*.json.
 
     python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT [--pairs 10]
-        [--other-pairs 3] [--out BENCH_census_generator.json]
+        [--other-pairs 3] [--census-rounds 4] [--out BENCH_census_generator.json]
 
 PARENT_CHECKOUT is a checkout of the commit to compare against (a ``git
 clone`` at that commit, or ``git archive <parent> | tar -x -C DIR``); the
@@ -15,7 +15,11 @@ imported from that checkout's ``src``:
 - ``census``: wall time of ``census()`` per census group on both sides, and
   of the full ``census_scan`` oracle where the side has the generator.  The
   first call in a fresh process is reported as ``cold_s``; the median of
-  the later calls as ``warm_s``.
+  the later calls as ``warm_s``.  Each of ``--census-rounds`` rounds runs
+  one fresh process per side, parent first in even rounds (parent, change,
+  change, parent, ...), and the summary gives per group, for ``warm_s`` and
+  ``census_scan_s``, each side's median and quartiles over the rounds and
+  the number of rounds the change won.
 - ``pairs``: alternating 35 s ``perfbench/run.py`` runs of both sides
   (parent first on even pair index), ``--pairs`` pairs of ``census-small``
   and ``--other-pairs`` pairs each of ``census-7x7`` and ``certify-large``,
@@ -39,6 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
 METRICS = ("sets_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
+CENSUS_METRICS = ("warm_s", "census_scan_s")
 HIGHER_IS_BETTER = {"sets_per_s"}
 
 # Times census() (and, where the checkout has the generator, the full
@@ -93,6 +98,31 @@ def time_census(checkout: Path, reps: int) -> dict:
     return json.loads(_python(checkout, ["-c", TIMER, str(reps), *GROUPS]))
 
 
+def census_rounds(sides: dict[str, Path], rounds: int, reps: int) -> dict:
+    """``rounds`` alternating fresh-process timings of both sides, and their summary."""
+    runs = []
+    for i in range(rounds):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs.append({"side": side, "round": i, "groups": time_census(sides[side], reps)})
+    summary = {}
+    for spec in GROUPS:
+        summary[spec] = {}
+        for name in CENSUS_METRICS:
+            by_side = {
+                side: [r["groups"][spec][name] for r in runs
+                       if r["side"] == side and name in r["groups"][spec]]
+                for side in sides
+            }
+            if not all(len(values) == rounds for values in by_side.values()):
+                continue
+            summary[spec][name] = {
+                "parent": quartiles(by_side["parent"]),
+                "change": quartiles(by_side["change"]),
+                "change_wins": sum(c < p for p, c in zip(by_side["parent"], by_side["change"])),
+            }
+    return {"rounds": rounds, "summary": summary, "runs": runs}
+
+
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
     args = ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
             "--seconds", str(seconds), "--trace", "0"]
@@ -144,12 +174,15 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--seed", type=int, default=1101,
                         help="first seed; pairs use consecutive seeds")
-    parser.add_argument("--reps", type=int, default=5, help="census() calls per group and side")
+    parser.add_argument("--reps", type=int, default=5,
+                        help="census() calls per group and process")
+    parser.add_argument("--census-rounds", type=int, default=4,
+                        help="alternating fresh-process rounds of the census timings")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_census_generator.json")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
-    census = {side: time_census(path, args.reps) for side, path in sides.items()}
+    census = census_rounds(sides, args.census_rounds, args.reps)
     plan = [("census-small", args.pairs), ("census-7x7", args.other_pairs),
             ("certify-large", args.other_pairs)]
     runs: list[dict] = []

@@ -38,13 +38,32 @@ of lambda^k).  ``connected_count`` counts the connected sets without
 enumerating them, by Moebius inversion over the subgroup lattice.
 
 The scan (``census_scan``, the exhaustive oracle) walks all 2^P subsets in
-Gray-code order, with the connectivity and lambda tests above.  Batches
-start at multiples of BATCH (only the first and last may be partial).  For
-i < BATCH, gray(base + i) = gray(base) ^ gray(i) with gray(i) < BATCH, so
-every word of a batch holds the bits gray(base) & -BATCH.  When those alone
-meet every maximal subgroup's complement, each set of the batch is
-connected and the per-word test is skipped.  In the 7^1x7 scan, 26 of its
-32,768 batches take the per-word test.
+Gray-code order, with the connectivity test above, a triangle-count
+pre-test and the lambda test.  Batches start at multiples of BATCH (only
+the first and last may be partial).  For i < BATCH, gray(base + i) =
+gray(base) ^ gray(i) with gray(i) < BATCH, so every word of a batch is
+shared | low: shared = gray(base) & -BATCH holds the bits that every word of
+the batch holds, and low = gray(x) & (BATCH - 1) depends only on x mod
+2 BATCH.  When shared alone meets every maximal subgroup's complement, each
+set of the batch is connected and the per-word test is skipped.  In the
+7^1x7 scan, 26 of its 32,768 batches take the per-word test.
+
+The pre-test is a scalar consequence of edge-regularity.  tr(A^3) counts
+closed walks of length 3, n sum_{g in S} lambda(g) of them, and the
+eigenvalues of A are the character sums F(chi) below, so sum_{g in S}
+lambda(g) = tr(A^3) / n = sum_c w_c F_c^3 over the conjugate classes c,
+with w_c = |c| / n.  If lambda is constant on S, the sum is k lambda_0 with
+k = |S| = F_0, so k divides it; 84.9% of the 7^1x7 words fail this.
+Character sums add over disjoint pair sets, so F(shared | low) = a + b with
+a = F(low) and b = F(shared), and the sum is
+
+    [a^3 | a^2 | a] @ [w; 3 w b; 3 w b^2] + w . b^3.
+
+``_triangle_table`` holds, for each of the 2 BATCH residues x mod 2 BATCH,
+the word low and the row [a^3 | a^2 | a]; it is built on a group's first
+scan.  So a batch costs one vector b, one matvec over a slice of the table
+rows and one division, and only the words that pass go on to the lambda
+test.
 
 lambda comes from the spectrum of S.  The characters of G are
 chi_{c,d}(a, b) = exp(2 pi i (ac/m + bd/q)); since S = -S, F(chi) =
@@ -59,7 +78,16 @@ Exactness: every table entry is within a few ulps of its true value,
 |F| <= n <= 62 and each product sums at most 62 terms, so the fp64 lambda
 is within 1e-9 of an integer and rint recovers it exactly.  The
 Cauchy-Schwarz terms are integers below 62^4 < 2^24 and so exact in fp64
-as well.
+as well.  In the pre-test a and b are character sums of pair sets too, so
+|a|, |b| <= n, and since the w_c sum to 1 the terms of the triangle sum
+add up in size to at most sum_c w_c (|a_c| + |b_c|)^3 <= 8 n^3 < 2^21.  The
+computed sum is therefore within 1e-6 of its true value, sum_{g in S}
+lambda(g), an integer below n^2, and rint recovers it exactly (1e-9 is
+asserted over every 5^1x5 word; the full 7^1x7 scan measured 6.8e-13).
+k >= 1, since the empty word has failed the connectivity test, and the
+quotient of that integer by k, both exact, is an integer exactly when k
+divides it: otherwise it lies at least 1/k > 1/n away from every integer,
+far beyond its rounding error.
 """
 
 from __future__ import annotations
@@ -78,6 +106,7 @@ from .groups import (
     GroupDescriptor,
     all_subgroups,
     inverse_pairs,
+    iter_bits,
     linear_map,
     maximal_subgroup_masks,
     pair_of_rank,
@@ -173,22 +202,71 @@ def is_drg_pairmask(desc: GroupDescriptor, pair_bits: int) -> bool:
     return check_drg(build(desc, SymmetricSet.from_pair_bits(desc, pair_bits))) is not None
 
 
+class _TriangleTable(NamedTuple):
+    """Per-row data for the scan's triangle pre-test (module docstring).
+
+    Row r serves every Gray index x with x mod 2 BATCH = r.
+    """
+
+    low: np.ndarray  # uint64 (2 BATCH,): gray(r) & (BATCH - 1)
+    powers: np.ndarray  # float64 (2 BATCH, 3(P+1)): [a^3 | a^2 | a], a = F(low)
+    weights: np.ndarray  # float64 (P+1,): class size / n
+
+
+@lru_cache(maxsize=None)
+def _triangle_table(desc: GroupDescriptor) -> _TriangleTable:
+    ctx = scan_context(desc)
+    rows = np.arange(2 * BATCH, dtype=np.uint64)
+    low = (rows ^ rows >> np.uint64(1)) & np.uint64(BATCH - 1)
+    a = _pair_bits(low, ctx.pair_count) @ ctx.spectrum
+    sizes = [1] + [len(cell) for cell in inverse_pairs(desc)]
+    return _TriangleTable(
+        low=low,
+        powers=np.hstack((a * a * a, a * a, a)),
+        weights=np.array(sizes) / desc.order,
+    )
+
+
+def _lambda_sums(
+    ctx: ScanContext, table: _TriangleTable, shared: int, powers: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of lambda over S, and |S|, for each word shared | low.
+
+    ``powers`` holds the table rows of the words' low parts.  Both results
+    are float64; the sum is exact after rounding (module docstring).
+    """
+    b = ctx.spectrum[list(iter_bits(shared))].sum(axis=0)
+    wb = table.weights * b
+    tri = powers @ np.concatenate((table.weights, 3 * wb, 3 * wb * b))
+    tri += wb @ (b * b)
+    # column 0 of the a block is the trivial class: a_0 = |low|
+    return tri, powers[:, 2 * len(b)] + b[0]
+
+
 def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
     """Hits and connected count over the Gray-code indices [start, stop)."""
     ctx = scan_context(desc)
+    table = _triangle_table(desc)
     hits: list[int] = []
     connected = 0
     for base in range(start - start % BATCH, stop, BATCH):
-        idx = np.arange(max(base, start), min(base + BATCH, stop), dtype=np.uint64)
-        gray = idx ^ (idx >> np.uint64(1))
-        # bits that every word of the batch holds (module docstring)
+        # table rows of the batch, and the bits that all its words hold
+        # (module docstring)
+        offset = base % (2 * BATCH) - base
+        rows = slice(max(base, start) + offset, min(base + BATCH, stop) + offset)
         shared = (base ^ base >> 1) & -BATCH
+        gray = table.low[rows] | np.uint64(shared)
+        powers = table.powers[rows]
         if not (shared and all(shared & outside for outside in ctx.out_masks)):
             conn = gray != 0
             for outside in ctx.out_masks:
                 conn &= (gray & np.uint64(outside)) != 0
-            gray = gray[conn]
+            gray, powers = gray[conn], powers[conn]
         connected += len(gray)
+        # edge-regularity: |S| divides the sum of lambda over S
+        tri, k = _lambda_sums(ctx, table, shared, powers)
+        ratio = np.rint(tri, out=tri) / k
+        gray = gray[ratio == np.rint(ratio)]
         sel = _pair_bits(gray, ctx.pair_count)
         for g in gray[_constant_on(common_neighbors(ctx, sel), sel)].tolist():
             if is_drg_pairmask(desc, g):

@@ -82,11 +82,23 @@ def _brute_prefilter(d, bits):
     return len({(adj[0] & adj[g]).bit_count() for g in G.iter_bits(sset.mask)}) == 1
 
 
-@pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
+# Gray-index ranges of the survivor test.  The 7^1x7 slice starts 37 past
+# the odd batch 2045, so it reads the upper half of the triangle table and
+# then the lower half; its two batches hand is_drg_pairmask 9 and 51 sets.
+SURVIVOR_RANGES = {
+    "3^2x3": (0, 1 << 13),
+    "5^1x5": (0, 1 << 12),
+    "Zn:12": (0, 1 << 6),
+    "7^1x7": (2045 * K.BATCH + 37, 2047 * K.BATCH),
+}
+
+
+@pytest.mark.parametrize("spec", list(SURVIVOR_RANGES))
 def test_prefilter_survivors_are_connected_constant_lambda_sets(spec, monkeypatch):
-    # the pre-filter hands is_drg_pairmask exactly {connected S : lambda constant on S}
+    """The pre-filter hands is_drg_pairmask exactly {connected S : lambda
+    constant on S}, in Gray order."""
     d = G.parse_group(spec)
-    total = 1 << len(G.inverse_pairs(d))
+    lo, hi = SURVIVOR_RANGES[spec]
     seen = []
     recheck = K.is_drg_pairmask
 
@@ -95,8 +107,44 @@ def test_prefilter_survivors_are_connected_constant_lambda_sets(spec, monkeypatc
         return recheck(desc, bits)
 
     monkeypatch.setattr(K, "is_drg_pairmask", counted)
-    K.census_scan(d, 0, total)
-    assert sorted(seen) == [bits for bits in range(total) if _brute_prefilter(d, bits)]
+    K.census_scan(d, lo, hi)
+    words = (x ^ x >> 1 for x in range(lo, hi))
+    assert seen == [bits for bits in words if _brute_prefilter(d, bits)]
+    assert seen
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7", "Zn:12"])
+def test_triangle_count_is_lambda_summed_over_S(spec):
+    """The scan's table expansion of tr(A^3)/n, rounded, is the sum over g
+    in S of |S & (g + S)|, and its size column is |S|, both on adjacency
+    masks.  Gray index x reads table row x mod 2 BATCH and the bits
+    gray(x) & -BATCH.  Zn:12 has a singleton pair, {6}."""
+    d = G.parse_group(spec)
+    ctx = K.scan_context(d)
+    table = K._triangle_table(d)
+    total = 1 << ctx.pair_count
+    for x in random.Random(23).sample(range(total), min(total, 300)):
+        shared = (x ^ x >> 1) & -K.BATCH
+        row = x % (2 * K.BATCH)
+        word = int(table.low[row]) | shared
+        assert word == x ^ x >> 1
+        tri, k = K._lambda_sums(ctx, table, shared, table.powers[row:row + 1])
+        sset = C.SymmetricSet.from_pair_bits(d, word)
+        adj = C.build(d, sset).adjacency
+        assert np.rint(tri[0]) == sum((adj[0] & adj[g]).bit_count() for g in G.iter_bits(sset.mask))
+        assert k[0] == sset.mask.bit_count()
+
+
+def test_triangle_count_residual_over_every_5x5_word():
+    d = G.parse_group("5^1x5")
+    ctx = K.scan_context(d)
+    table = K._triangle_table(d)
+    residual = 0.0
+    for base in range(0, 1 << ctx.pair_count, K.BATCH):
+        rows = slice(base % (2 * K.BATCH), base % (2 * K.BATCH) + K.BATCH)
+        tri, _ = K._lambda_sums(ctx, table, (base ^ base >> 1) & -K.BATCH, table.powers[rows])
+        residual = max(residual, np.abs(tri - np.rint(tri)).max())
+    assert residual < 1e-9
 
 
 def test_partitioned_scan_equals_whole_scan():
