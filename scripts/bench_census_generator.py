@@ -113,6 +113,7 @@ def census_rounds(sides: dict[str, Path], rounds: int, reps: int) -> dict:
                        if r["side"] == side and name in r["groups"][spec]]
                 for side in sides
             }
+            # a side without the generator times no census_scan
             if not all(len(values) == rounds for values in by_side.values()):
                 continue
             summary[spec][name] = {

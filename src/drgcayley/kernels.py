@@ -218,13 +218,14 @@ def _triangle_table(desc: GroupDescriptor) -> _TriangleTable:
     ctx = scan_context(desc)
     rows = np.arange(2 * BATCH, dtype=np.uint64)
     low = (rows ^ rows >> np.uint64(1)) & np.uint64(BATCH - 1)
-    a = _pair_bits(low, ctx.pair_count) @ ctx.spectrum
+    # filled in place, so that the build holds no second table-sized array
+    powers = np.empty((2 * BATCH, 3 * (ctx.pair_count + 1)))
+    cube, square, a = np.split(powers, 3, axis=1)
+    np.matmul(_pair_bits(low, ctx.pair_count), ctx.spectrum, out=a)
+    np.multiply(a, a, out=square)
+    np.multiply(square, a, out=cube)
     sizes = [1] + [len(cell) for cell in inverse_pairs(desc)]
-    return _TriangleTable(
-        low=low,
-        powers=np.hstack((a * a * a, a * a, a)),
-        weights=np.array(sizes) / desc.order,
-    )
+    return _TriangleTable(low=low, powers=powers, weights=np.array(sizes) / desc.order)
 
 
 def _lambda_sums(
@@ -256,15 +257,14 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
         rows = slice(max(base, start) + offset, min(base + BATCH, stop) + offset)
         shared = (base ^ base >> 1) & -BATCH
         gray = table.low[rows] | np.uint64(shared)
-        powers = table.powers[rows]
+        tri, k = _lambda_sums(ctx, table, shared, table.powers[rows])
         if not (shared and all(shared & outside for outside in ctx.out_masks)):
             conn = gray != 0
             for outside in ctx.out_masks:
                 conn &= (gray & np.uint64(outside)) != 0
-            gray, powers = gray[conn], powers[conn]
+            gray, tri, k = gray[conn], tri[conn], k[conn]
         connected += len(gray)
         # edge-regularity: |S| divides the sum of lambda over S
-        tri, k = _lambda_sums(ctx, table, shared, powers)
         ratio = np.rint(tri, out=tri) / k
         gray = gray[ratio == np.rint(ratio)]
         sel = _pair_bits(gray, ctx.pair_count)
