@@ -1,7 +1,7 @@
 """census() and the benchmark, this checkout against a parent, written to a BENCH_*.json.
 
     python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT [--pairs 10]
-        [--other-pairs 3] [--census-rounds 4] [--out BENCH_census_generator.json]
+        [--other-pairs 3] [--out BENCH_census_generator.json]
 
 PARENT_CHECKOUT is a checkout of the commit to compare against (a ``git
 clone`` at that commit, or ``git archive <parent> | tar -x -C DIR``); the
@@ -15,7 +15,7 @@ imported from that checkout's ``src``:
 - ``census``: wall time of ``census()`` per census group on both sides, and
   of the full ``census_scan`` oracle where the side has the generator.  The
   first call in a fresh process is reported as ``cold_s``; the median of
-  the later calls as ``warm_s``.  Each of ``--census-rounds`` rounds runs
+  the later calls as ``warm_s``.  Each of ``CENSUS_ROUNDS`` rounds runs
   one fresh process per side, parent first in even rounds (parent, change,
   change, parent, ...), and the summary gives per group, for ``warm_s`` and
   ``census_scan_s``, each side's median and quartiles over the rounds and
@@ -44,6 +44,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
 METRICS = ("sets_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
 CENSUS_METRICS = ("warm_s", "census_scan_s")
+CENSUS_ROUNDS = 6
 HIGHER_IS_BETTER = {"sets_per_s"}
 
 # Times census() (and, where the checkout has the generator, the full
@@ -177,13 +178,11 @@ def main(argv=None) -> int:
                         help="first seed; pairs use consecutive seeds")
     parser.add_argument("--reps", type=int, default=5,
                         help="census() calls per group and process")
-    parser.add_argument("--census-rounds", type=int, default=4,
-                        help="alternating fresh-process rounds of the census timings")
     parser.add_argument("--out", type=Path, default=ROOT / "BENCH_census_generator.json")
     args = parser.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
-    census = census_rounds(sides, args.census_rounds, args.reps)
+    census = census_rounds(sides, CENSUS_ROUNDS, args.reps)
     plan = [("census-small", args.pairs), ("census-7x7", args.other_pairs),
             ("certify-large", args.other_pairs)]
     runs: list[dict] = []

@@ -128,6 +128,7 @@ class ScanContext:
     pair_count: int
     out_masks: tuple[int, ...]  # per maximal subgroup, the pair bits outside it
     spectrum: np.ndarray  # float64 (P, P+1): each pair's character sums per class
+    weights: np.ndarray  # float64 (P+1,): class size / n
     inverse: np.ndarray  # float64 (P+1, P): class size / n * character at each pair
 
 
@@ -149,12 +150,13 @@ def scan_context(desc: GroupDescriptor) -> ScanContext:
     classes = ((0,),) + pairs
     reps = [cell[0] for cell in classes]
     spectrum = np.array([cos[list(cell)][:, reps].sum(axis=0) for cell in pairs])
-    sizes = np.array([len(cell) for cell in classes])
+    weights = np.array([len(cell) for cell in classes]) / n
     return ScanContext(
         pair_count=len(pairs),
         out_masks=out,
         spectrum=spectrum.reshape(len(pairs), len(classes)),
-        inverse=sizes[:, None] / n * cos[reps][:, reps[1:]],
+        weights=weights,
+        inverse=weights[:, None] * cos[reps][:, reps[1:]],
     )
 
 
@@ -210,7 +212,6 @@ class _TriangleTable(NamedTuple):
 
     low: np.ndarray  # uint64 (2 BATCH,): gray(r) & (BATCH - 1)
     powers: np.ndarray  # float64 (2 BATCH, 3(P+1)): [a^3 | a^2 | a], a = F(low)
-    weights: np.ndarray  # float64 (P+1,): class size / n
 
 
 @lru_cache(maxsize=None)
@@ -224,12 +225,11 @@ def _triangle_table(desc: GroupDescriptor) -> _TriangleTable:
     np.matmul(_pair_bits(low, ctx.pair_count), ctx.spectrum, out=a)
     np.multiply(a, a, out=square)
     np.multiply(square, a, out=cube)
-    sizes = [1] + [len(cell) for cell in inverse_pairs(desc)]
-    return _TriangleTable(low=low, powers=powers, weights=np.array(sizes) / desc.order)
+    return _TriangleTable(low=low, powers=powers)
 
 
 def _lambda_sums(
-    ctx: ScanContext, table: _TriangleTable, shared: int, powers: np.ndarray
+    ctx: ScanContext, shared: int, powers: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of lambda over S, and |S|, for each word shared | low.
 
@@ -237,8 +237,8 @@ def _lambda_sums(
     are float64; the sum is exact after rounding (module docstring).
     """
     b = ctx.spectrum[list(iter_bits(shared))].sum(axis=0)
-    wb = table.weights * b
-    tri = powers @ np.concatenate((table.weights, 3 * wb, 3 * wb * b))
+    wb = ctx.weights * b
+    tri = powers @ np.concatenate((ctx.weights, 3 * wb, 3 * wb * b))
     tri += wb @ (b * b)
     # column 0 of the a block is the trivial class: a_0 = |low|
     return tri, powers[:, 2 * len(b)] + b[0]
@@ -257,7 +257,7 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
         rows = slice(max(base, start) + offset, min(base + BATCH, stop) + offset)
         shared = (base ^ base >> 1) & -BATCH
         gray = table.low[rows] | np.uint64(shared)
-        tri, k = _lambda_sums(ctx, table, shared, table.powers[rows])
+        tri, k = _lambda_sums(ctx, shared, table.powers[rows])
         if not (shared and all(shared & outside for outside in ctx.out_masks)):
             conn = gray != 0
             for outside in ctx.out_masks:

@@ -128,7 +128,7 @@ def test_triangle_count_is_lambda_summed_over_S(spec):
         row = x % (2 * K.BATCH)
         word = int(table.low[row]) | shared
         assert word == x ^ x >> 1
-        tri, k = K._lambda_sums(ctx, table, shared, table.powers[row:row + 1])
+        tri, k = K._lambda_sums(ctx, shared, table.powers[row:row + 1])
         sset = C.SymmetricSet.from_pair_bits(d, word)
         adj = C.build(d, sset).adjacency
         assert np.rint(tri[0]) == sum((adj[0] & adj[g]).bit_count() for g in G.iter_bits(sset.mask))
@@ -144,7 +144,7 @@ def test_triangle_count_residual_over_every_5x5_word():
     residual = 0.0
     for base in range(0, 1 << ctx.pair_count, K.BATCH):
         rows = slice(base % (2 * K.BATCH), base % (2 * K.BATCH) + K.BATCH)
-        tri, _ = K._lambda_sums(ctx, table, (base ^ base >> 1) & -K.BATCH, table.powers[rows])
+        tri, _ = K._lambda_sums(ctx, (base ^ base >> 1) & -K.BATCH, table.powers[rows])
         residual = max(residual, np.abs(tri - np.rint(tri)).max())
     assert residual < 1e-9
 
