@@ -1,7 +1,8 @@
 """census() and the benchmark, this checkout against a parent, written to a BENCH_*.json.
 
-    python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT [--pairs 10]
-        [--other-pairs 3] [--out BENCH_census_generator.json]
+    python3 scripts/bench_census_generator.py --parent PARENT_CHECKOUT
+        [--claim census-small] [--pairs 10] [--other-pairs 3]
+        [--out BENCH_census_generator.json]
 
 PARENT_CHECKOUT is a checkout of the commit to compare against (a ``git
 clone`` at that commit, or ``git archive <parent> | tar -x -C DIR``); the
@@ -21,10 +22,10 @@ imported from that checkout's ``src``:
   ``census_scan_s``, each side's median and quartiles over the rounds and
   the number of rounds the change won.
 - ``pairs``: alternating 35 s ``perfbench/run.py`` runs of both sides
-  (parent first on even pair index), ``--pairs`` pairs of ``census-small``
-  and ``--other-pairs`` pairs each of ``census-7x7`` and ``certify-large``,
-  with per-metric medians, quartiles and the number of pairs the change
-  won.
+  (parent first on even pair index), ``--pairs`` pairs of the workload
+  named by ``--claim`` (the one whose gain is claimed, ``census-small`` by
+  default) and then ``--other-pairs`` pairs of each other workload, with
+  per-metric medians, quartiles and the number of pairs the change won.
 
 Run it on an otherwise idle host: the two sides share its cores.
 """
@@ -42,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
+WORKLOADS = ("census-small", "census-7x7", "certify-large")
 METRICS = ("sets_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
 CENSUS_METRICS = ("warm_s", "census_scan_s")
 CENSUS_ROUNDS = 6
@@ -170,9 +172,11 @@ def summarize(runs: list[dict]) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
-    parser.add_argument("--pairs", type=int, default=10, help="census-small pairs")
+    parser.add_argument("--claim", choices=WORKLOADS, default="census-small",
+                        help="the workload whose gain is claimed")
+    parser.add_argument("--pairs", type=int, default=10, help="pairs of the claimed workload")
     parser.add_argument("--other-pairs", type=int, default=3,
-                        help="pairs each of census-7x7 and certify-large")
+                        help="pairs of each other workload")
     parser.add_argument("--seconds", type=int, default=35)
     parser.add_argument("--seed", type=int, default=1101,
                         help="first seed; pairs use consecutive seeds")
@@ -183,8 +187,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": ROOT}
 
     census = census_rounds(sides, CENSUS_ROUNDS, args.reps)
-    plan = [("census-small", args.pairs), ("census-7x7", args.other_pairs),
-            ("certify-large", args.other_pairs)]
+    plan = [(args.claim, args.pairs)]
+    plan += [(workload, args.other_pairs) for workload in WORKLOADS if workload != args.claim]
     runs: list[dict] = []
     seed = args.seed
     for workload, pairs in plan:

@@ -39,14 +39,13 @@ enumerating them, by Moebius inversion over the subgroup lattice.
 
 The scan (``census_scan``, the exhaustive oracle) walks all 2^P subsets in
 Gray-code order, with the connectivity test above, a triangle-count
-pre-test and the lambda test.  Batches start at multiples of BATCH (only
-the first and last may be partial).  For i < BATCH, gray(base + i) =
-gray(base) ^ gray(i) with gray(i) < BATCH, so every word of a batch is
-shared | low: shared = gray(base) & -BATCH holds the bits that every word of
-the batch holds, and low = gray(x) & (BATCH - 1) depends only on x mod
-2 BATCH.  When shared alone meets every maximal subgroup's complement, each
-set of the batch is connected and the per-word test is skipped.  In the
-7^1x7 scan, 26 of its 32,768 batches take the per-word test.
+pre-test and the lambda test.  A batch is the BATCH indices from a multiple
+base of BATCH.  For i < BATCH, gray(base + i) = gray(base) ^ gray(i) with
+gray(i) < BATCH, so every word of a batch is shared | low: shared =
+gray(base) & -BATCH holds the bits that every word of the batch holds, and
+low = gray(x) & (BATCH - 1) depends only on x mod 2 BATCH.  When shared
+alone meets every maximal subgroup's complement, each set of the batch is
+connected.
 
 The pre-test is a scalar consequence of edge-regularity.  tr(A^3) counts
 closed walks of length 3, n sum_{g in S} lambda(g) of them, and the
@@ -59,11 +58,23 @@ a = F(low) and b = F(shared), and the sum is
 
     [a^3 | a^2 | a] @ [w; 3 w b; 3 w b^2] + w . b^3.
 
-``_triangle_table`` holds, for each of the 2 BATCH residues x mod 2 BATCH,
-the word low and the row [a^3 | a^2 | a]; it is built on a group's first
-scan.  So a batch costs one vector b, one matvec over a slice of the table
-rows and one division, and only the words that pass go on to the lambda
-test.
+``_triangle_table`` holds the row [a^3 | a^2 | a] of each of the 2 BATCH
+residues x mod 2 BATCH; it is built on a group's first scan.  Its first
+half serves the even batches, its second the odd ones.
+
+The scan takes BLOCK batches at a time from start rounded down to a
+multiple of 2 BATCH, so the batches of a block alternate between the halves
+(the last block is cut to an even number of batches).  ``_triangle_block``
+forms a block's vectors b with one matmul and its triangle sums with one
+more, which writes batch 2i + h to row (i, h) of a (batches / 2, 2, BATCH)
+array, so the sums come out in Gray order.  Slices cut the first and last
+blocks to [start, stop), and the masks over a block keep that order.  Only
+a block with a disconnected shared part takes the per-word connectivity
+test (26 of the 32,768 7^1x7 batches have one).  The empty word is the one
+word with k = 0: the ratio test skips it, as 0/0 would warn, and the
+connectivity test drops it.  The surviving words are pooled, and the lambda
+test takes BATCH of them at a time and the rest at the end, so
+``is_drg_pairmask`` sees its words in Gray order.
 
 lambda comes from the spectrum of S.  The characters of G are
 chi_{c,d}(a, b) = exp(2 pi i (ac/m + bd/q)); since S = -S, F(chi) =
@@ -84,10 +95,11 @@ add up in size to at most sum_c w_c (|a_c| + |b_c|)^3 <= 8 n^3 < 2^21.  The
 computed sum is therefore within 1e-6 of its true value, sum_{g in S}
 lambda(g), an integer below n^2, and rint recovers it exactly (1e-9 is
 asserted over every 5^1x5 word; the full 7^1x7 scan measured 6.8e-13).
-k >= 1, since the empty word has failed the connectivity test, and the
-quotient of that integer by k, both exact, is an integer exactly when k
-divides it: otherwise it lies at least 1/k > 1/n away from every integer,
-far beyond its rounding error.
+Blocks change none of this: each sum has the same terms, and the bound
+holds in whatever order the matmul adds them.  On every nonempty word
+k >= 1, and the quotient of that integer by k, both exact, is an integer
+exactly when k divides it: otherwise it lies at least 1/k > 1/n away from
+every integer, far beyond its rounding error.
 """
 
 from __future__ import annotations
@@ -106,16 +118,22 @@ from .groups import (
     GroupDescriptor,
     all_subgroups,
     inverse_pairs,
-    iter_bits,
     linear_map,
     maximal_subgroup_masks,
     pair_of_rank,
 )
 
-# Subsets per vectorized pre-filter step.  At this size each step's arrays
-# stay in cache, are recycled by the allocator instead of page-faulted back,
-# and the matmuls run on one BLAS thread.
+# Subsets per lambda step and per Gray batch (module docstring).  At this
+# size the step's arrays stay in cache and are recycled by the allocator
+# instead of page-faulted back (twice the rows took 2.4x the time per row),
+# and its matmuls run on one BLAS thread.
 BATCH = 1 << 9
+
+# Batches per pre-test block.  The full 7^1x7 scan took 2.62 / 2.16 / 1.90 s
+# at 8 / 16 / 32 (2-vCPU Xeon), but the census-7x7 benchmark's peak RSS,
+# which grows with the ops it completes, rose 3.9 / 6.2 / 8.9% against a 10%
+# bound.  At 16 the triangle matmul runs on one BLAS thread; at 32 on two.
+BLOCK = 16
 
 
 def active_backend() -> str:
@@ -204,18 +222,11 @@ def is_drg_pairmask(desc: GroupDescriptor, pair_bits: int) -> bool:
     return check_drg(build(desc, SymmetricSet.from_pair_bits(desc, pair_bits))) is not None
 
 
-class _TriangleTable(NamedTuple):
-    """Per-row data for the scan's triangle pre-test (module docstring).
-
-    Row r serves every Gray index x with x mod 2 BATCH = r.
-    """
-
-    low: np.ndarray  # uint64 (2 BATCH,): gray(r) & (BATCH - 1)
-    powers: np.ndarray  # float64 (2 BATCH, 3(P+1)): [a^3 | a^2 | a], a = F(low)
-
-
 @lru_cache(maxsize=None)
-def _triangle_table(desc: GroupDescriptor) -> _TriangleTable:
+def _triangle_table(desc: GroupDescriptor) -> np.ndarray:
+    """The scan's (2 BATCH, 3(P+1)) float64 table [a^3 | a^2 | a] (module
+    docstring): row r serves every Gray index x with x mod 2 BATCH = r, and
+    a = F(gray(r) & (BATCH - 1)) there."""
     ctx = scan_context(desc)
     rows = np.arange(2 * BATCH, dtype=np.uint64)
     low = (rows ^ rows >> np.uint64(1)) & np.uint64(BATCH - 1)
@@ -225,52 +236,65 @@ def _triangle_table(desc: GroupDescriptor) -> _TriangleTable:
     np.matmul(_pair_bits(low, ctx.pair_count), ctx.spectrum, out=a)
     np.multiply(a, a, out=square)
     np.multiply(square, a, out=cube)
-    return _TriangleTable(low=low, powers=powers)
+    return powers
 
 
-def _lambda_sums(
-    ctx: ScanContext, shared: int, powers: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of lambda over S, and |S|, for each word shared | low.
-
-    ``powers`` holds the table rows of the words' low parts.  Both results
-    are float64; the sum is exact after rounding (module docstring).
-    """
-    b = ctx.spectrum[list(iter_bits(shared))].sum(axis=0)
+def _triangle_block(desc: GroupDescriptor, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of lambda over S, and |S|, for each word at Gray indices [lo, hi),
+    lo a multiple of 2 BATCH.  Both are float64; the sums are exact after
+    rounding (module docstring)."""
+    ctx = scan_context(desc)
+    bases = np.arange(lo, hi + (lo - hi) % (2 * BATCH), BATCH, dtype=np.uint64)
+    shared = (bases ^ bases >> np.uint64(1)) & ~np.uint64(BATCH - 1)
+    b = _pair_bits(shared, ctx.pair_count) @ ctx.spectrum
     wb = ctx.weights * b
-    tri = powers @ np.concatenate((ctx.weights, 3 * wb, 3 * wb * b))
-    tri += wb @ (b * b)
+    vectors = np.hstack((np.broadcast_to(ctx.weights, b.shape), 3 * wb, 3 * wb * b))
+    halves = _triangle_table(desc).reshape(2, BATCH, -1)
+    # batch 2i + h reads half h and is written to row (i, h), in batch order
+    tri = np.empty((len(b) // 2, 2, BATCH))
+    np.matmul(vectors.reshape(-1, 2, vectors.shape[1]).swapaxes(0, 1),
+              halves.swapaxes(1, 2), out=tri.swapaxes(0, 1))
+    tri += (wb * b * b).sum(axis=1).reshape(-1, 2, 1)
     # column 0 of the a block is the trivial class: a_0 = |low|
-    return tri, powers[:, 2 * len(b)] + b[0]
+    k = halves[:, :, 2 * b.shape[1]] + b[:, 0].reshape(-1, 2, 1)
+    return tri.reshape(-1)[:hi - lo], k.reshape(-1)[:hi - lo]
 
 
 def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
     """Hits and connected count over the Gray-code indices [start, stop)."""
     ctx = scan_context(desc)
-    table = _triangle_table(desc)
+    if not 0 <= start <= stop <= 1 << ctx.pair_count:
+        raise ValueError(f"scan range [{start}, {stop}) is not within [0, 2^{ctx.pair_count}]")
     hits: list[int] = []
     connected = 0
-    for base in range(start - start % BATCH, stop, BATCH):
-        # table rows of the batch, and the bits that all its words hold
-        # (module docstring)
-        offset = base % (2 * BATCH) - base
-        rows = slice(max(base, start) + offset, min(base + BATCH, stop) + offset)
-        shared = (base ^ base >> 1) & -BATCH
-        gray = table.low[rows] | np.uint64(shared)
-        tri, k = _lambda_sums(ctx, shared, table.powers[rows])
-        if not (shared and all(shared & outside for outside in ctx.out_masks)):
+    pool = np.zeros(0, dtype=np.int64)
+    for lo in range(start - start % (2 * BATCH), stop, BLOCK * BATCH):
+        hi = min(lo + BLOCK * BATCH, stop)
+        first = max(start, lo)
+        tri, k = (a[first - lo:] for a in _triangle_block(desc, lo, hi))
+        # edge-regularity: |S| divides the sum of lambda over S (k is scratch
+        # once divided into the sums)
+        np.divide(np.rint(tri, out=tri), k, out=tri, where=k > 0)
+        keep = tri == np.rint(tri, out=k)
+        connected += hi - first
+        shared = ((x ^ x >> 1) & -BATCH for x in range(lo, hi, BATCH))
+        if not all(s and all(s & outside for outside in ctx.out_masks) for s in shared):
+            gray = np.arange(first, hi)
+            gray ^= gray >> 1
             conn = gray != 0
             for outside in ctx.out_masks:
-                conn &= (gray & np.uint64(outside)) != 0
-            gray, tri, k = gray[conn], tri[conn], k[conn]
-        connected += len(gray)
-        # edge-regularity: |S| divides the sum of lambda over S
-        ratio = np.rint(tri, out=tri) / k
-        gray = gray[ratio == np.rint(ratio)]
-        sel = _pair_bits(gray, ctx.pair_count)
-        for g in gray[_constant_on(common_neighbors(ctx, sel), sel)].tolist():
-            if is_drg_pairmask(desc, g):
-                hits.append(g)
+                conn &= gray & outside != 0
+            connected += int(conn.sum()) - len(conn)
+            keep &= conn
+        x = np.flatnonzero(keep) + first
+        del tri, k  # the block's arrays, freed before the lambda step
+        pool = np.concatenate((pool, x ^ x >> 1))
+        while len(pool) >= BATCH or hi == stop and len(pool):
+            words, pool = pool[:BATCH], pool[BATCH:]
+            sel = _pair_bits(words, ctx.pair_count)
+            for g in words[_constant_on(common_neighbors(ctx, sel), sel)].tolist():
+                if is_drg_pairmask(desc, g):
+                    hits.append(g)
     out = np.sort(np.array(hits, dtype=np.int64))
     return ScanResult(hits=out, connected=connected, scanned=stop - start)
 

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,62 @@ def test_scan_matches_library_on_z7z7_slices():
     assert seen == [(0, 19), (2, 0), (2, 0), (1, 2)]
 
 
+def test_scan_matches_library_across_z7z7_block_edges():
+    """Slices that stop mid-batch, checked word by word: one from word 0
+    shorter than a batch, two across a block boundary (the scan's first hit
+    lies just before the first boundary, its fifth and sixth just after the
+    second) and one of 100 words around a hit.  The first, second and
+    fourth hold disconnected sets, so their blocks take the per-word
+    connectivity test.  Word 0, the empty set, has |S| = 0, and the
+    divisibility test must not divide by it (0/0 warns)."""
+    d = G.pair_group(7, 1)
+    block = K.BLOCK * K.BATCH
+    seen = []
+    for lo, hi in ((0, 300), (260_044, 262_644), (637_976, 639_576), (917_576, 917_676)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = K.census_scan(d, lo, hi)
+        hits = []
+        connected = 0
+        for i in range(lo, hi):
+            bits = i ^ (i >> 1)
+            conn, drg = _library_verdict(d, bits)
+            connected += conn
+            if drg:
+                hits.append(bits)
+        assert res.hits.tolist() == sorted(hits)
+        assert res.connected == connected
+        assert res.scanned == hi - lo
+        assert hi % K.BATCH and (lo == 0 or lo % K.BATCH)
+        seen.append((len(hits), hi - lo - connected, lo // block != (hi - 1) // block))
+    assert seen == [(0, 13, False), (1, 4, True), (2, 0, True), (1, 1, False)]
+
+
+def test_partitions_cut_at_a_z7z7_block_edge_equal_the_whole_range():
+    d = G.pair_group(7, 1)
+    edge = 638_976  # the scan's fifth and sixth hits lie 384 and 389 past it
+    assert edge % (K.BLOCK * K.BATCH) == 0
+    lo, hi = edge - 3000, edge + 2000
+    whole = K.census_scan(d, lo, hi)
+    bounds = [lo, edge - 37, edge, edge + 37, hi]
+    hits, connected = [], 0
+    for a, b in zip(bounds, bounds[1:]):
+        res = K.census_scan(d, a, b)
+        assert res.scanned == b - a
+        hits.extend(res.hits.tolist())
+        connected += res.connected
+    assert sorted(hits) == whole.hits.tolist()
+    assert len(hits) == 2
+    assert connected == whole.connected == hi - lo
+
+
+@pytest.mark.parametrize("start,stop", [(10, 5), (0, 20), (-1, 4)])
+def test_scan_rejects_ranges_outside_the_words(start, stop):
+    """3^1x3 has 4 pairs, so its words are Gray indices 0 to 16."""
+    with pytest.raises(ValueError, match="scan range"):
+        K.census_scan(G.parse_group("3^1x3"), start, stop)
+
+
 def _brute_prefilter(d, bits):
     """Connected and lambda(g) = |S & (g + S)| constant on S, on adjacency masks."""
     sset = C.SymmetricSet.from_pair_bits(d, bits)
@@ -116,23 +173,19 @@ def test_prefilter_survivors_are_connected_constant_lambda_sets(spec, monkeypatc
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7", "Zn:12"])
 def test_triangle_count_is_lambda_summed_over_S(spec):
     """The scan's table expansion of tr(A^3)/n, rounded, is the sum over g
-    in S of |S & (g + S)|, and its size column is |S|, both on adjacency
-    masks.  Gray index x reads table row x mod 2 BATCH and the bits
-    gray(x) & -BATCH.  Zn:12 has a singleton pair, {6}."""
+    in S of |S & (g + S)|, and its size is |S|, both on adjacency masks.
+    Gray index x is the last word of the block that runs from x's pair of
+    batches to x.  Zn:12 has a singleton pair, {6}."""
     d = G.parse_group(spec)
     ctx = K.scan_context(d)
-    table = K._triangle_table(d)
     total = 1 << ctx.pair_count
     for x in random.Random(23).sample(range(total), min(total, 300)):
-        shared = (x ^ x >> 1) & -K.BATCH
-        row = x % (2 * K.BATCH)
-        word = int(table.low[row]) | shared
-        assert word == x ^ x >> 1
-        tri, k = K._lambda_sums(ctx, shared, table.powers[row:row + 1])
+        tri, k = K._triangle_block(d, x - x % (2 * K.BATCH), x + 1)
+        word = x ^ x >> 1
         sset = C.SymmetricSet.from_pair_bits(d, word)
         adj = C.build(d, sset).adjacency
-        assert np.rint(tri[0]) == sum((adj[0] & adj[g]).bit_count() for g in G.iter_bits(sset.mask))
-        assert k[0] == sset.mask.bit_count()
+        assert np.rint(tri[-1]) == sum((adj[0] & adj[g]).bit_count() for g in G.iter_bits(sset.mask))
+        assert k[-1] == sset.mask.bit_count()
 
 
 def test_triangle_count_residual_over_every_5x5_word():
@@ -140,11 +193,10 @@ def test_triangle_count_residual_over_every_5x5_word():
     5^1x5 word (1.1e-13 measured), far inside the module docstring's bound."""
     d = G.parse_group("5^1x5")
     ctx = K.scan_context(d)
-    table = K._triangle_table(d)
+    total = 1 << ctx.pair_count
     residual = 0.0
-    for base in range(0, 1 << ctx.pair_count, K.BATCH):
-        rows = slice(base % (2 * K.BATCH), base % (2 * K.BATCH) + K.BATCH)
-        tri, _ = K._lambda_sums(ctx, (base ^ base >> 1) & -K.BATCH, table.powers[rows])
+    for lo in range(0, total, K.BLOCK * K.BATCH):
+        tri, _ = K._triangle_block(d, lo, min(lo + K.BLOCK * K.BATCH, total))
         residual = max(residual, np.abs(tri - np.rint(tri)).max())
     assert residual < 1e-9
 
