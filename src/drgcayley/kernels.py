@@ -129,10 +129,11 @@ from .groups import (
 # and its matmuls run on one BLAS thread.
 BATCH = 1 << 9
 
-# Batches per pre-test block.  The full 7^1x7 scan took 2.62 / 2.16 / 1.90 s
-# at 8 / 16 / 32 (2-vCPU Xeon), but the census-7x7 benchmark's peak RSS,
-# which grows with the ops it completes, rose 3.9 / 6.2 / 8.9% against a 10%
-# bound.  At 16 the triangle matmul runs on one BLAS thread; at 32 on two.
+# Batches per pre-test block.  The full 7^1x7 scan took 1.60 / 1.41 / 1.21 s
+# at 8 / 16 / 32 (medians of five, 2-vCPU Xeon).  The census-7x7 benchmark's
+# peak RSS grows by about 200 B per op it completes; over the per-batch
+# scan's it read +6.0% at 16 and +6.0 to +8.6% at 32, against a 10% bound.
+# At 16 the triangle matmul runs on one BLAS thread; OpenBLAS splits it at 32.
 BLOCK = 16
 
 
@@ -272,8 +273,7 @@ def census_scan(desc: GroupDescriptor, start: int, stop: int) -> ScanResult:
         hi = min(lo + BLOCK * BATCH, stop)
         first = max(start, lo)
         tri, k = (a[first - lo:] for a in _triangle_block(desc, lo, hi))
-        # edge-regularity: |S| divides the sum of lambda over S (k is scratch
-        # once divided into the sums)
+        # edge-regularity: |S| divides the sum of lambda over S; k is then scratch
         np.divide(np.rint(tri, out=tri), k, out=tri, where=k > 0)
         keep = tri == np.rint(tri, out=k)
         connected += hi - first
