@@ -6,10 +6,13 @@ as pair bits.  The default, ``scan="kernel"``, generates only the sets that
 Schur's multiplier theorem allows and filters them
 (``kernels.census_generate``; the connected count is a Moebius sum over
 the subgroup lattice) and decides each survivor once with the exact library
-check.  ``scan="library"`` decides all 2^P subsets with that check, and
-``scan="orbit"`` one lex-leader per Aut(G) orbit.  The exhaustive
-``kernels.census_scan`` stays outside ``census`` as the oracle the tests
-hold the generator to.
+check.  ``scan="library"`` decides all 2^P subsets with that check.
+``scan="orbit"`` takes one lex-leader per Aut(G) orbit, passes the leaders
+through the generator's funnel (``kernels.word_funnel``) and decides only
+its c_2 survivors; a hit leader brings its whole orbit, and the connected
+count is the sum of the connected leaders' orbit sizes, by orbit-stabilizer.
+The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
+oracle the tests hold the generator to.
 
 The report takes the decided hits as given and groups them into Aut(G)
 orbits under the pair action ``groups.pair_permutations``.
@@ -19,10 +22,10 @@ is tagged, the Schur ring route cross-checked, and the result reconciled
 against the expected family list.  Anything outside that list is an anomaly
 and fails the run.
 
-Every orbit computation is a gather on that one (k, P) table.  The lex rule:
-among sets with equally many pairs, the lex-least sorted pair tuple holds the
-lowest pair where two sets differ, so it has the largest reversed word (pair
-j at bit P - 1 - j).  Words are int64, so P > 62 is refused.
+Every orbit computation is a gather on, or a matmul with, that one (k, P)
+table.  The lex rule: among sets with equally many pairs, the lex-least
+sorted pair tuple holds the lowest pair where two sets differ, so it has the
+largest reversed word (pair j at bit P - 1 - j).  Words are int64, so P > 62 is refused.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -53,7 +57,14 @@ from .groups import (
     pair_permutations,
     subgroups_of_order,
 )
-from .kernels import candidate_count, census_generate, connected_count
+from .kernels import (
+    BATCH,
+    FUNNEL_STAGES,
+    candidate_count,
+    census_generate,
+    connected_count,
+    word_funnel,
+)
 from .structure import is_antipodal, is_bipartite, quotient_by_subgroup
 
 
@@ -186,6 +197,26 @@ def _library_verdict(desc: GroupDescriptor, bits: int) -> tuple[bool, bool]:
     if not is_connected(graph):
         return False, False
     return True, check_drg(graph) is not None
+
+
+def _decide(desc: GroupDescriptor, survivors: list[int]) -> tuple[list[int], list[str]]:
+    """The funnel survivors that BFS finds distance-regular, and the anomalies.
+
+    A survivor that BFS finds disconnected is an anomaly, since the
+    word-level connectivity test passed it.  A connected survivor that is
+    not distance-regular is no hit (c_2 is only necessary).
+    """
+    hits, anomalies = [], []
+    for bits in survivors:
+        conn, drg = _library_verdict(desc, bits)
+        if not conn:
+            anomalies.append(
+                "c2 survivor is disconnected: "
+                f"{SymmetricSet.from_pair_bits(desc, bits).member_strs()}"
+            )
+        elif drg:
+            hits.append(bits)
+    return hits, anomalies
 
 
 def _classify_hit(
@@ -324,9 +355,7 @@ def _generate(
 
     ``partitions`` splits the generator's ``candidate_count`` indices.
     Together the parts must produce exactly that many words, all distinct.
-    Each survivor is decided once; one that BFS finds disconnected is an
-    anomaly, since the word-level connectivity test passed it.  A connected
-    survivor that is not distance-regular is no hit (c_2 is only necessary).
+    Each survivor is decided once, by ``_decide``.
     """
     expected = candidate_count(desc)
     ranges = _split_ranges(expected, partitions)
@@ -347,18 +376,10 @@ def _generate(
         for rows in zip(*(res.funnel for res in results))
     ]
     tick = time.perf_counter()
-    hits = []
-    for bits in sorted(np.concatenate([res.survivors for res in results]).tolist()):
-        conn, drg = _library_verdict(desc, bits)
-        if not conn:
-            checks.append(
-                "generator survivor is disconnected: "
-                f"{SymmetricSet.from_pair_bits(desc, bits).member_strs()}"
-            )
-        elif drg:
-            hits.append(bits)
+    survivors = np.concatenate([res.survivors for res in results])
+    hits, found = _decide(desc, sorted(survivors.tolist()))
     funnel.append(("hits", len(hits), time.perf_counter() - tick))
-    return hits, checks, funnel
+    return hits, checks + found, funnel
 
 
 def census(
@@ -373,8 +394,9 @@ def census(
 
     scan="kernel" generates the multiplier classes and filters them
     (``kernels.census_generate``); scan="library" runs the full exact check
-    on every one of the 2^P subsets with no pruning; scan="orbit" checks one
-    lex-leader per Aut(G) orbit.  All three give the same report bytes.
+    on every one of the 2^P subsets with no pruning; scan="orbit" passes one
+    lex-leader per Aut(G) orbit through the same filters and checks the
+    survivors.  All three give the same report bytes.
     The report's ``funnel`` holds the count and seconds of each stage run.
     """
     _require_census_group(desc)
@@ -430,20 +452,56 @@ def orbit_leaders(
         stack.extend(leader + (t,) for t in reversed(leads.tolist()))
 
 
+def _orbit_sizes(desc: GroupDescriptor, words: np.ndarray) -> np.ndarray:
+    """The Aut(G)-orbit size of each int64 pair word, by orbit-stabilizer.
+
+    Column r of the image matrix is each word under row r of the pair
+    action.  The rows form a group, so a word's orbit size is their number
+    over the number of its images equal to itself.  Each image and each
+    partial sum of the matmul is a sum of distinct powers 2^j with j < P,
+    so float64 holds it exactly while P <= 53; a group that ``scan_context``
+    accepts has order <= 62 and so P <= 31.
+    """
+    perms = _pair_action(desc)[0]
+    bits = (words[:, None] >> np.arange(perms.shape[1]) & 1).astype(np.float64)
+    images = bits @ np.ldexp(1.0, perms).T
+    return len(perms) // (images == words[:, None]).sum(axis=1)
+
+
 def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
-    tick = time.perf_counter()
-    hits: list[int] = []
+    """Orbit mode: the leaders pass ``word_funnel`` BATCH at a time, the c_2
+    survivors are decided, and each hit leader adds its whole orbit.
+
+    The connected count sums the orbit sizes of the connected leaders.  The
+    leaders stream in before ``scan_context`` is asked for, so the visit
+    budget is checked first.
+    """
+    leaders = orbit_leaders(desc, budget)
+    counts = np.zeros(1 + len(FUNNEL_STAGES), dtype=np.int64)
+    seconds = np.zeros(1 + len(FUNNEL_STAGES))
+    survivors = []
     connected = 0
-    for leader in orbit_leaders(desc, budget):
-        bits = sum(1 << j for j in leader)
-        conn, drg = _library_verdict(desc, bits)
-        if conn:
-            orbit = _pair_orbit(desc, bits)
-            connected += len(orbit)
-            if drg:
-                hits.extend(orbit)
-    funnel = [("hits", len(hits), time.perf_counter() - tick)]
-    return _assemble_report(desc, hits, connected, [], funnel)
+    while True:
+        tick = time.perf_counter()
+        words = np.array(
+            [sum(1 << j for j in leader) for leader in islice(leaders, BATCH)], dtype=np.int64
+        )
+        seconds[0] += time.perf_counter() - tick
+        if not len(words):
+            break
+        passed, stage_s = word_funnel(desc, words)
+        tick = time.perf_counter()
+        connected += int(_orbit_sizes(desc, passed[0]).sum())
+        stage_s[0] += time.perf_counter() - tick
+        counts += [len(words)] + [len(stage) for stage in passed]
+        seconds[1:] += stage_s
+        survivors.append(passed[-1])
+    funnel = list(zip(("leaders",) + FUNNEL_STAGES, counts.tolist(), seconds.tolist()))
+    tick = time.perf_counter()
+    leads, checks = _decide(desc, np.concatenate(survivors).tolist())
+    hits = [image for bits in leads for image in _pair_orbit(desc, bits)]
+    funnel.append(("hits", len(hits), time.perf_counter() - tick))
+    return _assemble_report(desc, hits, connected, checks, funnel)
 
 
 # -- family constructors -----------------------------------------------------

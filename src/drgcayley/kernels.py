@@ -26,9 +26,11 @@ every one of its (1 + t)^k - 1 indices is a candidate: the nonzero sets with
 the multiplier property, each produced once, under its own stabilizer.
 ``candidate_count`` is the sum of these closed forms over H <= M.
 
-The candidates then pass one vectorized funnel: connected (S meets the
-complement of every maximal subgroup; a pair lies wholly inside or wholly
-outside a subgroup, so this is a test on the pair bits); lambda(g) =
+The candidates then pass one vectorized funnel, ``word_funnel``, which
+``classify`` also runs on the Aut(G) orbit leaders of its orbit mode:
+connected (S meets the complement of every maximal subgroup; a pair lies
+wholly inside or wholly outside a subgroup, so this is a test on the pair
+bits); lambda(g) =
 |S & (g + S)| constant on S; and c_2 constant.  For g outside S and 0,
 lambda(g) > 0 exactly when g is at distance 2, and lambda(g) then counts
 its common neighbours with 0, which a distance-regular graph holds at c_2
@@ -431,49 +433,51 @@ class GeneratorResult(NamedTuple):
     funnel: tuple[tuple[str, int, float], ...]  # (stage, sets out, seconds)
 
 
-def _filter(ctx: ScanContext, words: np.ndarray, seconds: np.ndarray) -> list[np.ndarray]:
-    """The words that pass each stage (connected, lambda, c2), in order.
+FUNNEL_STAGES = ("connected", "lambda", "c2")
 
-    Adds each stage's time to ``seconds``.
+
+def word_funnel(
+    desc: GroupDescriptor, words: np.ndarray
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """The words that pass each of FUNNEL_STAGES, in order, and each stage's seconds.
+
+    BATCH words at a time, so that the filter's arrays stay in cache.
     """
-    clock = [time.perf_counter()]
-    for outside in ctx.out_masks:
-        words = words[words & outside != 0]
-    passed = [words]
-    clock.append(time.perf_counter())
-    sel = _pair_bits(words, ctx.pair_count)
-    lam = common_neighbors(ctx, sel)
-    keep = _constant_on(lam.copy(), sel)
-    passed.append(words[keep])
-    lam, sel = lam[keep], sel[keep]
-    clock.append(time.perf_counter())
-    # the distance-2 layer: the pairs outside S where lambda > 0
-    passed.append(passed[-1][_constant_on(lam, (lam > 0) * (1 - sel))])
-    clock.append(time.perf_counter())
-    seconds += np.diff(clock)
-    return passed
+    ctx = scan_context(desc)
+    passed: tuple[list[np.ndarray], ...] = ([words[:0]], [words[:0]], [words[:0]])
+    seconds = np.zeros(3)
+    for base in range(0, len(words), BATCH):
+        batch = words[base:base + BATCH]
+        clock = [time.perf_counter()]
+        for outside in ctx.out_masks:
+            batch = batch[batch & outside != 0]
+        passed[0].append(batch)
+        clock.append(time.perf_counter())
+        sel = _pair_bits(batch, ctx.pair_count)
+        lam = common_neighbors(ctx, sel)
+        keep = _constant_on(lam.copy(), sel)
+        batch, lam, sel = batch[keep], lam[keep], sel[keep]
+        passed[1].append(batch)
+        clock.append(time.perf_counter())
+        # the distance-2 layer: the pairs outside S where lambda > 0
+        passed[2].append(batch[_constant_on(lam, (lam > 0) * (1 - sel))])
+        clock.append(time.perf_counter())
+        seconds += np.diff(clock)
+    return tuple(np.concatenate(stage) for stage in passed), seconds
 
 
 def census_generate(desc: GroupDescriptor, start: int, stop: int) -> GeneratorResult:
     """The candidates at generator indices [start, stop) that pass every filter."""
-    ctx = scan_context(desc)
     tick = time.perf_counter()
     words = _candidates(desc, start, stop)
     generate_s = time.perf_counter() - tick
-    counts = np.zeros(3, dtype=np.int64)
-    seconds = np.zeros(3)
-    survivors = [np.zeros(0, dtype=np.int64)]
-    # BATCH words at a time, so that the filter's arrays stay in cache
-    for base in range(0, len(words), BATCH):
-        passed = _filter(ctx, words[base:base + BATCH], seconds)
-        counts += [len(batch) for batch in passed]
-        survivors.append(passed[-1])
+    passed, seconds = word_funnel(desc, words)
     return GeneratorResult(
-        survivors=np.concatenate(survivors),
+        survivors=passed[-1],
         words=words,
         funnel=tuple(zip(
-            ("candidates", "connected", "lambda", "c2"),
-            [len(words)] + counts.tolist(),
+            ("candidates",) + FUNNEL_STAGES,
+            [len(words)] + [len(stage) for stage in passed],
             [generate_s] + seconds.tolist(),
         )),
     )

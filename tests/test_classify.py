@@ -180,7 +180,7 @@ def _tamper_generator(monkeypatch, add=(), drop=(), **fields):
 # orbit of 15, so the next member of that orbit leads its record
 TAMPERED_HITS = {
     "non-drg": ((5,), (), ()),
-    "disconnected": ((1,), (), ("generator survivor is disconnected: ['(0,1)', '(0,4)']",)),
+    "disconnected": ((1,), (), ("c2 survivor is disconnected: ['(0,1)', '(0,4)']",)),
     "missing-image": (
         (),
         (135,),
@@ -242,18 +242,20 @@ def test_census_classifies_one_set_per_orbit(monkeypatch, spec):
     assert len(calls) == rep.orbit_count
 
 
-# per group: hits, then orbit leaders (one exact verdict each in orbit mode)
-EXACT_DECISIONS = {"3^1x3": (11, 5), "3^2x3": (9, 288), "5^1x5": (57, 50)}
+# per group: hits, then the orbit leaders' c_2 survivors (one exact verdict
+# each in orbit mode)
+EXACT_DECISIONS = {"3^1x3": (11, 3), "3^2x3": (9, 5), "5^1x5": (57, 5)}
 
 
 @pytest.mark.parametrize("spec", sorted(EXACT_DECISIONS))
 def test_census_decides_each_candidate_exactly_once(monkeypatch, spec):
     """Kernel mode decides each c_2 survivor once with the library verdict
-    and never with is_drg_pairmask; orbit mode decides each leader once."""
+    and never with is_drg_pairmask; so does orbit mode, whose survivors are
+    orbit leaders, and it takes the orbit of each hit leader alone."""
     d = G.parse_group(spec)
-    hits, leaders = EXACT_DECISIONS[spec]
-    verdicts, pairmasks = [], []
-    library_verdict, pairmask = CL._library_verdict, K.is_drg_pairmask
+    hits, survivors = EXACT_DECISIONS[spec]
+    verdicts, pairmasks, orbits = [], [], []
+    library_verdict, pairmask, pair_orbit = CL._library_verdict, K.is_drg_pairmask, CL._pair_orbit
 
     def counted_verdict(desc, bits):
         verdicts.append(bits)
@@ -263,15 +265,76 @@ def test_census_decides_each_candidate_exactly_once(monkeypatch, spec):
         pairmasks.append(bits)
         return pairmask(desc, bits)
 
+    def counted_orbit(desc, bits):
+        orbits.append(bits)
+        return pair_orbit(desc, bits)
+
     monkeypatch.setattr(CL, "_library_verdict", counted_verdict)
     monkeypatch.setattr(K, "is_drg_pairmask", counted_pairmask)
+    monkeypatch.setattr(CL, "_pair_orbit", counted_orbit)
     assert CL.census(d).drg_sets == hits
     assert len(verdicts) == len(set(verdicts)) == hits
     assert pairmasks == []
     verdicts.clear()
-    assert CL.census(d, scan="orbit").drg_sets == hits
-    assert len(verdicts) == len(set(verdicts)) == leaders == len(list(CL.orbit_leaders(d)))
+    orbits.clear()
+    report = CL.census(d, scan="orbit")
+    assert report.drg_sets == hits
+    assert len(verdicts) == len(set(verdicts)) == survivors
+    assert dict((stage, count) for stage, count, _ in report.funnel)["c2"] == survivors
     assert pairmasks == []
+    # each hit leader's orbit once to gather the hits, once more in the report
+    assert len(orbits) == 2 * report.orbit_count
+
+
+@pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
+def test_orbit_mode_funnel_loses_no_hit(monkeypatch, spec):
+    """The leaders the exact verdict calls distance-regular, each leader
+    decided, are the decided c_2 survivors that are hits."""
+    d = G.parse_group(spec)
+    leaders = [sum(1 << j for j in leader) for leader in CL.orbit_leaders(d)]
+    expected = {bits for bits in leaders if CL._library_verdict(d, bits)[1]}
+    decided = []
+    library_verdict = CL._library_verdict
+
+    def recorded(desc, bits):
+        verdict = library_verdict(desc, bits)
+        decided.append((bits, verdict[1]))
+        return verdict
+
+    monkeypatch.setattr(CL, "_library_verdict", recorded)
+    CL.census(d, scan="orbit")
+    assert len(decided) < len(leaders)
+    assert {bits for bits, drg in decided if drg} == expected
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5"])
+def test_orbit_stabilizer_counts_match_orbits_and_connected_count(spec):
+    """Each leader's orbit size is the size of its orbit found image by
+    image, and over the leaders BFS finds connected they sum to the Moebius
+    count."""
+    d = G.parse_group(spec)
+    leaders = np.array([sum(1 << j for j in leader) for leader in CL.orbit_leaders(d)])
+    sizes = CL._orbit_sizes(d, leaders)
+    assert sizes.tolist() == [len(CL._pair_orbit(d, bits)) for bits in leaders.tolist()]
+    assert sizes.sum() == 1 << len(G.inverse_pairs(d))
+    connected = [CL._library_verdict(d, bits)[0] for bits in leaders.tolist()]
+    assert sizes[connected].sum() == K.connected_count(d)
+
+
+def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
+    """A leader the funnel passes but BFS finds disconnected is the same
+    anomaly as in kernel mode; the report is otherwise the clean one."""
+    word_funnel = CL.word_funnel
+
+    def tampered(desc, words):
+        passed, seconds = word_funnel(desc, words)
+        return passed[:-1] + (np.union1d(passed[-1], [1]),), seconds
+
+    monkeypatch.setattr(CL, "word_funnel", tampered)
+    d = G.pair_group(5, 1)
+    report = CL.census(d, scan="orbit")
+    assert report.anomalies == TAMPERED_HITS["disconnected"][2]
+    assert report.records == CL.census(d).records
 
 
 def test_census_rejects_non_pair_groups_and_big_groups():

@@ -82,6 +82,18 @@ def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
     assert all(s["seconds"] >= 0 for s in data["stages"])
 
 
+def test_orbit_first_stats_report_the_leader_funnel(tmp_path):
+    report, stats = tmp_path / "report.json", tmp_path / "stats.json"
+    code, _ = run(["census", "--group", "3^2x3", "--orbit-first",
+                   "--out", str(report), "--stats", str(stats)])
+    assert code == 0
+    stages = json.loads(stats.read_text())["stages"]
+    assert [s["stage"] for s in stages] == [
+        "leaders", "connected", "lambda", "c2", "hits", "orbits", "report"
+    ]
+    assert [s["count"] for s in stages] == [288, 274, 12, 5, 9, 5, len(report.read_bytes())]
+
+
 def test_census_thread_counts_byte_identical():
     outputs = []
     for threads in ("1", "4", "8"):
@@ -181,6 +193,20 @@ def test_budget_exit_65(monkeypatch, capsys):
     assert (code, text) == (65, "")
     assert capsys.readouterr().err == (
         "budget exceeded: 40 inverse pairs exceed the census budget of 24\n"
+    )
+
+
+def test_orbit_first_census_past_the_scan_order_exits_64(monkeypatch, capsys):
+    """3^3x3 has 40 pairs, so its leaders stream in, but the funnel's scan
+    context refuses order 81 before any leader is decided."""
+    def no_work(*args):
+        raise AssertionError("a leader was decided")
+
+    monkeypatch.setattr(cli.classify, "_library_verdict", no_work)
+    code, text = run(["census", "--group", "3^3x3", "--orbit-first"])
+    assert (code, text) == (64, "")
+    assert capsys.readouterr().err == (
+        "usage error: the census scan handles order <= 62, got 81\n"
     )
 
 
