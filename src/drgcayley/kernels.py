@@ -30,14 +30,14 @@ The candidates then pass one vectorized funnel, ``word_funnel``, which
 ``classify`` also runs on the Aut(G) orbit leaders of its orbit mode:
 connected (S meets the complement of every maximal subgroup; a pair lies
 wholly inside or wholly outside a subgroup, so this is a test on the pair
-bits); lambda(g) =
-|S & (g + S)| constant on S; and c_2 constant.  For g outside S and 0,
-lambda(g) > 0 exactly when g is at distance 2, and lambda(g) then counts
-its common neighbours with 0, which a distance-regular graph holds at c_2
-(Brouwer-Cohen-Neumaier 1989).  Both constancy tests are the
-Cauchy-Schwarz equality s0 * s2 == s1^2 over the selected pairs (s_k = sum
-of lambda^k).  ``connected_count`` counts the connected sets without
-enumerating them, by Moebius inversion over the subgroup lattice.
+bits); lambda(g) = |S & (g + S)| constant on S; and c_2 constant.  For g
+outside S and 0, lambda(g) > 0 exactly when g is at distance 2, and
+lambda(g) then counts its common neighbours with 0, which a
+distance-regular graph holds at c_2 (Brouwer-Cohen-Neumaier 1989).  Both
+constancy tests are the Cauchy-Schwarz equality s0 * s2 == s1^2 over the
+selected pairs (s_k = sum of lambda^k).  ``connected_count`` counts the
+connected sets without enumerating them, by Moebius inversion over the
+subgroup lattice.
 
 The scan (``census_scan``, the exhaustive oracle) walks all 2^P subsets in
 Gray-code order, with the connectivity test above, a triangle-count
@@ -444,8 +444,8 @@ def word_funnel(
     BATCH words at a time, so that the filter's arrays stay in cache.
     """
     ctx = scan_context(desc)
-    passed: tuple[list[np.ndarray], ...] = ([words[:0]], [words[:0]], [words[:0]])
-    seconds = np.zeros(3)
+    passed = tuple([words[:0]] for _ in FUNNEL_STAGES)
+    seconds = np.zeros(len(FUNNEL_STAGES))
     for base in range(0, len(words), BATCH):
         batch = words[base:base + BATCH]
         clock = [time.perf_counter()]
