@@ -473,8 +473,8 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
     survivors are decided, and each hit leader adds its whole orbit.
 
     The connected count sums the orbit sizes of the connected leaders.  The
-    leaders stream in before ``scan_context`` is asked for, so the visit
-    budget is checked first.
+    first slice of leaders streams in before ``word_funnel`` asks for
+    ``scan_context``, so a visit budget below BATCH is met first.
     """
     leaders = orbit_leaders(desc, budget)
     counts = np.zeros(1 + len(FUNNEL_STAGES), dtype=np.int64)
