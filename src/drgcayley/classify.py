@@ -10,7 +10,7 @@ check.  ``scan="library"`` decides all 2^P subsets with that check.
 ``scan="orbit"`` takes one lex-leader per Aut(G) orbit, passes the leaders
 through the generator's funnel (``kernels.word_funnel``) and decides only
 its c_2 survivors; a hit leader brings its whole orbit, and the connected
-count is the sum of the connected leaders' orbit sizes, by orbit-stabilizer.
+count is the kernel mode's Moebius sum.
 The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
 oracle the tests hold the generator to.
 
@@ -452,27 +452,11 @@ def orbit_leaders(
         stack.extend(leader + (t,) for t in reversed(leads.tolist()))
 
 
-def _orbit_sizes(desc: GroupDescriptor, words: np.ndarray) -> np.ndarray:
-    """The Aut(G)-orbit size of each int64 pair word, by orbit-stabilizer.
-
-    Column r of the image matrix is each word under row r of the pair
-    action.  The rows form a group, so a word's orbit size is their number
-    over the number of its images equal to itself.  Each image and each
-    partial sum of the matmul is a sum of distinct powers 2^j with j < P,
-    so float64 holds it exactly while P <= 53; a group that ``scan_context``
-    accepts has order <= 62 and so P <= 31.
-    """
-    perms = _pair_action(desc)[0]
-    bits = (words[:, None] >> np.arange(perms.shape[1]) & 1).astype(np.float64)
-    images = bits @ np.ldexp(1.0, perms).T
-    return len(perms) // (images == words[:, None]).sum(axis=1)
-
-
 def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
     """Orbit mode: the leaders pass ``word_funnel`` BATCH at a time, the c_2
     survivors are decided, and each hit leader adds its whole orbit.
 
-    The connected count sums the orbit sizes of the connected leaders.  The
+    The connected count is the kernel mode's, ``connected_count``.  The
     first slice of leaders streams in before ``word_funnel`` asks for
     ``scan_context``, so a visit budget below BATCH is met first.
     """
@@ -480,7 +464,6 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
     counts = np.zeros(1 + len(FUNNEL_STAGES), dtype=np.int64)
     seconds = np.zeros(1 + len(FUNNEL_STAGES))
     survivors = []
-    connected = 0
     while True:
         tick = time.perf_counter()
         words = np.array(
@@ -490,9 +473,6 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
         if not len(words):
             break
         passed, stage_s = word_funnel(desc, words)
-        tick = time.perf_counter()
-        connected += int(_orbit_sizes(desc, passed[0]).sum())
-        stage_s[0] += time.perf_counter() - tick
         counts += [len(words)] + [len(stage) for stage in passed]
         seconds[1:] += stage_s
         survivors.append(passed[-1])
@@ -501,7 +481,7 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
     leads, checks = _decide(desc, np.concatenate(survivors).tolist())
     hits = [image for bits in leads for image in _pair_orbit(desc, bits)]
     funnel.append(("hits", len(hits), time.perf_counter() - tick))
-    return _assemble_report(desc, hits, connected, checks, funnel)
+    return _assemble_report(desc, hits, connected_count(desc), checks, funnel)
 
 
 # -- family constructors -----------------------------------------------------
