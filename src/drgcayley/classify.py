@@ -15,12 +15,14 @@ The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
 oracle the tests hold the generator to.
 
 The report takes the decided hits as given and groups them into Aut(G)
-orbits under the pair action ``groups.pair_permutations``.
+orbits under the pair action ``groups.pair_permutations``; each hit is kept
+as its pair bits and its element mask, the union of its pairs' cells.
 Every field of a record is an orbit invariant, since sigma in Aut(G) gives
-Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is classified: its family
-is tagged, the Schur ring route cross-checked, and the result reconciled
-against the expected family list.  Anything outside that list is an anomaly
-and fails the run.
+Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is built as a
+``SymmetricSet`` and classified: its family is tagged, the Schur ring route
+and the antipodal quotient cross-checked, and the result reconciled against
+the expected family list.  Anything outside that list is an anomaly and
+fails the run.
 
 Every orbit computation is a gather on, or a matmul with, that one (k, P)
 table.  The lex rule: among sets with equally many pairs, the lex-least
@@ -43,6 +45,7 @@ from . import schur
 from .cayley import (
     CayleyGraph,
     SymmetricSet,
+    _pair_masks,
     build,
     distance_partition,
     is_connected,
@@ -231,6 +234,7 @@ def _classify_hit(
     bip = is_bipartite(graph) is not None
     antip = is_antipodal(graph, part)
     primitive = not bip and not antip
+    family = recognize(graph, array)
     if not array.is_monotone():
         anomalies.append(f"non-monotone intersection array {array} for {sset.member_strs()}")
     module = schur.distance_module(graph, part)
@@ -257,13 +261,10 @@ def _classify_hit(
             anomalies.append(
                 f"antipodal quotient not DRG of half diameter for {sset.member_strs()}"
             )
-        if d == 2:
-            tag_check = recognize(graph, array)
-            if tag_check.kind != FamilyTag.MULTIPARTITE:
-                anomalies.append(
-                    f"antipodal diameter-2 DRG not tagged multipartite: {sset.member_strs()}"
-                )
-    family = recognize(graph, array)
+        if d == 2 and family.kind != FamilyTag.MULTIPARTITE:
+            anomalies.append(
+                f"antipodal diameter-2 DRG not tagged multipartite: {sset.member_strs()}"
+            )
     if family.kind == FamilyTag.OTHER:
         anomalies.append(f"unrecognized family for {sset.member_strs()}: {family.note}")
     if family.kind in (FamilyTag.PALEY, FamilyTag.CYCLE):
@@ -298,21 +299,22 @@ def _assemble_report(
     """The report on the decided ``hits``; ``checks`` are the enumeration's own
     anomalies and ``funnel`` its stages, to which the orbits stage is added."""
     _, s = desc.prime_power_pair
-    ssets = {bits: SymmetricSet.from_pair_bits(desc, bits) for bits in hits}
+    start = time.perf_counter()
+    pair_masks = _pair_masks(desc)
+    masks = {bits: sum(pair_masks[j] for j in iter_bits(bits)) for bits in hits}
     anomalies: list[str] = []
     grouped: set[int] = set()
     orbit_records: list[CensusRecord] = []
-    start = time.perf_counter()
     # hits in lex order of their element ranks: the first hit met of each
     # orbit is its lex-least member present, so records come out in lex order
-    for bits in sorted(ssets, key=lambda bits: tuple(iter_bits(ssets[bits].mask))):
+    for bits in sorted(masks, key=lambda bits: tuple(iter_bits(masks[bits]))):
         if bits in grouped:
             continue
-        sset = ssets[bits]
+        sset = SymmetricSet(desc, masks[bits])
         orbit = _pair_orbit(desc, bits)
         record, probs = _classify_hit(sset, s, len(orbit))
         anomalies.extend(probs)
-        missing = orbit - ssets.keys()
+        missing = orbit - masks.keys()
         if missing:
             anomalies.append(
                 f"orbit of {sset.member_strs()} leaves the hit set; "

@@ -162,15 +162,12 @@ def power_map(basis: CellPartition, m: int) -> tuple[int, ...]:
 
 
 def structure_constants_sanity(basis: CellPartition, constants: np.ndarray) -> None:
-    """Symmetry and counting identities every verified basis must satisfy."""
-    r = basis.cell_count
-    sizes = basis.cell_sizes()
-    if not np.array_equal(constants, constants.transpose(1, 0, 2)):
+    """Symmetry in i, j and the counting identity sum_k p[i][j][k] |T_k| =
+    |T_i| |T_j| (T_i x T_j counted by the cell of h + x), one int64 matmul."""
+    sizes = np.array(basis.cell_sizes(), dtype=np.int64)
+    if (constants != constants.transpose(1, 0, 2)).any():
         raise AssertionError("structure constants are not symmetric in i, j")
-    for i in range(r):
-        for j in range(r):
-            total = int(sum(constants[i, j, k] * sizes[k] for k in range(r)))
-            if total != sizes[i] * sizes[j]:
-                raise AssertionError(
-                    f"sum_k p[{i}][{j}][k] |T_k| != |T_{i}| |T_{j}|"
-                )
+    wrong = constants @ sizes != sizes[:, None] * sizes
+    if wrong.any():
+        i, j = np.argwhere(wrong)[0].tolist()
+        raise AssertionError(f"sum_k p[{i}][{j}][k] |T_k| != |T_{i}| |T_{j}|")

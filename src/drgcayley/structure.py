@@ -29,7 +29,6 @@ from .groups import (
     coset_keys,
     group_tables,
     linear_map,
-    mask_of,
     product_group,
 )
 
@@ -122,11 +121,17 @@ def quotient_by_subgroup(graph: CayleyGraph, sub: Subgroup) -> CayleyGraph:
     q_elems = {coset_of[s] for s in iter_bits(s_mask) if not sub.mask >> s & 1}
     q_set = SymmetricSet.from_elements(qdesc, q_elems)
     q_graph = build(qdesc, q_set)
-    # verify block adjacency: blocks B_i ~ B_j (i != j) in the original graph
-    # iff the quotient graph has the edge; blocks[i] holds the j with B_i ~ B_j
+    # blocks B_i ~ B_j (i != j) in the original graph iff reach_i, the union
+    # of the rows of B_i, meets B_j; the quotient graph must join the same
     blocks = [0] * qdesc.order
-    for u in range(graph.order):
-        blocks[coset_of[u]] |= mask_of(coset_of[v] for v in iter_bits(graph.adjacency[u]))
-    if [mask & ~(1 << i) for i, mask in enumerate(blocks)] != list(q_graph.adjacency):
+    reach = [0] * qdesc.order
+    for u, (i, row) in enumerate(zip(coset_of, graph.adjacency)):
+        blocks[i] |= 1 << u
+        reach[i] |= row
+    joined = [
+        sum(1 << j for j, block in enumerate(blocks) if j != i and reach_i & block)
+        for i, reach_i in enumerate(reach)
+    ]
+    if joined != list(q_graph.adjacency):
         raise AssertionError("block adjacency disagrees with quotient graph")
     return q_graph

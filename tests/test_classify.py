@@ -242,6 +242,57 @@ def test_census_classifies_one_set_per_orbit(monkeypatch, spec):
     assert len(calls) == rep.orbit_count
 
 
+
+def test_census_tags_each_orbit_once(monkeypatch):
+    """recognize runs once per orbit.  On an antipodal diameter-2 orbit that
+    one tag is also the multipartite cross-check, whose anomaly text holds."""
+    d = G.pair_group(3, 1)
+    multipartite = next(
+        r for r in CL.census(d).records if r.family == "CompleteMultipartite(3,3)"
+    )
+    calls = []
+    recognize = CL.recognize
+
+    def mistagged(graph, array):
+        calls.append(graph.connection.mask)
+        tag = recognize(graph, array)
+        if tag.kind == D.FamilyTag.MULTIPARTITE:
+            return D.FamilyTag(D.FamilyTag.TDLINE, (2, 3))
+        return tag
+
+    monkeypatch.setattr(CL, "recognize", mistagged)
+    report = CL.census(d)
+    assert len(calls) == len(set(calls)) == report.orbit_count == 3
+    assert report.anomalies == (
+        "antipodal diameter-2 DRG not tagged multipartite: "
+        f"{list(multipartite.set_strs)}",
+    )
+
+
+# per group: hits, then orbits; the report validates one SymmetricSet per orbit
+REPORT_SETS = {"3^2x3": (9, 5), "5^1x5": (57, 5)}
+
+
+@pytest.mark.parametrize("spec", sorted(REPORT_SETS))
+def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
+    d = G.parse_group(spec)
+    hits, checks, funnel = CL._generate(d, 1, 1)
+    made = []
+
+    class Counted(C.SymmetricSet):
+        def __post_init__(self):
+            made.append(self.mask)
+            super().__post_init__()
+
+    monkeypatch.setattr(CL, "SymmetricSet", Counted)
+    report = CL._assemble_report(d, hits, K.connected_count(d), checks, funnel)
+    assert (len(hits), report.orbit_count) == REPORT_SETS[spec]
+    assert report.anomalies == ()
+    assert len(made) == len(set(made)) == report.orbit_count
+    assert [list(r.set_strs) for r in report.records] == [
+        C.SymmetricSet(d, mask).member_strs() for mask in made
+    ]
+
 # per group: hits, then the orbit leaders' c_2 survivors (one exact verdict
 # each in orbit mode)
 EXACT_DECISIONS = {"3^1x3": (11, 3), "3^2x3": (9, 5), "5^1x5": (57, 5)}

@@ -117,6 +117,25 @@ def test_structure_constants_counting_identity():
     assert np.array_equal(constants, constants.transpose(1, 0, 2))
 
 
+def test_structure_constants_sanity_refuses_asymmetric_constants():
+    _, _, dm = lattice_module()
+    constants = SR.is_schur_ring(dm).copy()
+    constants[1, 2, 0] += 1
+    with pytest.raises(AssertionError, match="not symmetric in i, j"):
+        SR.structure_constants_sanity(dm, constants)
+
+
+def test_structure_constants_sanity_names_the_first_pair_off_by_one():
+    """p[1][2][0] and p[2][1][0] one too large keep the symmetry, and put the
+    counting identity off by |T_0| = 1 at (1, 2) and (2, 1); (1, 2) is named."""
+    _, _, dm = lattice_module()
+    constants = SR.is_schur_ring(dm).copy()
+    constants[1, 2, 0] += 1
+    constants[2, 1, 0] += 1
+    with pytest.raises(AssertionError) as err:
+        SR.structure_constants_sanity(dm, constants)
+    assert str(err.value) == "sum_k p[1][2][k] |T_k| != |T_1| |T_2|"
+
 def test_trivial_basis():
     d = G.pair_group(3, 2)
     triv = SR.CellPartition(d, (1, ((1 << 27) - 1) ^ 1))

@@ -134,6 +134,23 @@ def test_quotient_refuses_a_graph_that_disagrees_with_the_blocks(monkeypatch):
         S.quotient_by_subgroup(g, sub)
 
 
+def test_quotient_refuses_rows_that_join_blocks_the_quotient_does_not():
+    """Cay(Z_9 + Z_3, {+-(1,0)}) modulo B = <(0,1)> is a 9-cycle.  Each row in
+    turn gets one extra bit, u -> u + (4,0), which joins two blocks four steps
+    apart on the cycle; the blocks the rows join then disagree with it."""
+    d = G.pair_group(3, 2)
+    g = C.build(d, C.SymmetricSet.parse(d, "(1,0),(8,0)"))
+    sub = subgroup_with_mask(d, C.SymmetricSet.parse(d, "(0,1),(0,2)").mask | 1)
+    q = S.quotient_by_subgroup(g, sub)
+    assert (q.order, q.valency, D.check_drg(q).diameter) == (9, 2, 4)
+    add = G.group_tables(d).add
+    for u in range(d.order):
+        adjacency = list(g.adjacency)
+        adjacency[u] |= 1 << int(add[u, d.rank(4, 0)])
+        tampered = C.CayleyGraph(d, g.connection, tuple(adjacency))
+        with pytest.raises(AssertionError, match="block adjacency disagrees with quotient graph"):
+            S.quotient_by_subgroup(tampered, sub)
+
 def test_quotient_rejects_contained_connection_set():
     d = G.pair_group(3, 2)
     h9 = G.subgroups_of_order(d, 9)[0]
