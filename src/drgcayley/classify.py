@@ -15,14 +15,13 @@ The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
 oracle the tests hold the generator to.
 
 The report takes the decided hits as given and groups them into Aut(G)
-orbits under the pair action ``groups.pair_permutations``; each hit is kept
-as its pair bits and its element mask, the union of its pairs' cells.
+orbits under the pair action ``groups.pair_permutations``, as pair bits.
 Every field of a record is an orbit invariant, since sigma in Aut(G) gives
-Cay(G, S) = Cay(G, sigma(S)), so one set per orbit is built as a
-``SymmetricSet`` and classified: its family is tagged, the Schur ring route
-and the antipodal quotient cross-checked, and the result reconciled against
-the expected family list.  Anything outside that list is an anomaly and
-fails the run.
+Cay(G, S) = Cay(G, sigma(S)), so only the lead of each orbit, its lex-least
+member present, is built as a ``SymmetricSet`` and classified: its family is
+tagged, the Schur ring route and the antipodal quotient cross-checked, and
+the result reconciled against the expected family list.  Anything outside
+that list is an anomaly and fails the run.
 
 Every orbit computation is a gather on, or a matmul with, that one (k, P)
 table.  The lex rule: among sets with equally many pairs, the lex-least
@@ -301,26 +300,31 @@ def _assemble_report(
     _, s = desc.prime_power_pair
     start = time.perf_counter()
     pair_masks = _pair_masks(desc)
-    masks = {bits: sum(pair_masks[j] for j in iter_bits(bits)) for bits in hits}
-    anomalies: list[str] = []
+    present = set(hits)
     grouped: set[int] = set()
-    orbit_records: list[CensusRecord] = []
-    # hits in lex order of their element ranks: the first hit met of each
-    # orbit is its lex-least member present, so records come out in lex order
-    for bits in sorted(masks, key=lambda bits: tuple(iter_bits(masks[bits]))):
+    orbits = []
+    for bits in hits:
         if bits in grouped:
             continue
-        sset = SymmetricSet(desc, masks[bits])
         orbit = _pair_orbit(desc, bits)
+        grouped |= orbit
+        # images have equally many pairs, so by the lex rule the lex-least
+        # present one has the largest bit string read from pair 0 up
+        lead = max(orbit & present, key=lambda image: f"{image:b}"[::-1])
+        orbits.append((sum(pair_masks[j] for j in iter_bits(lead)), orbit))
+    anomalies: list[str] = []
+    orbit_records: list[CensusRecord] = []
+    # records in lex order of their leads' element ranks
+    for mask, orbit in sorted(orbits, key=lambda item: tuple(iter_bits(item[0]))):
+        sset = SymmetricSet(desc, mask)
         record, probs = _classify_hit(sset, s, len(orbit))
         anomalies.extend(probs)
-        missing = orbit - masks.keys()
+        missing = orbit - present
         if missing:
             anomalies.append(
                 f"orbit of {sset.member_strs()} leaves the hit set; "
                 f"{len(missing)} images missing"
             )
-        grouped |= orbit
         orbit_records.append(record)
     total_from_orbits = sum(r.orbit_size for r in orbit_records)
     if total_from_orbits != len(hits):
