@@ -44,7 +44,6 @@ from . import schur
 from .cayley import (
     CayleyGraph,
     SymmetricSet,
-    _pair_masks,
     build,
     distance_partition,
     is_connected,
@@ -299,7 +298,6 @@ def _assemble_report(
     anomalies and ``funnel`` its stages, to which the orbits stage is added."""
     _, s = desc.prime_power_pair
     start = time.perf_counter()
-    pair_masks = _pair_masks(desc)
     present = set(hits)
     grouped: set[int] = set()
     orbits = []
@@ -311,12 +309,11 @@ def _assemble_report(
         # images have equally many pairs, so by the lex rule the lex-least
         # present one has the largest bit string read from pair 0 up
         lead = max(orbit & present, key=lambda image: f"{image:b}"[::-1])
-        orbits.append((sum(pair_masks[j] for j in iter_bits(lead)), orbit))
+        orbits.append((SymmetricSet.from_pair_bits(desc, lead), orbit))
     anomalies: list[str] = []
     orbit_records: list[CensusRecord] = []
     # records in lex order of their leads' element ranks
-    for mask, orbit in sorted(orbits, key=lambda item: tuple(iter_bits(item[0]))):
-        sset = SymmetricSet(desc, mask)
+    for sset, orbit in sorted(orbits, key=lambda item: item[0].members()):
         record, probs = _classify_hit(sset, s, len(orbit))
         anomalies.extend(probs)
         missing = orbit - present
