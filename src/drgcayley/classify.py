@@ -1,27 +1,28 @@
 """Exhaustive, automorphism-aware census of distance-regular connection sets.
 
 A census candidate is a pair-bits int: bit j selects inverse pair j of
-``groups.inverse_pairs``.  Three enumerations hand their hits to the report
-as pair bits.  The default, ``scan="kernel"``, generates only the sets that
-Schur's multiplier theorem allows and filters them
+``groups.inverse_pairs``.  Three enumerations hand the sets they pass to the
+report as pair bits.  The default, ``scan="kernel"``, generates only the
+sets that Schur's multiplier theorem allows and filters them
 (``kernels.census_generate``; the connected count is a Moebius sum over
-the subgroup lattice) and decides each survivor once with the exact library
-check.  ``scan="library"`` decides all 2^P subsets with that check.
+the subgroup lattice) and passes its c_2 survivors.  ``scan="library"``
+decides all 2^P subsets with the exact library check and passes its hits.
 ``scan="orbit"`` takes one lex-leader per Aut(G) orbit, passes the leaders
-through the generator's funnel (``kernels.word_funnel``) and decides only
-its c_2 survivors; a hit leader brings its whole orbit, and the connected
-count is the kernel mode's Moebius sum.
-The exhaustive ``kernels.census_scan`` stays outside ``census`` as the
-oracle the tests hold the generator to.
+through the generator's funnel (``kernels.word_funnel``) and passes the
+whole orbit of each c_2 survivor; the connected count is the kernel mode's
+Moebius sum.  The exhaustive ``kernels.census_scan`` stays outside
+``census`` as the oracle the tests hold the generator to.
 
-The report takes the decided hits as given and groups them into Aut(G)
-orbits under the pair action ``groups.pair_permutations``, as pair bits.
-Every field of a record is an orbit invariant, since sigma in Aut(G) gives
-Cay(G, S) = Cay(G, sigma(S)), so only the lead of each orbit, its lex-least
-member present, is built as a ``SymmetricSet`` and classified: its family is
-tagged, the Schur ring route and the antipodal quotient cross-checked, and
-the result reconciled against the expected family list.  Anything outside
-that list is an anomaly and fails the run.
+The report groups the sets it is given into Aut(G) orbits under the pair
+action ``groups.pair_permutations``, as pair bits.  Since sigma in Aut(G)
+gives Cay(G, S) = Cay(G, sigma(S)), connectivity, distance-regularity and
+every field of a record are orbit invariants.  So only the lead of each
+orbit, its lex-least member present, is built as a ``SymmetricSet`` and
+decided, by one BFS, and the lead of each distance-regular orbit is
+classified with that same graph: its family is tagged, the Schur ring route
+and the antipodal quotient cross-checked, and the result reconciled against
+the expected family list.  Anything outside that list is an anomaly and
+fails the run.
 
 Every orbit computation is a gather on, or a matmul with, that one (k, P)
 table.  The lex rule: among sets with equally many pairs, the lex-least
@@ -43,6 +44,7 @@ import numpy as np
 from . import schur
 from .cayley import (
     CayleyGraph,
+    DistancePartition,
     SymmetricSet,
     build,
     distance_partition,
@@ -91,7 +93,7 @@ def _pair_action(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray]:
 
 def _pair_orbit(desc: GroupDescriptor, bits: int) -> set[int]:
     """The pair-bit images of ``bits`` under Aut(G)."""
-    images = _pair_action(desc)[0][:, list(iter_bits(bits))]
+    images = pair_permutations(desc)[:, list(iter_bits(bits))]
     return set((1 << images).sum(axis=1).tolist())
 
 
@@ -200,34 +202,12 @@ def _library_verdict(desc: GroupDescriptor, bits: int) -> tuple[bool, bool]:
     return True, check_drg(graph) is not None
 
 
-def _decide(desc: GroupDescriptor, survivors: list[int]) -> tuple[list[int], list[str]]:
-    """The funnel survivors that BFS finds distance-regular, and the anomalies.
-
-    A survivor that BFS finds disconnected is an anomaly, since the
-    word-level connectivity test passed it.  A connected survivor that is
-    not distance-regular is no hit (c_2 is only necessary).
-    """
-    hits, anomalies = [], []
-    for bits in survivors:
-        conn, drg = _library_verdict(desc, bits)
-        if not conn:
-            anomalies.append(
-                "c2 survivor is disconnected: "
-                f"{SymmetricSet.from_pair_bits(desc, bits).member_strs()}"
-            )
-        elif drg:
-            hits.append(bits)
-    return hits, anomalies
-
-
 def _classify_hit(
-    sset: SymmetricSet, s: int, orbit_size: int
+    graph: CayleyGraph, part: DistancePartition, array: IntersectionArray, s: int, orbit_size: int
 ) -> tuple[CensusRecord, list[str]]:
     """The record of a verified hit's orbit, and the anomalies its set shows."""
+    sset = graph.connection
     anomalies: list[str] = []
-    graph = build(sset.group, sset)
-    part = distance_partition(graph)
-    array = check_drg(graph, part)
     d = part.diameter
     bip = is_bipartite(graph) is not None
     antip = is_antipodal(graph, part)
@@ -289,19 +269,28 @@ def _classify_hit(
 
 def _assemble_report(
     desc: GroupDescriptor,
-    hits: list[int],
+    survivors: list[int],
     connected: int,
     checks: list[str],
     funnel: list[tuple[str, int, float]],
 ) -> CensusReport:
-    """The report on the decided ``hits``; ``checks`` are the enumeration's own
-    anomalies and ``funnel`` its stages, to which the orbits stage is added."""
+    """Decide ``survivors`` one Aut(G) orbit at a time and report the hits.
+
+    Distance-regularity is an orbit invariant, so the lead of each orbit is
+    decided by BFS and stands for every member present: a disconnected lead
+    is an anomaly (the enumeration's connectivity test passed it), a lead
+    that is not distance-regular drops its orbit (c_2 is only necessary),
+    and a distance-regular lead is classified.  ``checks`` are the
+    enumeration's own anomalies and ``funnel`` its stages, to which the hits
+    and orbits stages are added.
+    """
     _, s = desc.prime_power_pair
-    start = time.perf_counter()
-    present = set(hits)
+    tick = time.perf_counter()
+    present = set(survivors)
     grouped: set[int] = set()
+    disconnected: list[str] = []
     orbits = []
-    for bits in hits:
+    for bits in survivors:
         if bits in grouped:
             continue
         orbit = _pair_orbit(desc, bits)
@@ -309,25 +298,34 @@ def _assemble_report(
         # images have equally many pairs, so by the lex rule the lex-least
         # present one has the largest bit string read from pair 0 up
         lead = max(orbit & present, key=lambda image: f"{image:b}"[::-1])
-        orbits.append((SymmetricSet.from_pair_bits(desc, lead), orbit))
+        sset = SymmetricSet.from_pair_bits(desc, lead)
+        graph = build(desc, sset)
+        if not is_connected(graph):
+            disconnected.append(f"c2 survivor is disconnected: {sset.member_strs()}")
+            continue
+        part = distance_partition(graph)
+        array = check_drg(graph, part)
+        if array is not None:
+            orbits.append((graph, part, array, orbit))
+    hits = sum(len(orbit & present) for *_, orbit in orbits)
+    funnel.append(("hits", hits, time.perf_counter() - tick))
+    tick = time.perf_counter()
     anomalies: list[str] = []
     orbit_records: list[CensusRecord] = []
     # records in lex order of their leads' element ranks
-    for sset, orbit in sorted(orbits, key=lambda item: item[0].members()):
-        record, probs = _classify_hit(sset, s, len(orbit))
+    for graph, part, array, orbit in sorted(orbits, key=lambda item: item[0].connection.members()):
+        record, probs = _classify_hit(graph, part, array, s, len(orbit))
         anomalies.extend(probs)
         missing = orbit - present
         if missing:
             anomalies.append(
-                f"orbit of {sset.member_strs()} leaves the hit set; "
+                f"orbit of {graph.connection.member_strs()} leaves the hit set; "
                 f"{len(missing)} images missing"
             )
         orbit_records.append(record)
     total_from_orbits = sum(r.orbit_size for r in orbit_records)
-    if total_from_orbits != len(hits):
-        anomalies.append(
-            f"orbit sizes sum to {total_from_orbits}, expected {len(hits)}"
-        )
+    if total_from_orbits != hits:
+        anomalies.append(f"orbit sizes sum to {total_from_orbits}, expected {hits}")
     family_sets: dict[str, int] = {}
     family_orbits: dict[str, int] = {}
     param_classes: set[tuple[str, str]] = set()
@@ -335,18 +333,18 @@ def _assemble_report(
         family_sets[r.family] = family_sets.get(r.family, 0) + r.orbit_size
         family_orbits[r.family] = family_orbits.get(r.family, 0) + 1
         param_classes.add((r.family, r.array))
-    funnel.append(("orbits", len(orbit_records), time.perf_counter() - start))
+    funnel.append(("orbits", len(orbit_records), time.perf_counter() - tick))
     return CensusReport(
         group=desc.spec(),
         symmetric_sets=1 << len(inverse_pairs(desc)),
         connected_sets=connected,
-        drg_sets=len(hits),
+        drg_sets=hits,
         orbit_count=len(orbit_records),
         parameter_class_count=len(param_classes),
         family_set_counts=family_sets,
         family_orbit_counts=family_orbits,
         records=tuple(orbit_records),
-        anomalies=tuple(anomalies + checks),
+        anomalies=tuple(anomalies + checks + disconnected),
         funnel=tuple(funnel),
     )
 
@@ -354,11 +352,10 @@ def _assemble_report(
 def _generate(
     desc: GroupDescriptor, partitions: int, threads: int
 ) -> tuple[list[int], list[str], list[tuple[str, int, float]]]:
-    """Hits, generator checks and funnel of the multiplier-class generator.
+    """c_2 survivors, generator checks and funnel of the multiplier-class generator.
 
     ``partitions`` splits the generator's ``candidate_count`` indices.
     Together the parts must produce exactly that many words, all distinct.
-    Each survivor is decided once, by ``_decide``.
     """
     expected = candidate_count(desc)
     ranges = _split_ranges(expected, partitions)
@@ -378,11 +375,8 @@ def _generate(
         (rows[0][0], sum(row[1] for row in rows), sum(row[2] for row in rows))
         for rows in zip(*(res.funnel for res in results))
     ]
-    tick = time.perf_counter()
     survivors = np.concatenate([res.survivors for res in results])
-    hits, found = _decide(desc, sorted(survivors.tolist()))
-    funnel.append(("hits", len(hits), time.perf_counter() - tick))
-    return hits, checks + found, funnel
+    return sorted(survivors.tolist()), checks, funnel
 
 
 def census(
@@ -398,9 +392,12 @@ def census(
     scan="kernel" generates the multiplier classes and filters them
     (``kernels.census_generate``); scan="library" runs the full exact check
     on every one of the 2^P subsets with no pruning; scan="orbit" passes one
-    lex-leader per Aut(G) orbit through the same filters and checks the
-    survivors.  All three give the same report bytes.
-    The report's ``funnel`` holds the count and seconds of each stage run.
+    lex-leader per Aut(G) orbit through the same filters and expands each
+    survivor's orbit.  The report then decides one lead per orbit of what
+    the enumeration passed.  All three give the same report bytes.
+    The report's ``funnel`` holds the count and seconds of each stage run;
+    library mode's exhaustive loop is not a stage, so its funnel is the
+    report's hits and orbits.
     """
     _require_census_group(desc)
     if scan == "orbit":
@@ -409,11 +406,10 @@ def census(
     if P > MAX_PAIRS:
         raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {MAX_PAIRS}")
     if scan == "kernel":
-        hits, checks, funnel = _generate(desc, partitions, threads)
-        return _assemble_report(desc, hits, connected_count(desc), checks, funnel)
+        survivors, checks, funnel = _generate(desc, partitions, threads)
+        return _assemble_report(desc, survivors, connected_count(desc), checks, funnel)
     if scan != "library":
         raise ValueError(f"unknown scan mode {scan!r}")
-    tick = time.perf_counter()
     hits = []
     connected = 0
     for lo, hi in _split_ranges(1 << P, partitions):
@@ -422,8 +418,7 @@ def census(
             connected += conn
             if drg:
                 hits.append(bits)
-    funnel = [("hits", len(hits), time.perf_counter() - tick)]
-    return _assemble_report(desc, hits, connected, [], funnel)
+    return _assemble_report(desc, hits, connected, [], [])
 
 
 # -- orbit-first enumeration (experimental) ----------------------------------
@@ -456,8 +451,8 @@ def orbit_leaders(
 
 
 def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
-    """Orbit mode: the leaders pass ``word_funnel`` BATCH at a time, the c_2
-    survivors are decided, and each hit leader adds its whole orbit.
+    """Orbit mode: the leaders pass ``word_funnel`` BATCH at a time, and each
+    c_2 survivor's whole orbit goes to the report, which decides it.
 
     The connected count is the kernel mode's, ``connected_count``.  The
     first slice of leaders streams in before ``word_funnel`` asks for
@@ -480,11 +475,10 @@ def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
         seconds[1:] += stage_s
         survivors.append(passed[-1])
     funnel = list(zip(("leaders",) + FUNNEL_STAGES, counts.tolist(), seconds.tolist()))
-    tick = time.perf_counter()
-    leads, checks = _decide(desc, np.concatenate(survivors).tolist())
-    hits = [image for bits in leads for image in _pair_orbit(desc, bits)]
-    funnel.append(("hits", len(hits), time.perf_counter() - tick))
-    return _assemble_report(desc, hits, connected_count(desc), checks, funnel)
+    images = [
+        image for bits in np.concatenate(survivors).tolist() for image in _pair_orbit(desc, bits)
+    ]
+    return _assemble_report(desc, images, connected_count(desc), [], funnel)
 
 
 # -- family constructors -----------------------------------------------------

@@ -3,8 +3,9 @@
 Both paths narrow the inverse-pair subsets S of G = Z_{p^s} + Z_p (bit j
 selects pair j of ``groups.inverse_pairs``) with word-level numpy filters
 that every connected distance-regular Cay(G, S) passes.  The generator
-hands its survivors to ``classify``, which decides each one exactly once;
-the scan decides its survivors itself with ``is_drg_pairmask``.
+hands its survivors to ``classify``, which decides one lead per Aut(G)
+orbit of them exactly; the scan decides its survivors itself with
+``is_drg_pairmask``.
 
 Generation (``census_generate``, what ``classify.census`` runs).  The
 distance module of a distance-regular Cayley graph over an abelian group is

@@ -175,12 +175,20 @@ def _tamper_generator(monkeypatch, add=(), drop=(), **fields):
 
 
 # pair bits over 5^1x5: 5 is connected but not distance-regular, so the exact
-# decision drops it and the report is the untampered one; 1 spans the
-# subgroup <(0,1)> only; and 135 is the lex-least set of a TD line graph
-# orbit of 15, so the next member of that orbit leads its record
+# decision drops it, or its whole orbit of 60, and the report is the
+# untampered one; 1 spans the subgroup <(0,1)> only, and so do 8 and 512 in
+# its orbit, which lead as one orbit, named by 8, the lex-least of the two;
+# and 135 is the lex-least set of a TD line graph orbit of 15, so the next
+# member of that orbit leads its record
 TAMPERED_HITS = {
     "non-drg": ((5,), (), ()),
+    "non-drg-orbit": (tuple(CL._pair_orbit(G.pair_group(5, 1), 5)), (), ()),
     "disconnected": ((1,), (), ("c2 survivor is disconnected: ['(0,1)', '(0,4)']",)),
+    "disconnected-orbit": (
+        (8, 512),
+        (),
+        ("c2 survivor is disconnected: ['(1,1)', '(4,4)']",),
+    ),
     "missing-image": (
         (),
         (135,),
@@ -199,7 +207,7 @@ def test_census_reports_tampered_hits(monkeypatch, case):
     _tamper_generator(monkeypatch, add, drop)
     report = CL.census(G.pair_group(5, 1))
     assert report.anomalies == anomalies
-    if case == "non-drg":
+    if case.startswith("non-drg"):
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["5^1x5"]
 
 
@@ -276,7 +284,7 @@ REPORT_SETS = {"3^2x3": (9, 5), "5^1x5": (57, 5)}
 @pytest.mark.parametrize("spec", sorted(REPORT_SETS))
 def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
     d = G.parse_group(spec)
-    hits, checks, funnel = CL._generate(d, 1, 1)
+    survivors, checks, funnel = CL._generate(d, 1, 1)
     made = []
 
     class Counted(C.SymmetricSet):
@@ -285,28 +293,27 @@ def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
             super().__post_init__()
 
     monkeypatch.setattr(CL, "SymmetricSet", Counted)
-    report = CL._assemble_report(d, hits, K.connected_count(d), checks, funnel)
-    assert (len(hits), report.orbit_count) == REPORT_SETS[spec]
+    report = CL._assemble_report(d, survivors, K.connected_count(d), checks, funnel)
+    assert (len(survivors), report.orbit_count) == REPORT_SETS[spec]
     assert report.anomalies == ()
     assert len(made) == len(set(made)) == report.orbit_count
     assert sorted(list(r.set_strs) for r in report.records) == sorted(
         C.SymmetricSet(d, mask).member_strs() for mask in made
     )
 
-# per group: hits, then the orbit leaders' c_2 survivors (one exact verdict
-# each in orbit mode)
+# per group: hits, then survivor orbits (one exact verdict each in both modes)
 EXACT_DECISIONS = {"3^1x3": (11, 3), "3^2x3": (9, 5), "5^1x5": (57, 5)}
 
 
 @pytest.mark.parametrize("spec", sorted(EXACT_DECISIONS))
-def test_census_decides_each_candidate_exactly_once(monkeypatch, spec):
-    """Kernel mode decides each c_2 survivor once with the library verdict
-    and never with is_drg_pairmask; so does orbit mode, whose survivors are
-    orbit leaders, and it takes the orbit of each hit leader alone."""
+def test_census_decides_each_survivor_orbit_once(monkeypatch, spec):
+    """Kernel and orbit mode decide one lead per Aut(G) orbit of their c_2
+    survivors by BFS in the report, and call neither the library verdict
+    nor is_drg_pairmask."""
     d = G.parse_group(spec)
-    hits, survivors = EXACT_DECISIONS[spec]
-    verdicts, pairmasks, orbits = [], [], []
-    library_verdict, pairmask, pair_orbit = CL._library_verdict, K.is_drg_pairmask, CL._pair_orbit
+    hits, orbits = EXACT_DECISIONS[spec]
+    verdicts, pairmasks, decided = [], [], []
+    library_verdict, pairmask, connected = CL._library_verdict, K.is_drg_pairmask, CL.is_connected
 
     def counted_verdict(desc, bits):
         verdicts.append(bits)
@@ -316,46 +323,48 @@ def test_census_decides_each_candidate_exactly_once(monkeypatch, spec):
         pairmasks.append(bits)
         return pairmask(desc, bits)
 
-    def counted_orbit(desc, bits):
-        orbits.append(bits)
-        return pair_orbit(desc, bits)
+    def counted_connected(graph):
+        decided.append(graph.connection)
+        return connected(graph)
 
     monkeypatch.setattr(CL, "_library_verdict", counted_verdict)
     monkeypatch.setattr(K, "is_drg_pairmask", counted_pairmask)
-    monkeypatch.setattr(CL, "_pair_orbit", counted_orbit)
-    assert CL.census(d).drg_sets == hits
-    assert len(verdicts) == len(set(verdicts)) == hits
-    assert pairmasks == []
-    verdicts.clear()
-    orbits.clear()
-    report = CL.census(d, scan="orbit")
-    assert report.drg_sets == hits
-    assert len(verdicts) == len(set(verdicts)) == survivors
-    assert dict((stage, count) for stage, count, _ in report.funnel)["c2"] == survivors
-    assert pairmasks == []
-    # each hit leader's orbit once to gather the hits, once more in the report
-    assert len(orbits) == 2 * report.orbit_count
+    monkeypatch.setattr(CL, "is_connected", counted_connected)
+    for scan in ("kernel", "orbit"):
+        decided.clear()
+        report = CL.census(d, scan=scan)
+        assert (report.drg_sets, report.orbit_count) == (hits, orbits)
+        assert verdicts == [] and pairmasks == []
+        # the decided leads lie in distinct orbits that hold every hit
+        canonical = [CL.orbit_canonical(sset) for sset in decided]
+        assert len(decided) == len({lead.mask for lead, _ in canonical}) == orbits
+        assert sum(size for _, size in canonical) == hits
 
 
 @pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
 def test_orbit_mode_funnel_loses_no_hit(monkeypatch, spec):
-    """The leaders the exact verdict calls distance-regular, each leader
-    decided, are the decided c_2 survivors that are hits."""
+    """The leaders the library verdict calls distance-regular, each leader
+    decided, are the leads the report's BFS calls distance-regular."""
     d = G.parse_group(spec)
     leaders = [sum(1 << j for j in leader) for leader in CL.orbit_leaders(d)]
-    expected = {bits for bits in leaders if CL._library_verdict(d, bits)[1]}
+    expected = {
+        C.SymmetricSet.from_pair_bits(d, bits).mask
+        for bits in leaders
+        if CL._library_verdict(d, bits)[1]
+    }
     decided = []
-    library_verdict = CL._library_verdict
+    check_drg = CL.check_drg
 
-    def recorded(desc, bits):
-        verdict = library_verdict(desc, bits)
-        decided.append((bits, verdict[1]))
-        return verdict
+    def recorded(graph, *args):
+        array = check_drg(graph, *args)
+        if graph.group == d:  # not an antipodal quotient
+            decided.append((graph.connection.mask, array is not None))
+        return array
 
-    monkeypatch.setattr(CL, "_library_verdict", recorded)
+    monkeypatch.setattr(CL, "check_drg", recorded)
     CL.census(d, scan="orbit")
     assert len(decided) < len(leaders)
-    assert {bits for bits, drg in decided if drg} == expected
+    assert {mask for mask, drg in decided if drg} == expected
 
 
 def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
@@ -430,7 +439,7 @@ def test_pair_permutations_rows(spec):
 def test_orbit_mode_refuses_more_than_62_pairs_before_enumerating(monkeypatch):
     d = G.pair_group(13, 1)  # 84 inverse pairs
     verdicts = []
-    monkeypatch.setattr(CL, "_library_verdict", lambda *args: verdicts.append(args))
+    monkeypatch.setattr(CL, "_assemble_report", lambda *args: verdicts.append(args))
     with pytest.raises(ValueError, match="84 inverse pairs"):
         CL.census(d, scan="orbit")
     assert verdicts == []
