@@ -14,13 +14,13 @@ records two things, each side in fresh interpreters with the program
 imported from that checkout's ``src``:
 
 - ``census``: wall time of ``census()`` per census group on both sides, and
-  of the full ``census_scan`` oracle where the side has the generator.  The
-  first call in a fresh process is reported as ``cold_s``; the median of
-  the later calls as ``warm_s``.  Each of ``CENSUS_ROUNDS`` rounds runs
-  one fresh process per side, parent first in even rounds (parent, change,
-  change, parent, ...), and the summary gives per group, for ``warm_s`` and
-  ``census_scan_s``, each side's median and quartiles over the rounds and
-  the number of rounds the change won.
+  of the full ``census_scan`` oracle.  The first call in a fresh process is
+  reported as ``cold_s``; the median of the later calls as ``warm_s``.
+  Each of ``CENSUS_ROUNDS`` rounds runs one fresh process per side, parent
+  first in even rounds (parent, change, change, parent, ...), and the
+  summary gives per group, for ``warm_s`` and ``census_scan_s``, each
+  side's median and quartiles over the rounds and the number of rounds the
+  change won.
 - ``pairs``: alternating 35 s ``perfbench/run.py`` runs of both sides
   (parent first on even pair index), ``--pairs`` pairs of the workload
   named by ``--claim`` (the one whose gain is claimed, ``census-small`` by
@@ -49,8 +49,8 @@ CENSUS_METRICS = ("warm_s", "census_scan_s")
 CENSUS_ROUNDS = 6
 HIGHER_IS_BETTER = {"sets_per_s"}
 
-# Times census() (and, where the checkout has the generator, the full
-# census_scan oracle) for each group, in one fresh interpreter per side.
+# Times census() and the full census_scan oracle for each group, in one
+# fresh interpreter per side.
 TIMER = r"""
 import json, statistics, sys, time
 from drgcayley import classify, groups, kernels
@@ -64,13 +64,12 @@ for spec in sys.argv[2:]:
         report = classify.census(desc)
         runs.append(time.perf_counter() - t0)
     entry = {"cold_s": runs[0], "warm_s": statistics.median(runs[1:]), "drg_sets": report.drg_sets}
-    if hasattr(kernels, "census_generate"):
-        scans = []
-        for _ in range(2 if spec == "7^1x7" else reps):
-            t0 = time.perf_counter()
-            kernels.census_scan(desc, 0, 1 << len(groups.inverse_pairs(desc)))
-            scans.append(time.perf_counter() - t0)
-        entry["census_scan_s"] = statistics.median(scans)
+    scans = []
+    for _ in range(2 if spec == "7^1x7" else reps):
+        t0 = time.perf_counter()
+        kernels.census_scan(desc, 0, 1 << len(groups.inverse_pairs(desc)))
+        scans.append(time.perf_counter() - t0)
+    entry["census_scan_s"] = statistics.median(scans)
     out[spec] = entry
 print(json.dumps(out))
 """
@@ -112,13 +111,9 @@ def census_rounds(sides: dict[str, Path], rounds: int, reps: int) -> dict:
         summary[spec] = {}
         for name in CENSUS_METRICS:
             by_side = {
-                side: [r["groups"][spec][name] for r in runs
-                       if r["side"] == side and name in r["groups"][spec]]
+                side: [r["groups"][spec][name] for r in runs if r["side"] == side]
                 for side in sides
             }
-            # a side without the generator times no census_scan
-            if not all(len(values) == rounds for values in by_side.values()):
-                continue
             summary[spec][name] = {
                 "parent": quartiles(by_side["parent"]),
                 "change": quartiles(by_side["change"]),

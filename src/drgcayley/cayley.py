@@ -279,15 +279,30 @@ def to_graph6(adjacency: Sequence[int]) -> str:
 
 @lru_cache(maxsize=None)
 def verify_translation_invariance(desc: GroupDescriptor) -> bool:
-    """Check (h+t) - (g+t) == h - g over the whole table, once per group.
+    """Check (h+t) - (g+t) == h - g for every h, g and t, once per group.
 
     This is what lets distance-regularity be decided from identity-rooted
     pairs alone: every translation is then a graph automorphism for every
     connection set over the group.
+
+    Column t of ``add`` is the translation h -> h + t.  Column 0 must be the
+    identity, the columns of the generators (1, 0) and (0, 1) must preserve
+    ``sub``, and each column t = (a, b) >= 1 must be one generator step
+    applied to an earlier column: to t - (0, 1) when b > 0, else to
+    t - (1, 0).  Maps that preserve differences compose, so by induction on
+    t every column preserves them.  That is O(n^2) work, where comparing
+    the whole ``sub`` table under each translation is O(n^3).
     """
     tabs = group_tables(desc)
-    for t in range(desc.order):
-        shifted = tabs.add[:, t]
-        if not np.array_equal(tabs.sub[np.ix_(shifted, shifted)], tabs.sub):
-            raise AssertionError(f"translation by {t} is not an automorphism")
+    add, sub = tabs.add, tabs.sub
+    if not np.array_equal(add[:, 0], np.arange(desc.order)):
+        raise AssertionError("translation by 0 is not the identity")
+    for g in (desc.rank(1, 0), desc.rank(0, 1)):
+        if not np.array_equal(sub[np.ix_(add[:, g], add[:, g])], sub):
+            raise AssertionError(f"translation by {g} is not an automorphism")
+    t = np.arange(1, desc.order)
+    step = np.where(t % desc.second_modulus > 0, desc.rank(0, 1), desc.rank(1, 0))
+    wrong = t[(add[add[:, t - step], step] != add[:, t]).any(axis=0)]
+    if wrong.size:
+        raise AssertionError(f"translation by {wrong[0]} is not a generator step")
     return True

@@ -51,8 +51,7 @@ from .cayley import (
     is_connected,
     iter_bits,
 )
-from .designs import td_line_srg_params
-from .drg import FamilyTag, IntersectionArray, check_drg, recognize
+from .drg import FamilyTag, IntersectionArray, check_drg, recognize, td_line_srg_params
 from .groups import (
     GroupDescriptor,
     all_subgroups,

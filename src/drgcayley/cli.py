@@ -152,7 +152,7 @@ def cmd_construct(args, out) -> int:
         _require(args, "td-line", "p", "r")
         desc = pair_group(args.p, 1)
         graph, array = classify.construct_family(desc, "td-line", r=args.r)
-        pcp = designs.pcp_enumerate(desc, args.r)[0]
+        pcp = next(designs.pcp_enumerate(desc, args.r))
         design = designs.td_from_pcp(pcp)
     elif args.family == "complete":
         _require(args, "complete", "group")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .cayley import (
     distance_partition,
     is_connected,
 )
-from .drg import IntersectionArray, SrgParams, check_drg
+from .drg import IntersectionArray, check_drg, srg_params, td_line_srg_params
 from .groups import (
     GroupDescriptor,
     Subgroup,
@@ -66,17 +67,15 @@ def _square_side(desc: GroupDescriptor) -> int:
     return v
 
 
-def pcp_enumerate(desc: GroupDescriptor, r: int) -> list[PartialCongruencePartition]:
-    """All r-sets of order-v subgroups meeting pairwise in the identity."""
+def pcp_enumerate(desc: GroupDescriptor, r: int) -> Iterator[PartialCongruencePartition]:
+    """Every r-set of order-v subgroups meeting pairwise in the identity, built
+    lazily; a non-square order is refused at the call."""
     subs = subgroups_of_order(desc, _square_side(desc))
-    out = []
-    for combo in itertools.combinations(subs, r):
-        if all(
-            (a.mask & b.mask) == 1
-            for a, b in itertools.combinations(combo, 2)
-        ):
-            out.append(PartialCongruencePartition(desc, combo))
-    return out
+    return (
+        PartialCongruencePartition(desc, combo)
+        for combo in itertools.combinations(subs, r)
+        if all((a.mask & b.mask) == 1 for a, b in itertools.combinations(combo, 2))
+    )
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,9 @@ def line_graph(pcp: PartialCongruencePartition, td: TransversalDesign) -> Cayley
     """Lines as vertices, adjacency = shared point; checked against Cayley.
 
     Lemma checked: L(TD(r, p)) is Cay(G, union of the subgroups minus
-    identity).  The map sending line {gH : H} to the group element g must
-    carry the line graph edge-for-edge onto it; a failure would be a
-    construction bug and raises.
+    identity), strongly regular with ``td_line_srg_params(r, p)``.  The map
+    sending line {gH : H} to the group element g must carry the line graph
+    edge-for-edge onto it; a failure would be a construction bug and raises.
     """
     desc = pcp.group
     n = desc.order
@@ -180,14 +179,10 @@ def line_graph(pcp: PartialCongruencePartition, td: TransversalDesign) -> Cayley
     cay = build(desc, sset)
     if any(adj[g] != cay.adjacency[g] for g in range(n)):
         raise AssertionError("line graph is not isomorphic to the Cayley graph")
+    array = check_drg(cay)
+    if array is None or srg_params(array) != td_line_srg_params(td.r, td.v):
+        raise AssertionError(f"line graph of TD({td.r}, {td.v}) has array {array}")
     return cay
-
-
-def td_line_srg_params(r: int, v: int) -> SrgParams:
-    """(v^2, r(v-1), v + r^2 - 3r, r^2 - r) by substitution."""
-    if not 2 <= r <= v:
-        raise ValueError(f"need 2 <= r <= v, got r={r}, v={v}")
-    return SrgParams(v * v, r * (v - 1), v + r * r - 3 * r, r * r - r)
 
 
 # -- difference sets ---------------------------------------------------------
@@ -233,16 +228,10 @@ def diffset_canonical(
     desc: GroupDescriptor, elements: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Lex-least image under all translations and group automorphisms."""
-    best: tuple[int, ...] | None = None
-    add = group_tables(desc).add
-    for aut in automorphism_group(desc):
-        mapped = sorted(aut.perm[e] for e in elements)
-        for t in desc.elements():
-            cand = tuple(sorted(int(add[e, t]) for e in mapped))
-            if best is None or cand < best:
-                best = cand
-    assert best is not None
-    return best
+    # images[a, i, t] = auts[a, elements[i]] + t; one sorted row per (a, t)
+    images = group_tables(desc).add[automorphism_group(desc)[:, list(elements)]]
+    rows = np.sort(images, axis=1).transpose(0, 2, 1).reshape(-1, images.shape[1])
+    return min(map(tuple, rows.tolist()))
 
 
 def diffset_search(
@@ -302,17 +291,6 @@ class BipartiteDoubleReport:
         )
 
 
-def even_index_subgroup(desc: GroupDescriptor) -> tuple[GroupDescriptor, dict[int, int]]:
-    """2Z_n + Z_2 inside Z_n + Z_2, identified with Z_{n/2} + Z_2."""
-    n = desc.first_modulus
-    sub = product_group(n // 2, 2)
-    embed = {}
-    for a in range(0, n, 2):
-        for b in range(2):
-            embed[desc.rank(a, b)] = sub.rank(a // 2, b)
-    return sub, embed
-
-
 def _require_even_order(n: int) -> None:
     if n % 2 != 0 or n < 4:
         raise ValueError("n must be even and >= 4")
@@ -344,12 +322,10 @@ def bipartite_double_check(
         desc, [desc.rank(a, 0) for a in r0] + [desc.rank(a, 1) for a in r1]
     )
     graph = build(desc, sset)
-    sub, embed = even_index_subgroup(desc)
+    # 2Z_n + Z_2 is Z_{n/2} + Z_2, and a - 1 is even: (a - 1, b) is ((a - 1) / 2, b)
+    sub = product_group(n // 2, 2)
     shifted = tuple(
-        sorted(
-            [embed[desc.rank((a - 1) % n, 0)] for a in r0]
-            + [embed[desc.rank((a - 1) % n, 1)] for a in r1]
-        )
+        sorted([sub.rank((a - 1) // 2, 0) for a in r0] + [sub.rank((a - 1) // 2, 1) for a in r1])
     )
     cert = diffset_verify(sub, shifted)
     if not is_connected(graph):

@@ -70,6 +70,13 @@ class SrgParams:
         return f"({self.n},{self.k},{self.lam},{self.mu})"
 
 
+def td_line_srg_params(r: int, v: int) -> SrgParams:
+    """(v^2, r(v-1), v + r^2 - 3r, r^2 - r), the line graph of a TD(r, v), by substitution."""
+    if not 2 <= r <= v:
+        raise ValueError(f"need 2 <= r <= v, got r={r}, v={v}")
+    return SrgParams(v * v, r * (v - 1), v + r * r - 3 * r, r * r - r)
+
+
 @dataclass(frozen=True)
 class FamilyTag:
     kind: str
@@ -154,16 +161,12 @@ def srg_params(array: IntersectionArray) -> SrgParams | None:
 
 
 def _td_line_match(p: SrgParams) -> tuple[int, int] | None:
-    """(r, v) with params == (v^2, r(v-1), v+r^2-3r, r^2-r), 2 <= r <= v."""
+    """(r, v) with params == td_line_srg_params(r, v)."""
     v = isqrt(p.n)
-    if v * v != p.n or v < 2:
-        return None
-    if p.k % (v - 1) != 0:
+    if v * v != p.n or v < 2 or p.k % (v - 1) != 0:
         return None
     r = p.k // (v - 1)
-    if not 2 <= r <= v:
-        return None
-    if p.lam == v + r * r - 3 * r and p.mu == r * r - r:
+    if 2 <= r <= v and td_line_srg_params(r, v) == p:
         return (r, v)
     return None
 

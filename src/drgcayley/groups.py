@@ -7,6 +7,10 @@ plain cyclic groups).  Elements are addressed by a fixed rank bijection
 
 so bit-vector indices are stable across runs and serialized artifacts.
 Subsets of the group are stored as Python int bitmasks over ranks.
+
+The group's tables are read-only intp arrays indexed by rank, Aut(G) among
+them: ``automorphism_group`` is one permutation table with a row per
+automorphism, and ``pair_permutations`` its action on inverse pairs.
 """
 
 from __future__ import annotations
@@ -409,19 +413,19 @@ def is_transversal(desc: GroupDescriptor, elements: Iterable[int], sub: Subgroup
 # -- automorphisms -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GroupAutomorphism:
-    group: GroupDescriptor
-    perm: tuple[int, ...]
-
-
 @lru_cache(maxsize=None)
-def automorphism_group(desc: GroupDescriptor) -> tuple[GroupAutomorphism, ...]:
-    """All automorphisms, by enumerating images of the canonical generators.
+def automorphism_group(desc: GroupDescriptor) -> np.ndarray:
+    """All automorphisms, a read-only (|Aut|, n) intp array: row r sends g to ``auts[r, g]``.
 
     The image x of (1, 0) must have order m and the image y of (0, 1) an
-    order dividing q; the induced ``linear_map`` is kept when it is a
+    order dividing q.  One ``linear_map`` call gives the homomorphism of
+    every such pair, y the outer index and x the inner, and a row is kept
+    when only rank 0 maps to 0: a homomorphism with a trivial kernel is a
     bijection.  Cyclic groups are the case q = 1, where y = 0.
+
+    The rows come out in ascending lexicographic order with no sort.
+    Entries 1 .. q-1 of a row are the multiples of y, entry 1 = y, and
+    entry q is x (for q = 1, entry 1 is x); the pairs ascend, y outer.
     """
     n = desc.order
     if n > AUT_ORDER_BOUND:
@@ -430,13 +434,12 @@ def automorphism_group(desc: GroupDescriptor) -> tuple[GroupAutomorphism, ...]:
         )
     m, q = desc.first_modulus, desc.second_modulus
     order_of = group_tables(desc).order_of
+    xs = np.flatnonzero(order_of == m)
     ys = np.flatnonzero(q % order_of == 0)
-    auts = []
-    for x in np.flatnonzero(order_of == m).tolist():
-        perms = linear_map(desc, desc, x, ys)
-        bijective = (np.sort(perms, axis=1) == np.arange(n)).all(axis=1)
-        auts.extend(GroupAutomorphism(desc, tuple(p)) for p in perms[bijective].tolist())
-    return tuple(sorted(auts, key=lambda a: a.perm))
+    maps = linear_map(desc, desc, xs, ys[:, None]).reshape(-1, n)
+    auts = maps[(maps[:, 1:] != 0).all(axis=1)]
+    auts.flags.writeable = False
+    return auts
 
 
 @lru_cache(maxsize=None)
@@ -447,10 +450,9 @@ def pair_permutations(desc: GroupDescriptor) -> np.ndarray:
     ``perms[r, j]``.  Rows are distinct and ascend lexicographically, so row 0
     is the identity.
     """
-    auts = np.array([aut.perm for aut in automorphism_group(desc)], dtype=np.intp)
     firsts = [cell[0] for cell in inverse_pairs(desc)]
     # sorted(set()) and not np.unique(axis=0), which imports numpy.ma (~17 ms)
-    images = pair_of_rank(desc)[auts[:, firsts]]
+    images = pair_of_rank(desc)[automorphism_group(desc)[:, firsts]]
     perms = np.array(sorted(set(map(tuple, images.tolist()))), dtype=np.intp)
     perms.flags.writeable = False
     return perms

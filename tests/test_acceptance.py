@@ -89,7 +89,7 @@ def test_a03_census_z5_z5():
     }
     d = G.parse_group("5^1x5")
     for r, tup in ((2, (25, 8, 3, 2)), (3, (25, 12, 5, 6)), (4, (25, 16, 9, 12))):
-        assert astuple(DS.td_line_srg_params(r, 5)) == tup
+        assert astuple(D.td_line_srg_params(r, 5)) == tup
         recs = [q for q in rep.records if q.family == f"TDLineGraph({r},5)"]
         assert len(recs) == 1
         arr = D.check_drg(C.build(d, C.SymmetricSet.parse(d, ",".join(recs[0].set_strs))))
@@ -194,13 +194,13 @@ def test_a09_designs_suite():
     for p in (3, 5, 7):
         d = G.pair_group(p, 1)
         for r in range(2, p + 1):
-            pcps = DS.pcp_enumerate(d, r)
+            pcps = list(DS.pcp_enumerate(d, r))
             assert pcps, (p, r)
             for pcp in pcps:
                 td = DS.td_from_pcp(pcp)
                 cay = DS.line_graph(pcp, td)  # raises unless it is the Cayley graph
                 arr = D.check_drg(cay)
-                assert D.srg_params(arr) == DS.td_line_srg_params(r, p)
+                assert D.srg_params(arr) == D.td_line_srg_params(r, p)
                 verified += 1
     ok("A09", f"{verified} transversal designs: line graph == Cayley graph, SRG params exact")
 

@@ -236,3 +236,81 @@ def test_parse_set_literals():
     assert s.member_strs() == ["(0,1)", "(0,2)", "(1,0)", "(2,0)"]
     z9 = G.cyclic_group(9)
     assert C.SymmetricSet.parse(z9, "1,8").members() == (1, 8)
+
+
+TRANSLATION_GROUPS = ("3^1x3", "3^2x3", "Zn:12", "12x2", "8x4")
+
+
+def _tampered(desc, add=None, sub=None):
+    """group_tables(desc) with ``add`` and/or ``sub`` replaced."""
+    tabs = G.group_tables(desc)
+    return G.GroupTables(
+        add=tabs.add if add is None else add,
+        sub=tabs.sub if sub is None else sub,
+        neg=tabs.neg,
+        order_of=tabs.order_of,
+    )
+
+
+def _verify(monkeypatch, desc, tables):
+    """Run the uncached check on ``tables`` in place of the group's own."""
+    monkeypatch.setattr(C, "group_tables", lambda d: tables)
+    return C.verify_translation_invariance.__wrapped__(desc)
+
+
+@pytest.mark.parametrize("spec", TRANSLATION_GROUPS)
+def test_translation_check_accepts_the_group_tables(monkeypatch, spec):
+    d = G.parse_group(spec)
+    assert _verify(monkeypatch, d, G.group_tables(d)) is True
+
+
+@pytest.mark.parametrize("spec", TRANSLATION_GROUPS)
+def test_translation_check_refuses_a_column_0_that_is_not_the_identity(monkeypatch, spec):
+    d = G.parse_group(spec)
+    add = G.group_tables(d).add.copy()
+    add[[1, 2], 0] = add[[2, 1], 0]
+    with pytest.raises(AssertionError, match="translation by 0 is not the identity"):
+        _verify(monkeypatch, d, _tampered(d, add=add))
+
+
+@pytest.mark.parametrize(
+    "spec,generator",
+    [(spec, (1, 0)) for spec in TRANSLATION_GROUPS]
+    + [(spec, (0, 1)) for spec in TRANSLATION_GROUPS if not spec.startswith("Zn")],
+)
+def test_translation_check_refuses_a_generator_that_breaks_differences(
+    monkeypatch, spec, generator
+):
+    """One pair swapped in a generator's column of add, and every later
+    column rebuilt from the generator steps, so that only the generator's
+    own check can see it.  (0, 1) is the identity of a cyclic group."""
+    d = G.parse_group(spec)
+    g = d.rank(*generator)
+    add = G.group_tables(d).add.copy()
+    add[[0, 1], g] = add[[1, 0], g]
+    q = d.second_modulus
+    for t in range(1, d.order):
+        step = d.rank(0, 1) if t % q else d.rank(1, 0)
+        if t != step:
+            add[:, t] = add[add[:, t - step], step]
+    with pytest.raises(AssertionError, match=f"translation by {g} is not an automorphism"):
+        _verify(monkeypatch, d, _tampered(d, add=add))
+
+
+@pytest.mark.parametrize("spec", TRANSLATION_GROUPS)
+def test_translation_check_refuses_a_swapped_pair_in_a_later_column(monkeypatch, spec):
+    d = G.parse_group(spec)
+    t = d.order - 1  # not a generator in any of these groups
+    add = G.group_tables(d).add.copy()
+    add[[0, 1], t] = add[[1, 0], t]
+    with pytest.raises(AssertionError, match=f"translation by {t} is not a generator step"):
+        _verify(monkeypatch, d, _tampered(d, add=add))
+
+
+@pytest.mark.parametrize("spec", TRANSLATION_GROUPS)
+def test_translation_check_refuses_one_wrong_difference(monkeypatch, spec):
+    d = G.parse_group(spec)
+    sub = G.group_tables(d).sub.copy()
+    sub[2, 1] = (sub[2, 1] + 1) % d.order
+    with pytest.raises(AssertionError, match="is not an automorphism"):
+        _verify(monkeypatch, d, _tampered(d, sub=sub))

@@ -44,7 +44,8 @@ def _lex_least(masks):
 def _element_orbit(sset):
     """Aut(G) images of the set as element masks, by brute force."""
     members = list(G.iter_bits(sset.mask))
-    return {G.mask_of(aut.perm[x] for x in members) for aut in G.automorphism_group(sset.group)}
+    auts = G.automorphism_group(sset.group)
+    return {G.mask_of(row) for row in auts[:, members].tolist()}
 
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "6x2"])
@@ -427,8 +428,8 @@ def test_pair_permutations_rows(spec):
     pairs = G.inverse_pairs(d)
     pair_of = {g: j for j, cell in enumerate(pairs) for g in cell}
     derived = {
-        tuple(pair_of[aut.perm[cell[0]]] for cell in pairs)
-        for aut in G.automorphism_group(d)
+        tuple(pair_of[aut[cell[0]]] for cell in pairs)
+        for aut in G.automorphism_group(d).tolist()
     }
     rows = [tuple(r) for r in np.asarray(G.pair_permutations(d)).tolist()]
     assert rows[0] == tuple(range(len(pairs)))

@@ -120,6 +120,27 @@ def test_construct_command():
     assert code == 0 and "{8;1}" in text
 
 
+@pytest.mark.parametrize("p,r", [(7, 3), (13, 6)])
+def test_construct_td_line_builds_one_pcp(monkeypatch, tmp_path, p, r):
+    """The design comes from the first PCP; the other C(p + 1, r) - 1 are never built."""
+    from drgcayley import designs
+
+    built = []
+
+    class CountingPCP(designs.PartialCongruencePartition):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(designs, "PartialCongruencePartition", CountingPCP)
+    design = tmp_path / "d.json"
+    args = ["construct", "--family", "td-line", "--p", str(p), "--r", str(r)]
+    code, _ = run(args + ["--design-out", str(design)])
+    assert code == 0
+    assert len(built) == 1
+    assert json.loads(design.read_text())["r"] == r
+
+
 def test_design_out_outside_td_line_writes_nothing(tmp_path):
     edges, design = tmp_path / "e.txt", tmp_path / "d.json"
     code, text = run(

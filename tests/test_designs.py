@@ -1,4 +1,5 @@
 import itertools
+import random
 from dataclasses import astuple
 
 import pytest
@@ -11,7 +12,7 @@ from drgcayley import groups as G
 
 @pytest.mark.parametrize("p,r,count", [(3, 2, 6), (5, 3, 20), (3, 5, 0)])
 def test_pcp_counts(p, r, count):
-    assert len(DS.pcp_enumerate(G.pair_group(p, 1), r)) == count
+    assert len(list(DS.pcp_enumerate(G.pair_group(p, 1), r))) == count
 
 
 def test_pcp_requires_square_order():
@@ -21,11 +22,11 @@ def test_pcp_requires_square_order():
 
 def test_td_from_pcp_shapes_and_axioms():
     d = G.pair_group(3, 1)
-    td = DS.td_from_pcp(DS.pcp_enumerate(d, 2)[0])
+    td = DS.td_from_pcp(next(DS.pcp_enumerate(d, 2)))
     assert len(td.points) == 6 and len(td.lines) == 9
     td.validate()
     d5 = G.pair_group(5, 1)
-    td35 = DS.td_from_pcp(DS.pcp_enumerate(d5, 3)[0])
+    td35 = DS.td_from_pcp(next(DS.pcp_enumerate(d5, 3)))
     assert len(td35.points) == 15 and len(td35.lines) == 25
     # every line meets every class exactly once
     for line in td35.lines:
@@ -35,7 +36,7 @@ def test_td_from_pcp_shapes_and_axioms():
 
 def test_td_rejects_degenerate_degree():
     d = G.pair_group(3, 1)
-    full = DS.pcp_enumerate(d, 4)
+    full = list(DS.pcp_enumerate(d, 4))
     assert len(full) == 1
     with pytest.raises(ValueError):
         DS.td_from_pcp(full[0])
@@ -44,16 +45,16 @@ def test_td_rejects_degenerate_degree():
 @pytest.mark.parametrize("p,r", [(3, 2), (3, 3), (5, 2), (5, 3), (5, 4), (5, 5)])
 def test_line_graph_matches_formula_and_cayley(p, r):
     d = G.pair_group(p, 1)
-    pcp = DS.pcp_enumerate(d, r)[0]
+    pcp = next(DS.pcp_enumerate(d, r))
     td = DS.td_from_pcp(pcp)
     cay = DS.line_graph(pcp, td)  # raises unless the line graph is the Cayley graph
     arr = D.check_drg(cay)
-    assert D.srg_params(arr) == DS.td_line_srg_params(r, p)
+    assert D.srg_params(arr) == D.td_line_srg_params(r, p)
 
 
 def test_td_p_by_p_is_complete_multipartite():
     d = G.pair_group(3, 1)
-    pcp = DS.pcp_enumerate(d, 3)[0]
+    pcp = next(DS.pcp_enumerate(d, 3))
     td = DS.td_from_pcp(pcp)
     cay = DS.line_graph(pcp, td)
     arr = D.check_drg(cay)
@@ -61,14 +62,14 @@ def test_td_p_by_p_is_complete_multipartite():
 
 
 def test_td_line_srg_params_values():
-    assert astuple(DS.td_line_srg_params(2, 3)) == (9, 4, 1, 2)
-    assert astuple(DS.td_line_srg_params(4, 5)) == (25, 16, 9, 12)
+    assert astuple(D.td_line_srg_params(2, 3)) == (9, 4, 1, 2)
+    assert astuple(D.td_line_srg_params(4, 5)) == (25, 16, 9, 12)
     # r = 2 is the lattice-graph row of the parameter family
     for v in (3, 5, 7):
-        n, k, lam, mu = astuple(DS.td_line_srg_params(2, v))
+        n, k, lam, mu = astuple(D.td_line_srg_params(2, v))
         assert (n, k, lam, mu) == (v * v, 2 * (v - 1), v - 2, 2)
     with pytest.raises(ValueError):
-        DS.td_line_srg_params(1, 5)
+        D.td_line_srg_params(1, 5)
 
 
 def test_diffset_verify_examples():
@@ -97,6 +98,22 @@ def test_diffset_search_fano_family():
     assert cert.elements in target_orbit
 
 
+@pytest.mark.parametrize("spec", ["Zn:7", "4x2", "8x2", "3^1x3", "Zn:21"])
+def test_diffset_canonical_is_the_least_image(spec):
+    """The lex-least sorted image over every automorphism and translation, by loops."""
+    d = G.parse_group(spec)
+    add = G.group_tables(d).add
+    rng = random.Random(spec)
+    for _ in range(8):
+        elements = tuple(sorted(rng.sample(range(d.order), rng.randint(1, d.order))))
+        least = min(
+            tuple(sorted(int(add[aut[e], t]) for e in elements))
+            for aut in G.automorphism_group(d).tolist()
+            for t in d.elements()
+        )
+        assert DS.diffset_canonical(d, elements) == least
+
+
 def test_diffset_search_empty_and_budget():
     z9 = G.cyclic_group(9)
     assert DS.diffset_search(z9, 3) == []
@@ -123,8 +140,8 @@ def test_diffset_search_z8z2_census():
     covered = set()
     add = G.group_tables(d).add
     for cert in found:
-        for aut in G.automorphism_group(d):
-            mapped = [aut.perm[e] for e in cert.elements]
+        for aut in G.automorphism_group(d).tolist():
+            mapped = [aut[e] for e in cert.elements]
             for t in d.elements():
                 covered.add(tuple(sorted(int(add[e, t]) for e in mapped)))
     assert covered == all_flat

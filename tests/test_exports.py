@@ -116,7 +116,8 @@ LEMMA_CHECKERS = {
         "the transform of a transversal of rZ_n vanishes on (n/r)Z_n minus 0"
     ),
     "designs.line_graph": (
-        "the line graph of TD(r, p) is Cay(G, union of r order-p subgroups minus 0)"
+        "the line graph of TD(r, p) is Cay(G, union of r order-p subgroups minus 0), "
+        "strongly regular with drg.td_line_srg_params(r, p)"
     ),
     "designs.diffset_search": (
         "the double-layer graph over Z_n + Z_2 is a non-antipodal diameter-3 DRG exactly "

@@ -2,6 +2,7 @@ import itertools
 import random
 from math import gcd
 
+import numpy as np
 import pytest
 
 from drgcayley import groups as G
@@ -177,13 +178,13 @@ def test_automorphism_counts():
 
 def test_automorphisms_are_closed_and_contain_identity():
     d = G.pair_group(3, 2)
-    auts = G.automorphism_group(d)
-    perms = {a.perm for a in auts}
+    auts = G.automorphism_group(d).tolist()
+    perms = set(map(tuple, auts))
     assert tuple(d.elements()) in perms
     rng = random.Random(5)
     for _ in range(25):
         f, g = rng.choice(auts), rng.choice(auts)
-        composed = tuple(f.perm[g.perm[x]] for x in d.elements())
+        composed = tuple(f[g[x]] for x in d.elements())
         assert composed in perms
 
 
@@ -191,12 +192,78 @@ def test_automorphisms_preserve_structure():
     d = G.pair_group(3, 2)
     sub_masks = {h.mask: h.order for h in G.all_subgroups(d)}
     atom_masks = {sum(1 << g for g in c) for c in G.atom_partition(d)}
-    for aut in G.automorphism_group(d)[:30]:
+    for aut in G.automorphism_group(d)[:30].tolist():
         for mask, order in sub_masks.items():
-            image = G.mask_of(aut.perm[x] for x in G.iter_bits(mask))
+            image = G.mask_of(aut[x] for x in G.iter_bits(mask))
             assert image in sub_masks and sub_masks[image] == order
         for mask in atom_masks:
-            assert G.mask_of(aut.perm[x] for x in G.iter_bits(mask)) in atom_masks
+            assert G.mask_of(aut[x] for x in G.iter_bits(mask)) in atom_masks
+
+
+AUT_GROUPS = (
+    "3^1x3", "3^2x3", "5^1x5", "7^1x7", "3^3x3", "5^2x5", "11^1x11",
+    "Zn:9", "Zn:12", "6x2", "12x2", "8x4", "Zn:1",
+)
+
+
+def _commutes_with_generators(desc, maps, x, y):
+    """Whether each map f (last axis) has f(g + (1, 0)) = f(g) + x and
+    f(g + (0, 1)) = f(g) + y for every g, by the add table.  With f(0) = 0
+    this makes f the homomorphism sending (1, 0) to x and (0, 1) to y."""
+    add = G.group_tables(desc).add
+    ok = maps[..., 0] == 0
+    for gen, image in ((desc.rank(1, 0), x), (desc.rank(0, 1), y)):
+        ok &= (maps[..., add[:, gen]] == add[maps, np.asarray(image)[..., None]]).all(axis=-1)
+    return ok
+
+
+def _is_bijective(desc, maps):
+    return (np.sort(maps, axis=-1) == np.arange(desc.order)).all(axis=-1)
+
+
+@pytest.mark.parametrize("spec", AUT_GROUPS)
+def test_automorphism_table_is_read_only_and_strictly_ascending(spec):
+    d = G.parse_group(spec)
+    auts = G.automorphism_group(d)
+    assert auts.dtype == np.intp and auts.ndim == 2 and auts.shape[1] == d.order
+    assert not auts.flags.writeable
+    with pytest.raises(ValueError):
+        auts[0, 0] = 0
+    # at the first entry where neighbouring rows differ, the later row is larger
+    differ = auts[1:] != auts[:-1]
+    assert differ.any(axis=1).all()
+    first = differ.argmax(axis=1)
+    rows = np.arange(len(first))
+    assert (auts[1:][rows, first] > auts[:-1][rows, first]).all()
+
+
+@pytest.mark.parametrize("spec", AUT_GROUPS)
+def test_automorphism_rows_are_bijective_homomorphisms(spec):
+    d = G.parse_group(spec)
+    auts = G.automorphism_group(d)
+    assert _is_bijective(d, auts).all()
+    x, y = auts[:, d.rank(1, 0)], auts[:, d.rank(0, 1)]
+    assert _commutes_with_generators(d, auts, x, y).all()
+
+
+@pytest.mark.parametrize("spec", AUT_GROUPS)
+def test_automorphism_count_matches_brute_force(spec):
+    """Every (x, y) in G x G, its map (a, b) -> a x + b y formed by
+    repeated addition on the add table; no element order is read."""
+    d = G.parse_group(spec)
+    n = d.order
+    add = G.group_tables(d).add
+    multiples = [np.zeros(n, dtype=np.intp)]  # multiples[k][x] = k x
+    for _ in range(d.first_modulus):
+        multiples.append(add[multiples[-1], np.arange(n)])
+    multiples = np.array(multiples)
+    a, b = np.divmod(np.arange(n), d.second_modulus)
+    elements = np.arange(n)
+    # maps[x, y, g] = a(g) x + b(g) y
+    maps = add[multiples[a].T[:, None, :], multiples[b].T[None, :, :]]
+    x, y = elements[:, None], elements[None, :]
+    count = (_commutes_with_generators(d, maps, x, y) & _is_bijective(d, maps)).sum()
+    assert len(G.automorphism_group(d)) == count
 
 
 def test_automorphism_bound_error():

@@ -359,7 +359,7 @@ def test_coset_keys_and_transversals_match_cosets(spec, data):
 def test_cyclic_automorphisms_are_the_unit_multipliers(n):
     units = [u for u in range(n) if gcd(u, n) == 1]  # gcd(0, 1) = 1 keeps Zn:1
     want = {tuple(u * x % n for x in range(n)) for u in units}
-    got = [aut.perm for aut in G.automorphism_group(G.cyclic_group(n))]
+    got = [tuple(row) for row in G.automorphism_group(G.cyclic_group(n)).tolist()]
     assert len(got) == len(want)
     assert set(got) == want
 
