@@ -1,33 +1,38 @@
 """Exhaustive, automorphism-aware census of distance-regular connection sets.
 
 A census candidate is a pair-bits int: bit j selects inverse pair j of
-``groups.inverse_pairs``.  Three enumerations hand the sets they pass to the
-report as pair bits.  The default, ``scan="kernel"``, generates only the
-sets that Schur's multiplier theorem allows and filters them
-(``kernels.census_generate``; the connected count is a Moebius sum over
-the subgroup lattice) and passes its c_2 survivors.  ``scan="library"``
-decides all 2^P subsets with the exact library check and passes its hits.
-``scan="orbit"`` takes one lex-leader per Aut(G) orbit, passes the leaders
-through the generator's funnel (``kernels.word_funnel``) and passes the
-whole orbit of each c_2 survivor; the connected count is the kernel mode's
-Moebius sum.  The exhaustive ``kernels.census_scan`` stays outside
-``census`` as the oracle the tests hold the generator to.
+``groups.inverse_pairs``.  Since sigma in Aut(G) gives Cay(G, S) =
+Cay(G, sigma(S)), kernel and orbit mode enumerate one set per Aut(G) orbit,
+with one DFS, ``orbit_leaders``, on *layers* (``kernels.Layer``): pair-word
+points in blocks, a set taking at most one point per block and ``after[t]``
+the first point that may follow point t.  Kernel mode's layers are the
+multiplier layers, H-orbits in M-orbit blocks; orbit mode's one layer has
+every pair as a point and a block.  Aut(G) commutes with the multipliers,
+so it maps each layer onto itself and permutes its points (``kernels``
+docstring).  ``orbit_count`` counts a layer's orbits by Burnside's lemma
+before the DFS runs; ``orbit_budget`` bounds that count, and the leaders
+must number exactly it.  The leaders pass one filter funnel
+(``kernels.word_funnel``), and the whole orbit of each c_2 survivor goes to
+the report; the connected count is a Moebius sum over the subgroup lattice.
+``scan="library"`` decides all 2^P subsets with the exact library check and
+passes its hits.  The exhaustive ``kernels.census_scan`` stays outside
+``census`` as the oracle the tests hold the enumeration to.
 
 The report groups the sets it is given into Aut(G) orbits under the pair
-action ``groups.pair_permutations``, as pair bits.  Since sigma in Aut(G)
-gives Cay(G, S) = Cay(G, sigma(S)), connectivity, distance-regularity and
-every field of a record are orbit invariants.  So only the lead of each
-orbit, its lex-least member present, is built as a ``SymmetricSet`` and
-decided, by one BFS, and the lead of each distance-regular orbit is
-classified with that same graph: its family is tagged, the Schur ring route
-and the antipodal quotient cross-checked, and the result reconciled against
-the expected family list.  Anything outside that list is an anomaly and
-fails the run.
+action ``groups.pair_permutations``, as pair bits.  Connectivity,
+distance-regularity and every field of a record are orbit invariants.  So
+only the lead of each orbit, its lex-least member present, is built as a
+``SymmetricSet`` and decided, by one BFS, and the lead of each
+distance-regular orbit is classified with that same graph: its family is
+tagged, the Schur ring route and the antipodal quotient cross-checked, and
+the result reconciled against the expected family list.  Anything outside
+that list is an anomaly and fails the run.
 
 Every orbit computation is a gather on, or a matmul with, that one (k, P)
-table.  The lex rule: among sets with equally many pairs, the lex-least
-sorted pair tuple holds the lowest pair where two sets differ, so it has the
-largest reversed word (pair j at bit P - 1 - j).  Words are int64, so P > 62 is refused.
+table.  The lex rule: among sets with equally many pairs (or points), the
+lex-least sorted tuple holds the lowest index where two sets differ, so it
+has the largest reversed word (index j at bit P - 1 - j).  Words are int64,
+so P > 62 is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ import json
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
+from functools import lru_cache
 from typing import Iterator
 
 import numpy as np
@@ -60,34 +65,25 @@ from .groups import (
     subgroups_of_order,
 )
 from .kernels import (
-    BATCH,
     FUNNEL_STAGES,
-    candidate_count,
-    census_generate,
+    Layer,
     connected_count,
+    multiplier_layers,
+    pair_layer,
+    scan_context,
     word_funnel,
 )
 from .structure import is_antipodal, is_bipartite, quotient_by_subgroup
 
 
 class CensusBudgetError(RuntimeError):
-    """Enumeration would exceed the census budget, MAX_PAIRS inverse pairs."""
+    """Enumeration would exceed the census budget: more than MAX_PAIRS inverse
+    pairs in kernel or library mode, or more Aut(G) orbits of layer sets than
+    the orbit budget in kernel or orbit mode."""
 
 
 MAX_PAIRS = 24  # groups with more inverse pairs are refused
 DEFAULT_ORBIT_BUDGET = 2_000_000
-
-
-def _pair_action(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """``pair_permutations`` and its reversed-word bits (entry j as bit P - 1 - j).
-
-    Words are int64, so groups with more than 62 inverse pairs are refused.
-    """
-    perms = pair_permutations(desc)
-    P = perms.shape[1]
-    if P > 62:
-        raise ValueError(f"{desc.spec()} has {P} inverse pairs; pair words hold 62")
-    return perms, 1 << (P - 1 - perms)
 
 
 def _pair_orbit(desc: GroupDescriptor, bits: int) -> set[int]:
@@ -104,7 +100,8 @@ def orbit_canonical(sset: SymmetricSet) -> tuple[SymmetricSet, int]:
     lex-least element-rank tuple.
     """
     desc = sset.group
-    perms, rev = _pair_action(desc)
+    perms = pair_layer(desc).action
+    rev = 1 << (perms.shape[1] - 1 - perms)
     members = [j for j, cell in enumerate(inverse_pairs(desc)) if sset.mask >> cell[0] & 1]
     words = rev[:, members].sum(axis=1)
     best = perms[words.argmax(), members]
@@ -183,12 +180,13 @@ def _require_census_group(desc: GroupDescriptor) -> None:
 
 
 def _split_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
-    if partitions < 1:
-        raise ValueError("partitions must be >= 1")
-    return [
-        (total * i // partitions, total * (i + 1) // partitions)
-        for i in range(partitions)
-    ]
+    """The nonempty ones of ``partitions`` equal index ranges of [0, total).
+
+    Past ``total`` partitions every range holds at most one index, so the
+    nonempty ones are the ``total`` single indices.
+    """
+    parts = min(partitions, total)
+    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
 def _library_verdict(desc: GroupDescriptor, bits: int) -> tuple[bool, bool]:
@@ -348,34 +346,116 @@ def _assemble_report(
     )
 
 
-def _generate(
-    desc: GroupDescriptor, partitions: int, threads: int
-) -> tuple[list[int], list[str], list[tuple[str, int, float]]]:
-    """c_2 survivors, generator checks and funnel of the multiplier-class generator.
+def orbit_leaders(layer: Layer) -> Iterator[tuple[int, ...]]:
+    """The lex-least point tuple of every Aut(G) orbit of nonempty layer sets.
 
-    ``partitions`` splits the generator's ``candidate_count`` indices.
-    Together the parts must produce exactly that many words, all distinct.
+    Orderly generation (Read, *Every one a winner*, 1978): a lex-least
+    sorted tuple stays lex-least after its largest point is removed, so the
+    search only ever extends leaders, by a point at or past ``after`` of the
+    last one, and emits every orbit exactly once.  All children of a leader
+    are tested at once: row 0 of the action is the identity, so a child
+    leads when no row's reversed word (point t as bit L - 1 - t) beats row 0's.
     """
-    expected = candidate_count(desc)
-    ranges = _split_ranges(expected, partitions)
+    rev = 1 << (len(layer.words) - 1 - layer.action)
+    after = layer.after.tolist()
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        leader = stack.pop()
+        if leader:
+            yield leader
+        start = after[leader[-1]] if leader else 0
+        words = rev[:, list(leader)].sum(axis=1)[:, None] + rev[:, start:]
+        leads = np.flatnonzero((words <= words[0]).all(axis=0)) + start
+        stack.extend(leader + (t,) for t in reversed(leads.tolist()))
+
+
+@lru_cache(maxsize=None)
+def orbit_count(layer: Layer) -> int:
+    """How many Aut(G) orbits the nonempty layer sets form, by Burnside's lemma.
+
+    A set is fixed by sigma when it is chosen per sigma-cycle of blocks: a
+    cycle of length l through block B either holds no point or holds x in B
+    with sigma^l x = x, and the points sigma x, ..., sigma^(l-1) x in the
+    rest of the cycle.  So sigma fixes prod over cycles of (1 + #{x in B :
+    sigma^l x = x}) sets, the empty one included, and the count is the mean
+    of that less 1 over the rows of the action.
+    """
+    after = layer.after.tolist()
+    starts = sorted({0, *after})[:-1]  # a block is range(start, after[start])
+    fixed = 0
+    for row in layer.action.tolist():
+        seen: set[int] = set()  # blocks, by their after, on a cycle already counted
+        sets = 1
+        for start in starts:
+            end = after[start]
+            if end in seen:
+                continue
+            x, length = row[start], 1
+            while after[x] != end:
+                seen.add(after[x])
+                x, length = row[x], length + 1
+            count = 0
+            for y in range(start, end):
+                z = y
+                for _ in range(length):
+                    z = row[z]
+                count += z == y
+            sets *= 1 + count
+        fixed += sets - 1
+    return fixed // len(layer.action)
+
+
+def _census_leaders(
+    desc: GroupDescriptor, scan: str, partitions: int, threads: int, budget: int
+) -> CensusReport:
+    """Kernel and orbit mode: the orbit leaders of the mode's layers pass
+    ``word_funnel``, and each c_2 survivor's whole orbit goes to the report,
+    which decides it.
+
+    The ``aut`` stage times the one-off builds: Aut(G) and its action on the
+    layers, the scan context and the layers' Burnside count, which the
+    budget bounds before any leader is made.  The leaders must number
+    exactly that count.  They split into ``partitions`` index ranges, one
+    funnel call per nonempty range, run on ``threads`` threads.  The
+    connected count is the Moebius sum ``connected_count``.
+    """
+    tick = time.perf_counter()
+    layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
+    scan_context(desc)
+    expected = sum(orbit_count(layer) for layer in layers)
+    funnel = [("aut", expected, time.perf_counter() - tick)]
+    if expected > budget:
+        raise CensusBudgetError(f"{expected} Aut(G) orbits exceed the orbit budget of {budget}")
+    tick = time.perf_counter()
+    leaders = []
+    for layer in layers:
+        points = layer.words.tolist()
+        leaders += [sum(points[t] for t in leader) for leader in orbit_leaders(layer)]
+    words = np.array(leaders, dtype=np.int64)
+    funnel.append(("leaders", len(words), time.perf_counter() - tick))
+    checks = []
+    if len(words) != expected:
+        checks.append(f"enumeration produced {len(words)} of {expected} orbit leaders")
+    ranges = _split_ranges(len(words), partitions)
+
+    def run(bounds: tuple[int, int]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        return word_funnel(desc, words[bounds[0]:bounds[1]])
+
     if threads > 1 and len(ranges) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda rg: census_generate(desc, rg[0], rg[1]), ranges))
+            results = list(pool.map(run, ranges))
     else:
-        results = [census_generate(desc, lo, hi) for lo, hi in ranges]
-    checks = []
-    words = np.concatenate([res.words for res in results])
-    if len(words) != expected:
-        checks.append(f"generator produced {len(words)} of {expected} candidates")
-    repeats = len(words) - len(np.unique(words))
-    if repeats:
-        checks.append(f"generator repeated {repeats} candidate words")
-    funnel = [
-        (rows[0][0], sum(row[1] for row in rows), sum(row[2] for row in rows))
-        for rows in zip(*(res.funnel for res in results))
+        results = [run(bounds) for bounds in ranges]
+    seconds = sum((stage_s for _, stage_s in results), np.zeros(len(FUNNEL_STAGES)))
+    for i, (stage, stage_s) in enumerate(zip(FUNNEL_STAGES, seconds.tolist())):
+        funnel.append((stage, sum(len(passed[i]) for passed, _ in results), stage_s))
+    images = [
+        image
+        for passed, _ in results
+        for bits in passed[-1].tolist()
+        for image in _pair_orbit(desc, bits)
     ]
-    survivors = np.concatenate([res.survivors for res in results])
-    return sorted(survivors.tolist()), checks, funnel
+    return _assemble_report(desc, images, connected_count(desc), checks, funnel)
 
 
 def census(
@@ -388,27 +468,27 @@ def census(
 ) -> CensusReport:
     """Find every distance-regular connection set, classify hits, reconcile families.
 
-    scan="kernel" generates the multiplier classes and filters them
-    (``kernels.census_generate``); scan="library" runs the full exact check
-    on every one of the 2^P subsets with no pruning; scan="orbit" passes one
-    lex-leader per Aut(G) orbit through the same filters and expands each
-    survivor's orbit.  The report then decides one lead per orbit of what
-    the enumeration passed.  All three give the same report bytes.
+    scan="kernel" takes one lex-leader per Aut(G) orbit of each multiplier
+    layer (``kernels.multiplier_layers``), scan="orbit" one per Aut(G)
+    orbit of all pair-subsets (``kernels.pair_layer``); both pass the
+    leaders through one filter funnel and expand each survivor's orbit.
+    scan="library" runs the full exact check on every one of the 2^P
+    subsets with no pruning.  The report then decides one lead per orbit
+    of what the enumeration passed.  All three give the same report bytes.
     The report's ``funnel`` holds the count and seconds of each stage run;
     library mode's exhaustive loop is not a stage, so its funnel is the
     report's hits and orbits.
     """
     _require_census_group(desc)
-    if scan == "orbit":
-        return _census_orbit_first(desc, orbit_budget)
-    P = len(inverse_pairs(desc))
-    if P > MAX_PAIRS:
-        raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {MAX_PAIRS}")
-    if scan == "kernel":
-        survivors, checks, funnel = _generate(desc, partitions, threads)
-        return _assemble_report(desc, survivors, connected_count(desc), checks, funnel)
-    if scan != "library":
+    if partitions < 1:
+        raise ValueError("partitions must be >= 1")
+    if scan not in ("kernel", "orbit", "library"):
         raise ValueError(f"unknown scan mode {scan!r}")
+    P = len(inverse_pairs(desc))
+    if scan != "orbit" and P > MAX_PAIRS:
+        raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {MAX_PAIRS}")
+    if scan != "library":
+        return _census_leaders(desc, scan, partitions, threads, orbit_budget)
     hits = []
     connected = 0
     for lo, hi in _split_ranges(1 << P, partitions):
@@ -418,66 +498,6 @@ def census(
             if drg:
                 hits.append(bits)
     return _assemble_report(desc, hits, connected, [], [])
-
-
-# -- orbit-first enumeration (experimental) ----------------------------------
-
-
-def orbit_leaders(
-    desc: GroupDescriptor, budget: int = DEFAULT_ORBIT_BUDGET
-) -> Iterator[tuple[int, ...]]:
-    """Lex-least pair-subset orbit representatives, by guided DFS.
-
-    A sorted-tuple lex-minimal representative stays minimal after removing
-    its largest element, so the search only ever extends leaders; every
-    orbit is emitted exactly once.  All children of a leader are tested at
-    once: row 0 of the pair action is the identity, so a child leads when no
-    row's reversed word beats row 0's.  Raises past the visit budget.
-    """
-    rev = _pair_action(desc)[1]
-    visited = 0
-    stack: list[tuple[int, ...]] = [()]
-    while stack:
-        leader = stack.pop()
-        visited += 1
-        if visited > budget:
-            raise CensusBudgetError(f"orbit enumeration exceeded budget {budget}")
-        yield leader
-        start = leader[-1] + 1 if leader else 0
-        words = rev[:, list(leader)].sum(axis=1)[:, None] + rev[:, start:]
-        leads = np.flatnonzero((words <= words[0]).all(axis=0)) + start
-        stack.extend(leader + (t,) for t in reversed(leads.tolist()))
-
-
-def _census_orbit_first(desc: GroupDescriptor, budget: int) -> CensusReport:
-    """Orbit mode: the leaders pass ``word_funnel`` BATCH at a time, and each
-    c_2 survivor's whole orbit goes to the report, which decides it.
-
-    The connected count is the kernel mode's, ``connected_count``.  The
-    first slice of leaders streams in before ``word_funnel`` asks for
-    ``scan_context``, so a visit budget below BATCH is met first.
-    """
-    leaders = orbit_leaders(desc, budget)
-    counts = np.zeros(1 + len(FUNNEL_STAGES), dtype=np.int64)
-    seconds = np.zeros(1 + len(FUNNEL_STAGES))
-    survivors = []
-    while True:
-        tick = time.perf_counter()
-        words = np.array(
-            [sum(1 << j for j in leader) for leader in islice(leaders, BATCH)], dtype=np.int64
-        )
-        seconds[0] += time.perf_counter() - tick
-        if not len(words):
-            break
-        passed, stage_s = word_funnel(desc, words)
-        counts += [len(words)] + [len(stage) for stage in passed]
-        seconds[1:] += stage_s
-        survivors.append(passed[-1])
-    funnel = list(zip(("leaders",) + FUNNEL_STAGES, counts.tolist(), seconds.tolist()))
-    images = [
-        image for bits in np.concatenate(survivors).tolist() for image in _pair_orbit(desc, bits)
-    ]
-    return _assemble_report(desc, images, connected_count(desc), [], funnel)
 
 
 # -- family constructors -----------------------------------------------------

@@ -1,13 +1,13 @@
-"""Census kernels: multiplier-class generation, with the exhaustive scan as its oracle.
+"""Census kernels: multiplier layers, the filter funnel and the exhaustive oracle scan.
 
 Both paths narrow the inverse-pair subsets S of G = Z_{p^s} + Z_p (bit j
 selects pair j of ``groups.inverse_pairs``) with word-level numpy filters
-that every connected distance-regular Cay(G, S) passes.  The generator
-hands its survivors to ``classify``, which decides one lead per Aut(G)
-orbit of them exactly; the scan decides its survivors itself with
+that every connected distance-regular Cay(G, S) passes.  The census hands
+the survivors to ``classify``, which decides one lead per Aut(G) orbit of
+them exactly; the scan decides its survivors itself with
 ``is_drg_pairmask``.
 
-Generation (``census_generate``, what ``classify.census`` runs).  The
+Generation (``multiplier_layers``, what ``classify.census`` runs).  The
 distance module of a distance-regular Cayley graph over an abelian group is
 a Schur ring, so by Schur's multiplier theorem (Schur 1933; Wielandt,
 *Finite Permutation Groups*, Thm 23.9) S^(u) = S or S^(u) & S = 0 for every
@@ -21,14 +21,24 @@ exactly when every chosen pair x has Stab_M(x) <= H: u x lies in x H
 exactly when u is in Stab_M(x) H.  M is cyclic, so with t = [M : H] that is
 a test on each M-orbit O alone, t divides |O|, and such an O splits into
 exactly t H-orbits.  So the layer of H keeps the k M-orbits that pass, and
-each contributes one digit with 1 + t values: nothing, or one of its t
-H-orbits.  The layer is the nonzero base-(1 + t) numbers with k digits, and
-every one of its (1 + t)^k - 1 indices is a candidate: the nonzero sets with
-the multiplier property, each produced once, under its own stabilizer.
-``candidate_count`` is the sum of these closed forms over H <= M.
+its nonempty sets take nothing or one of the t H-orbits from each:
+(1 + t)^k - 1 sets with the multiplier property, each under its own
+stabilizer.
 
-The candidates then pass one vectorized funnel, ``word_funnel``, which
-``classify`` also runs on the Aut(G) orbit leaders of its orbit mode:
+A ``Layer`` holds this as points and blocks: its points are the H-orbits,
+listed M-orbit by M-orbit, each as a pair word, and ``after[t]``, the first
+point of the next M-orbit, is the first point a set may take after point
+t, so that a set takes at most one point per M-orbit.  Every sigma in
+Aut(G) commutes with the multipliers, so it maps M-orbits and H-orbits onto
+M-orbits and H-orbits, with Stab_M(sigma x) = Stab_M(x): each layer is
+Aut(G)-invariant, and ``action`` holds each row of
+``groups.pair_permutations`` as a permutation of the points.  Orbit mode's
+``pair_layer`` is the layer of all P pairs, one point and one block each.
+``classify.orbit_leaders`` walks one lex-leader per Aut(G) orbit of a
+layer's nonempty sets, and ``classify.orbit_count`` counts those orbits by
+Burnside's lemma.
+
+The leaders then pass one vectorized funnel, ``word_funnel``:
 connected (S meets the complement of every maximal subgroup; a pair lies
 wholly inside or wholly outside a subgroup, so this is a test on the pair
 bits); lambda(g) = |S & (g + S)| constant on S; and c_2 constant.  For g
@@ -36,8 +46,9 @@ outside S and 0, lambda(g) > 0 exactly when g is at distance 2, and
 lambda(g) then counts its common neighbours with 0, which a
 distance-regular graph holds at c_2 (Brouwer-Cohen-Neumaier 1989).  Both
 constancy tests are the Cauchy-Schwarz equality s0 * s2 == s1^2 over the
-selected pairs (s_k = sum of lambda^k).  ``connected_count`` counts the
-connected sets without enumerating them, by Moebius inversion over the
+selected pairs (s_k = sum of lambda^k).  Every test is an Aut(G)
+invariant, so a leader stands for its orbit.  ``connected_count`` counts
+the connected sets without enumerating them, by Moebius inversion over the
 subgroup lattice.
 
 The scan (``census_scan``, the exhaustive oracle) walks all 2^P subsets in
@@ -110,8 +121,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
-from typing import NamedTuple
 
 import numpy as np
 
@@ -124,6 +133,7 @@ from .groups import (
     linear_map,
     maximal_subgroup_masks,
     pair_of_rank,
+    pair_permutations,
 )
 
 # Subsets per lambda step and per Gray batch (module docstring).  At this
@@ -339,75 +349,65 @@ def _orbits(perms: np.ndarray, members) -> list[list[int]]:
     return orbits
 
 
-class MultiplierLayer(NamedTuple):
-    """The candidates whose stabilizer in M is one subgroup H, of index t.
+@dataclass(frozen=True, eq=False)
+class Layer:
+    """Points, each a pair word, and the Aut(G) action on them (module docstring).
 
-    One int64 table per M-orbit O whose pairs x have Stab_M(x) <= H (t
-    divides |O|): entry 0 is the empty word and entry i the
-    word of the i-th H-orbit in O, 1 + t entries in all.  Layer index i
-    decodes to one entry per table, the mixed-radix digits of i + 1, first
-    table lowest, so every index gives a distinct nonzero word.
+    A layer set takes at most one point per block, a run of consecutive
+    points; ``after[t]`` is the first point of the block after t's.  Layers
+    compare and hash by identity, so that a cached count is kept per layer.
     """
 
-    cosets: int  # t = [M : H]
-    tables: tuple[np.ndarray, ...]
+    words: np.ndarray  # int64 (L,): the pair word of each point
+    action: np.ndarray  # intp (k, L): row r of pair_permutations on the points
+    after: np.ndarray  # intp (L,): the first point that may follow point t
 
-    @property
-    def count(self) -> int:
-        return prod(len(table) for table in self.tables) - 1
 
-    def decode(self, idx: np.ndarray) -> np.ndarray:
-        """The words at layer indices ``idx``."""
-        idx = idx + 1
-        out = np.zeros(len(idx), dtype=np.int64)
-        for table in self.tables:
-            idx, digit = np.divmod(idx, len(table))
-            out |= table[digit]
-        return out
+def census_layer(desc: GroupDescriptor, blocks: list[list[list[int]]]) -> Layer:
+    """The layer whose points are the pair lists of ``blocks``, block by block.
+
+    Every row of ``pair_permutations`` must map each point onto a point.
+    Words are int64, so groups with more than 62 inverse pairs are refused,
+    once the automorphism table's own bound has passed.
+    """
+    perms = pair_permutations(desc)
+    pairs = perms.shape[1]
+    if pairs > 62:
+        raise ValueError(f"{desc.spec()} has {pairs} inverse pairs; pair words hold 62")
+    points = [point for block in blocks for point in block]
+    sizes = [len(block) for block in blocks]
+    point_of = np.full(pairs, -1)
+    for i, point in enumerate(points):
+        point_of[point] = i
+    return Layer(
+        words=np.array([sum(1 << j for j in point) for point in points], dtype=np.int64),
+        action=point_of[perms[:, [point[0] for point in points]]],
+        after=np.repeat(np.cumsum(sizes), sizes),
+    )
 
 
 @lru_cache(maxsize=None)
-def multiplier_layers(desc: GroupDescriptor) -> tuple[MultiplierLayer, ...]:
+def pair_layer(desc: GroupDescriptor) -> Layer:
+    """Orbit mode's one layer: every pair is a point and a block of its own."""
+    return census_layer(desc, [[[j]] for j in range(len(inverse_pairs(desc)))])
+
+
+@lru_cache(maxsize=None)
+def multiplier_layers(desc: GroupDescriptor) -> tuple[Layer, ...]:
     """One layer per subgroup H of M (one per divisor of |M|), by order of H.
 
-    Words are int64, so groups with more than 62 inverse pairs are refused.
+    Its blocks are the M-orbits O with t = [M : H] dividing |O|, and the
+    points of a block are the t H-orbits of O.
     """
     perms = _multiplier_action(desc)
     order, pairs = perms.shape
-    if pairs > 62:
-        raise ValueError(f"{desc.spec()} has {pairs} inverse pairs; pair words hold 62")
-    layers = []
-    for t in (t for t in range(order, 0, -1) if order % t == 0):
-        tables = tuple(
-            np.array([0] + [sum(1 << j for j in h) for h in _orbits(perms[::t], orbit)], np.int64)
-            for orbit in _orbits(perms, range(pairs))
+    return tuple(
+        census_layer(desc, [
+            _orbits(perms[::t], orbit) for orbit in _orbits(perms, range(pairs))
             if len(orbit) % t == 0
-        )
-        layers.append(MultiplierLayer(t, tables))
-    return tuple(layers)
-
-
-def candidate_count(desc: GroupDescriptor) -> int:
-    """Sum over H <= M of (1 + [M : H])^k - 1, k the M-orbits its layer keeps.
-
-    An M-orbit O with Stab_M(x) <= H splits into exactly [M : H] H-orbits,
-    so this closed form is the layers' size exactly when each table holds
-    1 + [M : H] words.
-    """
-    return sum((1 + layer.cosets) ** len(layer.tables) - 1 for layer in multiplier_layers(desc))
-
-
-def _candidates(desc: GroupDescriptor, start: int, stop: int) -> np.ndarray:
-    """Candidate words at generator indices [start, stop); the range runs
-    through the layers in order."""
-    words = [np.zeros(0, dtype=np.int64)]
-    offset = 0
-    for layer in multiplier_layers(desc):
-        lo, hi = max(start - offset, 0), min(stop - offset, layer.count)
-        offset += layer.count
-        if lo < hi:
-            words.append(layer.decode(np.arange(lo, hi, dtype=np.int64)))
-    return np.concatenate(words)
+        ])
+        for t in range(order, 0, -1) if order % t == 0
+    )
 
 
 def connected_count(desc: GroupDescriptor) -> int:
@@ -426,12 +426,6 @@ def connected_count(desc: GroupDescriptor) -> int:
         mu[h.mask] = -sum(v for k, v in mu.items() if not h.mask & ~k) if mu else 1
         total += mu[h.mask] * 2 ** sum(h.mask >> cell[0] & 1 for cell in pairs)
     return total
-
-
-class GeneratorResult(NamedTuple):
-    survivors: np.ndarray  # int64 pair words passing the c2 filter, in index order
-    words: np.ndarray  # int64 candidate words, in index order
-    funnel: tuple[tuple[str, int, float], ...]  # (stage, sets out, seconds)
 
 
 FUNNEL_STAGES = ("connected", "lambda", "c2")
@@ -465,20 +459,3 @@ def word_funnel(
         clock.append(time.perf_counter())
         seconds += np.diff(clock)
     return tuple(np.concatenate(stage) for stage in passed), seconds
-
-
-def census_generate(desc: GroupDescriptor, start: int, stop: int) -> GeneratorResult:
-    """The candidates at generator indices [start, stop) that pass every filter."""
-    tick = time.perf_counter()
-    words = _candidates(desc, start, stop)
-    generate_s = time.perf_counter() - tick
-    passed, seconds = word_funnel(desc, words)
-    return GeneratorResult(
-        survivors=passed[-1],
-        words=words,
-        funnel=tuple(zip(
-            ("candidates",) + FUNNEL_STAGES,
-            [len(words)] + [len(stage) for stage in passed],
-            [generate_s] + seconds.tolist(),
-        )),
-    )

@@ -8,7 +8,7 @@ evaluates half the group).  The products come from one float64 matmul of 0/1
 rows: a coefficient is a sum of at most |G| <= ``MAX_TABLE_ORDER`` terms, each
 0 or 1, so every partial sum is an integer far below 2^53 and exact in any
 order of summation, and the constants are returned as 64-bit integers.
-``power_map`` checks the lemma the census generator prunes by.
+``power_map`` checks the lemma the census's multiplier layers prune by.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ def power_map(basis: CellPartition, m: int) -> tuple[int, ...]:
     """The cell permutation induced by g -> m*g, for gcd(m, |G|) = 1.
 
     Lemma checked: Schur's multiplier theorem (Wielandt, Thm 23.9), the
-    census generator's pruning rule: on a Schur ring over an abelian group
-    the image of every cell is a cell.  A non-cell image means the input was
-    not a verified basis and is raised as such.
+    census's multiplier-layer pruning rule: on a Schur ring over an abelian
+    group the image of every cell is a cell.  A non-cell image means the
+    input was not a verified basis and is raised as such.
     """
     desc = basis.group
     if gcd(m, desc.order) != 1:

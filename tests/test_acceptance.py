@@ -104,11 +104,19 @@ def test_a04_census_z7_z7_by_multiplier_classes():
     assert rep.symmetric_sets == 1 << 24
     assert rep.drg_sets == sum(comb(8, r) for r in range(2, 9)) == 247
     assert rep.anomalies == ()
-    candidates = dict((stage, count) for stage, count, _ in rep.funnel)["candidates"]
+    funnel = {stage: count for stage, count, _ in rep.funnel}
+    assert funnel["aut"] == funnel["leaders"] == 119
+    d = G.parse_group("7^1x7")
+    leaders = [
+        int(layer.words[list(leader)].sum())
+        for layer in K.multiplier_layers(d)
+        for leader in CL.orbit_leaders(layer)
+    ]
+    candidates = sum(len(CL._pair_orbit(d, bits)) for bits in leaders)
     assert candidates == 65_790
     assert elapsed < 2.0
-    ok("A04", f"census 7^1x7: 247/2^24 sets from {candidates} multiplier-class "
-        f"candidates, single-threaded {elapsed:.2f}s (< 2 s)")
+    ok("A04", f"census 7^1x7: 247/2^24 sets from {len(leaders)} Aut(G) orbit leaders of "
+        f"{candidates} multiplier-class candidates, single-threaded {elapsed:.2f}s (< 2 s)")
 
 
 def test_a05_schur_ring_equivalence_exhaustive():

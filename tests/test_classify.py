@@ -102,6 +102,22 @@ def _theorem_hits(d):
     }
 
 
+def _leader_words(layers):
+    """The pair word of every orbit leader of ``layers``, in DFS order."""
+    return [
+        int(layer.words[list(leader)].sum())
+        for layer in layers
+        for leader in CL.orbit_leaders(layer)
+    ]
+
+
+def _survivors(d):
+    """The sets of the Aut(G) orbits of the kernel leaders that pass the funnel."""
+    words = np.array(_leader_words(K.multiplier_layers(d)), dtype=np.int64)
+    passed, _ = K.word_funnel(d, words)
+    return sorted(image for bits in passed[-1].tolist() for image in CL._pair_orbit(d, bits))
+
+
 def test_census_counts_reconcile_with_subgroup_union_formula():
     """The census hit sets equal the theorem's, built without the census:
     11 / 9 / 57 / 247 sets on 3^1x3 / 3^2x3 / 5^1x5 / 7^1x7."""
@@ -109,7 +125,7 @@ def test_census_counts_reconcile_with_subgroup_union_formula():
         d = G.parse_group(spec)
         expected = _theorem_hits(d)
         assert len(expected) == count
-        survivors = K.census_generate(d, 0, K.candidate_count(d)).survivors.tolist()
+        survivors = _survivors(d)
         assert {C.SymmetricSet.from_pair_bits(d, bits).mask for bits in survivors} == expected
         rep = CL.census(d)
         assert rep.drg_sets == count and rep.anomalies == ()
@@ -147,6 +163,48 @@ def test_census_partitions_and_threads_deterministic():
     assert CL.census(d, partitions=5, threads=2).to_json() == base
 
 
+def _count_funnel_calls(monkeypatch):
+    """The list of word counts ``word_funnel`` is called with, as it fills."""
+    calls = []
+    word_funnel = CL.word_funnel
+
+    def counted(desc, words):
+        calls.append(len(words))
+        return word_funnel(desc, words)
+
+    monkeypatch.setattr(CL, "word_funnel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
+def test_orbit_mode_honours_partitions_and_threads(monkeypatch, spec):
+    """Orbit mode splits its leaders (287 and 49) into ``partitions`` index
+    ranges, one funnel call each, and gives the same bytes for every split."""
+    d = G.parse_group(spec)
+    calls = _count_funnel_calls(monkeypatch)
+    base = CL.census(d, scan="orbit").to_json()
+    assert hashlib.sha256(base.encode()).hexdigest() == REPORT_SHA256[spec]
+    leaders = calls[0]
+    for partitions, threads in ((4, 1), (4, 4), (8, 2), (8, 4)):
+        calls.clear()
+        report = CL.census(d, scan="orbit", partitions=partitions, threads=threads)
+        assert report.to_json() == base
+        assert sorted(calls) == sorted(
+            leaders * (i + 1) // partitions - leaders * i // partitions for i in range(partitions)
+        )
+
+
+@pytest.mark.parametrize("scan", ["kernel", "orbit"])
+def test_partitions_past_the_leaders_cost_no_work(monkeypatch, scan):
+    """Ranges left empty by more partitions than leaders are neither listed
+    nor funnelled: 3^1x3 has 4 leaders, so 1,000 partitions make 4 calls."""
+    d = G.parse_group("3^1x3")
+    calls = _count_funnel_calls(monkeypatch)
+    report = CL.census(d, scan=scan, partitions=1000)
+    assert calls == [1, 1, 1, 1]
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["3^1x3"]
+
+
 def test_census_json_shape():
     rep = CL.census(G.parse_group("3^1x3"))
     data = json.loads(rep.to_json())
@@ -160,19 +218,17 @@ def test_census_json_shape():
     assert all(r["flags"]["schurVerified"] for r in data["records"])
 
 
-def _tamper_generator(monkeypatch, add=(), drop=(), **fields):
-    """The generator returns its true survivors with ``add`` put in and
-    ``drop`` taken out, and ``fields`` replaced by functions of their true
-    values."""
-    generate = CL.census_generate
+def _tamper_generator(monkeypatch, add=(), drop=()):
+    """The enumeration hands the report its true survivors with ``add`` put
+    in and ``drop`` taken out.  The seam is the report's input: the census
+    expands every c_2 survivor to its whole orbit before that, so a set
+    missing from an orbit can only arrive there."""
+    assemble = CL._assemble_report
 
-    def tampered(desc, start, stop):
-        res = generate(desc, start, stop)
-        survivors = sorted(set(res.survivors.tolist()) - set(drop) | set(add))
-        changed = {name: fn(getattr(res, name)) for name, fn in fields.items()}
-        return res._replace(survivors=np.array(survivors, dtype=np.int64), **changed)
+    def tampered(desc, survivors, *args):
+        return assemble(desc, sorted(set(survivors) - set(drop) | set(add)), *args)
 
-    monkeypatch.setattr(CL, "census_generate", tampered)
+    monkeypatch.setattr(CL, "_assemble_report", tampered)
 
 
 # pair bits over 5^1x5: 5 is connected but not distance-regular, so the exact
@@ -213,19 +269,39 @@ def test_census_reports_tampered_hits(monkeypatch, case):
 
 
 @pytest.mark.parametrize(
-    "fields,anomaly",
+    "scan,tamper,anomaly",
     [
-        ({"words": lambda w: w[1:]}, "generator produced 790 of 791 candidates"),
+        ("kernel", lambda leaders: leaders[1:], "enumeration produced 17 of 18 orbit leaders"),
+        ("orbit", lambda leaders: leaders[1:], "enumeration produced 48 of 49 orbit leaders"),
         (
-            {"words": lambda w: np.concatenate([w[:-2], w[:2]])},
-            "generator repeated 2 candidate words",
+            "kernel",
+            lambda leaders: leaders + leaders[-2:],
+            "enumeration produced 20 of 18 orbit leaders",
+        ),
+        (
+            "orbit",
+            lambda leaders: leaders + leaders[-2:],
+            "enumeration produced 51 of 49 orbit leaders",
         ),
     ],
-    ids=["short-count", "repeated-words"],
+    ids=["short-count", "short-count-orbit", "repeated-words", "repeated-words-orbit"],
 )
-def test_census_reports_generator_check_failures(monkeypatch, fields, anomaly):
-    _tamper_generator(monkeypatch, **fields)
-    assert CL.census(G.pair_group(5, 1)).anomalies == (anomaly,)
+def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anomaly):
+    """The leaders must number the layers' Burnside count, in both modes: one
+    leader dropped from the first layer, or two repeated, is an anomaly.
+    Dropping the first leader of 5^1x5 loses no hit, and repeats add none."""
+    leaders = CL.orbit_leaders
+    layers = []
+
+    def tampered(layer):
+        layers.append(layer)
+        found = list(leaders(layer))
+        return iter(tamper(found) if len(layers) == 1 else found)
+
+    monkeypatch.setattr(CL, "orbit_leaders", tampered)
+    report = CL.census(G.pair_group(5, 1), scan=scan)
+    assert report.anomalies == (anomaly,)
+    assert report.records == CL.census(G.pair_group(5, 1)).records
 
 
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
@@ -285,7 +361,7 @@ REPORT_SETS = {"3^2x3": (9, 5), "5^1x5": (57, 5)}
 @pytest.mark.parametrize("spec", sorted(REPORT_SETS))
 def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
     d = G.parse_group(spec)
-    survivors, checks, funnel = CL._generate(d, 1, 1)
+    survivors = _survivors(d)
     made = []
 
     class Counted(C.SymmetricSet):
@@ -294,7 +370,7 @@ def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
             super().__post_init__()
 
     monkeypatch.setattr(CL, "SymmetricSet", Counted)
-    report = CL._assemble_report(d, survivors, K.connected_count(d), checks, funnel)
+    report = CL._assemble_report(d, survivors, K.connected_count(d), [], [])
     assert (len(survivors), report.orbit_count) == REPORT_SETS[spec]
     assert report.anomalies == ()
     assert len(made) == len(set(made)) == report.orbit_count
@@ -347,7 +423,7 @@ def test_orbit_mode_funnel_loses_no_hit(monkeypatch, spec):
     """The leaders the library verdict calls distance-regular, each leader
     decided, are the leads the report's BFS calls distance-regular."""
     d = G.parse_group(spec)
-    leaders = [sum(1 << j for j in leader) for leader in CL.orbit_leaders(d)]
+    leaders = [sum(1 << j for j in leader) for leader in CL.orbit_leaders(K.pair_layer(d))]
     expected = {
         C.SymmetricSet.from_pair_bits(d, bits).mask
         for bits in leaders
@@ -368,9 +444,11 @@ def test_orbit_mode_funnel_loses_no_hit(monkeypatch, spec):
     assert {mask for mask, drg in decided if drg} == expected
 
 
-def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
-    """A leader the funnel passes but BFS finds disconnected is the same
-    anomaly as in kernel mode; the report is otherwise the clean one."""
+@pytest.mark.parametrize("scan", ["kernel", "orbit"])
+def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch, scan):
+    """A word the funnel passes but BFS finds disconnected is one anomaly
+    for its whole orbit, in either mode; the report is otherwise the clean
+    one."""
     word_funnel = CL.word_funnel
 
     def tampered(desc, words):
@@ -379,35 +457,43 @@ def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
 
     monkeypatch.setattr(CL, "word_funnel", tampered)
     d = G.pair_group(5, 1)
-    report = CL.census(d, scan="orbit")
+    report = CL.census(d, scan=scan)
     assert report.anomalies == TAMPERED_HITS["disconnected"][2]
     assert report.records == CL.census(d).records
 
 
-def test_census_rejects_non_pair_groups_and_big_groups():
+def test_census_rejects_non_pair_groups_and_big_groups(monkeypatch):
     with pytest.raises(ValueError):
         CL.census(G.cyclic_group(27))
     with pytest.raises(CL.CensusBudgetError):
         CL.census(G.pair_group(3, 3))  # 40 inverse pairs
-    with pytest.raises(CL.CensusBudgetError):
-        CL.census(G.pair_group(3, 3), scan="orbit", orbit_budget=50)
+
+    def no_work(layer):
+        raise AssertionError("the DFS ran")
+
+    # the budget bounds the Burnside count, 17,793 and 119 orbits, before the DFS
+    monkeypatch.setattr(CL, "orbit_leaders", no_work)
+    with pytest.raises(CL.CensusBudgetError, match="17793 Aut.G. orbits exceed"):
+        CL.census(G.pair_group(7, 1), scan="orbit", orbit_budget=50)
+    with pytest.raises(CL.CensusBudgetError, match="119 Aut.G. orbits exceed"):
+        CL.census(G.pair_group(7, 1), orbit_budget=50)
 
 
 def test_orbit_leader_count_small():
     d = G.pair_group(3, 1)
-    leaders = list(CL.orbit_leaders(d))
-    # pair action is S_4: one orbit per subset size
-    assert len(leaders) == 5
-    assert sorted(len(l) for l in leaders) == [0, 1, 2, 3, 4]
+    leaders = list(CL.orbit_leaders(K.pair_layer(d)))
+    # pair action is S_4: one orbit per nonempty subset size
+    assert len(leaders) == 4
+    assert sorted(len(l) for l in leaders) == [1, 2, 3, 4]
 
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2"])
 def test_orbit_leaders_are_the_lex_least_member_of_every_orbit(spec):
-    """Brute force over every pair-subset; 6x2 has singleton pairs."""
+    """Brute force over every nonempty pair-subset; 6x2 has singleton pairs."""
     d = G.parse_group(spec)
     seen: set[int] = set()
     expected = []
-    for bits in range(1 << len(G.inverse_pairs(d))):
+    for bits in range(1, 1 << len(G.inverse_pairs(d))):
         sset = C.SymmetricSet.from_pair_bits(d, bits)
         if sset.mask not in seen:
             orbit = _element_orbit(sset)
@@ -415,7 +501,7 @@ def test_orbit_leaders_are_the_lex_least_member_of_every_orbit(spec):
             expected.append(_lex_least(orbit))
     leaders = [
         C.SymmetricSet.from_pair_bits(d, sum(1 << j for j in leader)).mask
-        for leader in CL.orbit_leaders(d)
+        for leader in CL.orbit_leaders(K.pair_layer(d))
     ]
     assert sorted(leaders) == sorted(expected)
 

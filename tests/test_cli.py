@@ -61,7 +61,7 @@ def test_census_to_file(tmp_path):
     assert data["totals"]["drgSets"] == 11
 
 
-FUNNEL_STAGES = ["candidates", "connected", "lambda", "c2", "hits", "orbits", "report"]
+FUNNEL_STAGES = ["aut", "leaders", "connected", "lambda", "c2", "hits", "orbits", "report"]
 
 
 def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
@@ -78,7 +78,8 @@ def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
     assert data["group"] == "5^1x5"
     assert [s["stage"] for s in data["stages"]] == FUNNEL_STAGES
     counts = [s["count"] for s in data["stages"]]
-    assert counts == [791, 773, 349, 57, 57, 5, len(plain.read_bytes())]
+    # aut: the Burnside count of the multiplier layers' Aut(G) orbits
+    assert counts == [18, 18, 16, 10, 5, 57, 5, len(plain.read_bytes())]
     assert all(s["seconds"] >= 0 for s in data["stages"])
     # the hits stage decides 5 orbits by BFS and the orbits stage classifies them
     assert all(s["seconds"] > 0 for s in data["stages"] if s["stage"] in ("hits", "orbits"))
@@ -90,10 +91,8 @@ def test_orbit_first_stats_report_the_leader_funnel(tmp_path):
                    "--out", str(report), "--stats", str(stats)])
     assert code == 0
     stages = json.loads(stats.read_text())["stages"]
-    assert [s["stage"] for s in stages] == [
-        "leaders", "connected", "lambda", "c2", "hits", "orbits", "report"
-    ]
-    assert [s["count"] for s in stages] == [288, 274, 12, 5, 9, 5, len(report.read_bytes())]
+    assert [s["stage"] for s in stages] == FUNNEL_STAGES
+    assert [s["count"] for s in stages] == [287, 287, 274, 12, 5, 9, 5, len(report.read_bytes())]
 
 
 def test_census_thread_counts_byte_identical():
@@ -186,6 +185,9 @@ def test_usage_errors_exit_64():
         ["construct", "--family", "multipartite", "--group", "3^1x3"],
         ["construct", "--family", "complete"],
         ["census", "--group", "3^1x3", "--threads", "0"],
+        ["census", "--group", "3^1x3", "--partitions", "0"],
+        ["census", "--group", "3^1x3", "--orbit-first", "--partitions", "0"],
+        ["census", "--group", "3^1x3", "--orbit-first", "--threads", "0"],
         ["construct", "--family", "complete", "--group", "Zn:1"],
         ["bipartite-drg", "--n", "0", "--auto-search"],
         ["bipartite-drg", "--n", "5", "--auto-search"],
@@ -209,9 +211,9 @@ def test_bad_thread_count_exits_64(monkeypatch, capsys):
 
 def test_budget_exit_65(monkeypatch, capsys):
     def no_work(*args):
-        raise AssertionError("the generator ran")
+        raise AssertionError("the DFS ran")
 
-    monkeypatch.setattr(cli.classify, "census_generate", no_work)
+    monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
     code, text = run(["census", "--group", "3^3x3"])
     assert (code, text) == (65, "")
     assert capsys.readouterr().err == (
@@ -220,11 +222,12 @@ def test_budget_exit_65(monkeypatch, capsys):
 
 
 def test_orbit_first_census_past_the_scan_order_exits_64(monkeypatch, capsys):
-    """3^3x3 has 40 pairs, so its leaders stream in, but the funnel's scan
-    context refuses order 81 before any leader is decided."""
+    """3^3x3 has 40 pairs, so its layer builds, but the scan context refuses
+    order 81 before any leader is made or decided."""
     def no_work(*args):
-        raise AssertionError("a leader was decided")
+        raise AssertionError("a leader was made or decided")
 
+    monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
     monkeypatch.setattr(cli.classify, "_assemble_report", no_work)
     code, text = run(["census", "--group", "3^3x3", "--orbit-first"])
     assert (code, text) == (64, "")

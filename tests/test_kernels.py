@@ -1,5 +1,7 @@
 import random
 import warnings
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -250,7 +252,7 @@ def test_scan_context_rejects_large_orders():
         K.scan_context(G.pair_group(3, 4))  # order 243 exceeds the 62-bit scan word
 
 
-# -- multiplier-class generation ------------------------------------------------
+# -- multiplier layers ----------------------------------------------------------
 
 
 def test_multiplier_layers_refuse_more_than_62_pairs():
@@ -261,55 +263,74 @@ def test_multiplier_layers_refuse_more_than_62_pairs():
 
 GENERATOR_GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
 
-# per group: the funnel's survivors after each stage: candidates (the closed
-# form), connected, lambda, c2
+# per group: the multiplier-class candidates (the closed form, which the
+# leaders' orbits must hold), then the census funnel's counts: leaders
+# (equal to the Burnside count of the aut stage), connected, lambda, c2
 FUNNEL = {
-    "3^1x3": (15, 11, 11, 11),
-    "3^2x3": (190, 160, 78, 9),
-    "5^1x5": (791, 773, 349, 57),
-    "7^1x7": (65790, 65758, 11464, 247),
+    "3^1x3": (15, 4, 3, 3, 3),
+    "3^2x3": (190, 36, 26, 12, 5),
+    "5^1x5": (791, 18, 16, 10, 5),
+    "7^1x7": (65790, 119, 117, 35, 8),
 }
 
 
-def _generate(d, partitions):
-    """Sorted survivors and candidate words over ``partitions`` equal index ranges."""
-    size = K.candidate_count(d)
-    results = [
-        K.census_generate(d, size * i // partitions, size * (i + 1) // partitions)
-        for i in range(partitions)
+def _leader_words(layers):
+    """The pair word of every orbit leader of ``layers``, in DFS order."""
+    return [
+        int(layer.words[list(leader)].sum())
+        for layer in layers
+        for leader in CL.orbit_leaders(layer)
     ]
-    return (
-        sorted(w for res in results for w in res.survivors.tolist()),
-        [w for res in results for w in res.words.tolist()],
+
+
+def _candidate_count(d):
+    """Sum over H <= M of (1 + [M : H])^k - 1, k the M-orbits its layer keeps:
+    each of the k blocks of a layer holds its [M : H] H-orbits."""
+    return sum(
+        prod(1 + size for size in np.unique(layer.after, return_counts=True)[1]) - 1
+        for layer in K.multiplier_layers(d)
     )
+
+
+def _candidates(d):
+    """Every multiplier-class candidate, sorted: the union of the Aut(G)
+    orbits of the kernel leaders."""
+    leaders = _leader_words(K.multiplier_layers(d))
+    return sorted(image for bits in leaders for image in CL._pair_orbit(d, bits))
+
+
+def _survivors(d):
+    """The sets of the Aut(G) orbits of the kernel leaders that pass the funnel."""
+    words = np.array(_leader_words(K.multiplier_layers(d)), dtype=np.int64)
+    passed, _ = K.word_funnel(d, words)
+    return sorted(image for bits in passed[-1].tolist() for image in CL._pair_orbit(d, bits))
 
 
 @pytest.mark.parametrize("spec", GENERATOR_GROUPS)
 def test_generator_hits_equal_the_full_scan(spec):
-    """The exhaustive scan is the oracle: its hits are the generator's
-    survivors at 1 and 4 partitions (on these groups every c_2 survivor is
+    """The exhaustive scan is the oracle: its hits are the orbits of the
+    leaders' c_2 survivors (on these groups every c_2 survivor is
     distance-regular), the connected count is the Moebius sum, and the report
-    bytes agree.  On 7^1x7 this is tier-1's one full 2^24 scan."""
+    bytes agree at 1 and 4 partitions.  On 7^1x7 this is tier-1's one full
+    2^24 scan."""
     d = G.parse_group(spec)
     scan = K.census_scan(d, 0, 1 << len(G.inverse_pairs(d)))
     assert K.connected_count(d) == scan.connected
+    assert _survivors(d) == scan.hits.tolist()
     from_scan = CL._assemble_report(d, scan.hits.tolist(), scan.connected, [], []).to_json()
     for partitions in (1, 4):
-        assert _generate(d, partitions)[0] == scan.hits.tolist()
         assert CL.census(d, partitions=partitions).to_json() == from_scan
 
 
 @pytest.mark.parametrize("spec", GENERATOR_GROUPS)
 def test_generator_funnel_counts(spec):
     d = G.parse_group(spec)
-    counts = FUNNEL[spec]
-    assert K.candidate_count(d) == counts[0]
-    res = K.census_generate(d, 0, counts[0])
-    assert tuple(count for _, count, _ in res.funnel) == counts
-    assert [stage for stage, _, _ in res.funnel] == [
-        "candidates", "connected", "lambda", "c2",
-    ]
-    assert len(res.survivors) == counts[-1]
+    candidates, *counts = FUNNEL[spec]
+    assert _candidate_count(d) == candidates == len(_candidates(d))
+    funnel = CL.census(d).funnel
+    assert [(stage, count) for stage, count, _ in funnel[:5]] == list(zip(
+        ["aut", "leaders", "connected", "lambda", "c2"], [counts[0]] + counts,
+    ))
 
 
 def test_constant_on_matches_a_per_row_reference():
@@ -324,7 +345,7 @@ def test_constant_on_matches_a_per_row_reference():
     sel = (rng.random((400, 24)) < density).astype(np.float64)
     d = G.parse_group("7^1x7")
     ctx = K.scan_context(d)
-    words = K._candidates(d, 0, K.candidate_count(d))[::30]
+    words = np.array(_candidates(d)[::30], dtype=np.int64)
     real = K._pair_bits(words, ctx.pair_count)
     for lam_rows, sel_rows in ((lam, sel), (K.common_neighbors(ctx, real), real)):
         for mask in (sel_rows, (lam_rows > 0) * (1 - sel_rows)):
@@ -334,17 +355,74 @@ def test_constant_on_matches_a_per_row_reference():
     assert (sel.sum(axis=1) == 0).sum() > 50
 
 
+# Aut(G) orbits of the multiplier layers (the Burnside count) past the scan
+LAYER_ORBITS = {"3^3x3": 345, "5^2x5": 1600}
+
+
 @pytest.mark.parametrize("spec,count", [("3^3x3", 6117), ("5^2x5", 348018)])
 def test_every_generator_index_is_a_distinct_candidate_beyond_the_scan(spec, count):
-    """Orders 81 and 125 lie past ``scan_context``'s bound, but generation
-    alone needs only P <= 62 pair bits (40 and 62 here)."""
+    """Orders 81 and 125 lie past ``scan_context``'s bound, but the layers
+    and their leaders need only P <= 62 pair bits (40 and 62 here).  The
+    leaders number the Burnside count, and their orbits are disjoint and
+    hold every candidate of the closed form."""
     d = G.parse_group(spec)
-    assert K.candidate_count(d) == count
-    assert sum(layer.count for layer in K.multiplier_layers(d)) == count
-    words = K._candidates(d, 0, count)
-    assert len(words) == count
-    assert np.all(words > 0)
-    assert len(np.unique(words)) == count
+    layers = K.multiplier_layers(d)
+    leaders = _leader_words(layers)
+    assert len(leaders) == sum(CL.orbit_count(layer) for layer in layers) == LAYER_ORBITS[spec]
+    orbits = [CL._pair_orbit(d, bits) for bits in leaders]
+    assert sum(len(orbit) for orbit in orbits) == _candidate_count(d) == count
+    assert len(set().union(*orbits)) == count
+    assert min(min(orbit) for orbit in orbits) > 0
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7", "3^3x3", "5^2x5", "11^1x11"])
+def test_automorphisms_map_layer_points_onto_points(spec):
+    """Aut(G) commutes with the multipliers, so every row of the pair action
+    maps each point of each layer (an H-orbit of pairs) onto the point its
+    ``action`` names, and the points of one block (an M-orbit) into one block."""
+    d = G.parse_group(spec)
+    perms = G.pair_permutations(d)
+    for layer in K.multiplier_layers(d):
+        for i, word in enumerate(layer.words.tolist()):
+            images = (1 << perms[:, list(G.iter_bits(word))]).sum(axis=1)
+            assert images.tolist() == layer.words[layer.action[:, i]].tolist()
+        for end in np.unique(layer.after).tolist():
+            block = np.flatnonzero(layer.after == end)
+            assert (layer.after[layer.action[:, block]] == layer.after[layer.action[:, block[:1]]]).all()
+
+
+def _brute_orbit_count(d, sets):
+    """Aut(G) orbits among ``sets`` (pair words), by ``_pair_orbit``; every
+    orbit must lie inside ``sets``."""
+    left = set(sets)
+    orbits = 0
+    while left:
+        orbit = CL._pair_orbit(d, min(left))
+        assert orbit <= left
+        left -= orbit
+        orbits += 1
+    return orbits
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2"])
+def test_orbit_count_of_the_pair_layer_matches_brute_force(spec):
+    """Every nonempty pair-subset; 6x2 has involutions, hence singleton pairs."""
+    d = G.parse_group(spec)
+    total = 1 << len(G.inverse_pairs(d))
+    assert CL.orbit_count(K.pair_layer(d)) == _brute_orbit_count(d, range(1, total))
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7"])
+def test_orbit_count_of_each_multiplier_layer_matches_brute_force(spec):
+    """Each layer's sets, one point or none per block, counted orbit by orbit."""
+    d = G.parse_group(spec)
+    for layer in K.multiplier_layers(d):
+        blocks = [
+            [0] + layer.words[layer.after == end].tolist()
+            for end in np.unique(layer.after).tolist()
+        ]
+        sets = {sum(choice) for choice in product(*blocks)} - {0}
+        assert CL.orbit_count(layer) == _brute_orbit_count(d, sets)
 
 
 def _multiplier_closed(d):
@@ -367,11 +445,12 @@ def _multiplier_closed(d):
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5"])
 def test_generator_words_are_the_multiplier_closed_sets_once_each(spec):
+    """The Aut(G) orbits of the kernel leaders are the multiplier-closed sets,
+    each set in exactly one orbit."""
     d = G.parse_group(spec)
-    for partitions in (1, 3):
-        _, words = _generate(d, partitions)
-        assert len(words) == K.candidate_count(d) == len(set(words))
-        assert set(words) == _multiplier_closed(d)
+    words = _candidates(d)
+    assert len(words) == len(set(words)) == _candidate_count(d)
+    assert set(words) == _multiplier_closed(d)
 
 
 def _brute_c2_constant(d, bits):
@@ -387,14 +466,13 @@ def _brute_c2_constant(d, bits):
 
 @pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
 def test_survivors_are_the_candidates_passing_every_necessary_condition(spec):
-    """The survivors are exactly the candidates that are connected, have
+    """The funnel passes exactly the candidates that are connected, have
     lambda constant on S and c_2 constant, each decided on adjacency masks."""
     d = G.parse_group(spec)
-    res = K.census_generate(d, 0, K.candidate_count(d))
-    expected = [
-        w for w in res.words.tolist() if _brute_prefilter(d, w) and _brute_c2_constant(d, w)
-    ]
-    assert res.survivors.tolist() == expected
+    words = _candidates(d)
+    passed, _ = K.word_funnel(d, np.array(words, dtype=np.int64))
+    expected = [w for w in words if _brute_prefilter(d, w) and _brute_c2_constant(d, w)]
+    assert passed[-1].tolist() == expected
 
 
 def test_connected_count_on_groups_beyond_the_scan():
