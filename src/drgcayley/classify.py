@@ -421,7 +421,7 @@ def _census_leaders(
     """
     tick = time.perf_counter()
     layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
-    scan_context(desc)
+    scan_context(desc)  # refuses orders past the funnel's words before any work
     expected = sum(orbit_count(layer) for layer in layers)
     funnel = [("aut", expected, time.perf_counter() - tick)]
     if expected > budget:

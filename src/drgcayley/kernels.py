@@ -363,7 +363,7 @@ class Layer:
     after: np.ndarray  # intp (L,): the first point that may follow point t
 
 
-def census_layer(desc: GroupDescriptor, blocks: list[list[list[int]]]) -> Layer:
+def _layer(desc: GroupDescriptor, blocks: list[list[list[int]]]) -> Layer:
     """The layer whose points are the pair lists of ``blocks``, block by block.
 
     Every row of ``pair_permutations`` must map each point onto a point.
@@ -389,7 +389,7 @@ def census_layer(desc: GroupDescriptor, blocks: list[list[list[int]]]) -> Layer:
 @lru_cache(maxsize=None)
 def pair_layer(desc: GroupDescriptor) -> Layer:
     """Orbit mode's one layer: every pair is a point and a block of its own."""
-    return census_layer(desc, [[[j]] for j in range(len(inverse_pairs(desc)))])
+    return _layer(desc, [[[j]] for j in range(len(inverse_pairs(desc)))])
 
 
 @lru_cache(maxsize=None)
@@ -402,7 +402,7 @@ def multiplier_layers(desc: GroupDescriptor) -> tuple[Layer, ...]:
     perms = _multiplier_action(desc)
     order, pairs = perms.shape
     return tuple(
-        census_layer(desc, [
+        _layer(desc, [
             _orbits(perms[::t], orbit) for orbit in _orbits(perms, range(pairs))
             if len(orbit) % t == 0
         ])

@@ -218,7 +218,7 @@ def test_census_json_shape():
     assert all(r["flags"]["schurVerified"] for r in data["records"])
 
 
-def _tamper_generator(monkeypatch, add=(), drop=()):
+def _tamper_survivors(monkeypatch, add=(), drop=()):
     """The enumeration hands the report its true survivors with ``add`` put
     in and ``drop`` taken out.  The seam is the report's input: the census
     expands every c_2 survivor to its whole orbit before that, so a set
@@ -261,7 +261,7 @@ TAMPERED_HITS = {
 @pytest.mark.parametrize("case", sorted(TAMPERED_HITS))
 def test_census_reports_tampered_hits(monkeypatch, case):
     add, drop, anomalies = TAMPERED_HITS[case]
-    _tamper_generator(monkeypatch, add, drop)
+    _tamper_survivors(monkeypatch, add, drop)
     report = CL.census(G.pair_group(5, 1))
     assert report.anomalies == anomalies
     if case.startswith("non-drg"):
@@ -306,7 +306,7 @@ def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anom
 
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
     add, drop, anomalies = TAMPERED_HITS["disconnected"]
-    _tamper_generator(monkeypatch, add, drop)
+    _tamper_survivors(monkeypatch, add, drop)
     out = io.StringIO()
     assert cli.main(["census", "--group", "5^1x5"], out=out) == 2
     assert tuple(json.loads(out.getvalue())["anomalies"]) == anomalies
@@ -444,11 +444,12 @@ def test_orbit_mode_funnel_loses_no_hit(monkeypatch, spec):
     assert {mask for mask, drg in decided if drg} == expected
 
 
-@pytest.mark.parametrize("scan", ["kernel", "orbit"])
-def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch, scan):
+def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
     """A word the funnel passes but BFS finds disconnected is one anomaly
-    for its whole orbit, in either mode; the report is otherwise the clean
-    one."""
+    for its whole orbit, in orbit and kernel mode; the report is otherwise
+    the clean one."""
+    d = G.pair_group(5, 1)
+    clean = CL.census(d).records
     word_funnel = CL.word_funnel
 
     def tampered(desc, words):
@@ -456,10 +457,10 @@ def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch, scan):
         return passed[:-1] + (np.union1d(passed[-1], [1]),), seconds
 
     monkeypatch.setattr(CL, "word_funnel", tampered)
-    d = G.pair_group(5, 1)
-    report = CL.census(d, scan=scan)
-    assert report.anomalies == TAMPERED_HITS["disconnected"][2]
-    assert report.records == CL.census(d).records
+    for scan in ("orbit", "kernel"):
+        report = CL.census(d, scan=scan)
+        assert report.anomalies == TAMPERED_HITS["disconnected"][2]
+        assert report.records == clean
 
 
 def test_census_rejects_non_pair_groups_and_big_groups(monkeypatch):

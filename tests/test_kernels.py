@@ -414,15 +414,21 @@ def test_orbit_count_of_the_pair_layer_matches_brute_force(spec):
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7"])
 def test_orbit_count_of_each_multiplier_layer_matches_brute_force(spec):
-    """Each layer's sets, one point or none per block, counted orbit by orbit."""
+    """Each layer's sets, one point or none per block, counted orbit by orbit,
+    and all layers together against the multiplier-closed sets (brute force,
+    so on the three smaller groups)."""
     d = G.parse_group(spec)
-    for layer in K.multiplier_layers(d):
+    layers = K.multiplier_layers(d)
+    for layer in layers:
         blocks = [
             [0] + layer.words[layer.after == end].tolist()
             for end in np.unique(layer.after).tolist()
         ]
         sets = {sum(choice) for choice in product(*blocks)} - {0}
         assert CL.orbit_count(layer) == _brute_orbit_count(d, sets)
+    if spec != "7^1x7":
+        total = sum(CL.orbit_count(layer) for layer in layers)
+        assert total == _brute_orbit_count(d, _multiplier_closed(d))
 
 
 def _multiplier_closed(d):
