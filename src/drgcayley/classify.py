@@ -32,7 +32,7 @@ Every orbit computation is a gather on, or a matmul with, that one (k, P)
 table.  The lex rule: among sets with equally many pairs (or points), the
 lex-least sorted tuple holds the lowest index where two sets differ, so it
 has the largest reversed word (index j at bit P - 1 - j).  Words are int64,
-so P > 62 is refused.
+so ``kernels.scan_context`` refuses P > 62.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator
 
 import numpy as np
@@ -70,19 +71,16 @@ from .kernels import (
     connected_count,
     multiplier_layers,
     pair_layer,
-    scan_context,
     word_funnel,
 )
 from .structure import is_antipodal, is_bipartite, quotient_by_subgroup
 
 
 class CensusBudgetError(RuntimeError):
-    """Enumeration would exceed the census budget: more than MAX_PAIRS inverse
-    pairs in kernel or library mode, or more Aut(G) orbits of layer sets than
-    the orbit budget in kernel or orbit mode."""
+    """Enumeration would exceed the orbit budget: more Aut(G) orbits of layer
+    sets in kernel or orbit mode, or more pair-subsets in library mode."""
 
 
-MAX_PAIRS = 24  # groups with more inverse pairs are refused
 DEFAULT_ORBIT_BUDGET = 2_000_000
 
 
@@ -415,13 +413,13 @@ def _census_leaders(
     The ``aut`` stage times the one-off builds: Aut(G) and its action on the
     layers, the scan context and the layers' Burnside count, which the
     budget bounds before any leader is made.  The leaders must number
-    exactly that count.  They split into ``partitions`` index ranges, one
-    funnel call per nonempty range, run on ``threads`` threads.  The
-    connected count is the Moebius sum ``connected_count``.
+    exactly that count; a layer's DFS stops one leader past its count, so an
+    overrun is reported, not run to its end.  They split into ``partitions``
+    index ranges, one funnel call per nonempty range, run on ``threads``
+    threads.  The connected count is the Moebius sum ``connected_count``.
     """
     tick = time.perf_counter()
     layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
-    scan_context(desc)  # refuses orders past the funnel's words before any work
     expected = sum(orbit_count(layer) for layer in layers)
     funnel = [("aut", expected, time.perf_counter() - tick)]
     if expected > budget:
@@ -430,7 +428,8 @@ def _census_leaders(
     leaders = []
     for layer in layers:
         points = layer.words.tolist()
-        leaders += [sum(points[t] for t in leader) for leader in orbit_leaders(layer)]
+        bounded = islice(orbit_leaders(layer), orbit_count(layer) + 1)
+        leaders += [sum(points[t] for t in leader) for leader in bounded]
     words = np.array(leaders, dtype=np.int64)
     funnel.append(("leaders", len(words), time.perf_counter() - tick))
     checks = []
@@ -473,8 +472,9 @@ def census(
     orbit of all pair-subsets (``kernels.pair_layer``); both pass the
     leaders through one filter funnel and expand each survivor's orbit.
     scan="library" runs the full exact check on every one of the 2^P
-    subsets with no pruning.  The report then decides one lead per orbit
-    of what the enumeration passed.  All three give the same report bytes.
+    subsets with no pruning, within ``orbit_budget`` as the other modes'
+    orbits are.  The report then decides one lead per orbit of what the
+    enumeration passed.  All three give the same report bytes.
     The report's ``funnel`` holds the count and seconds of each stage run;
     library mode's exhaustive loop is not a stage, so its funnel is the
     report's hits and orbits.
@@ -484,14 +484,14 @@ def census(
         raise ValueError("partitions must be >= 1")
     if scan not in ("kernel", "orbit", "library"):
         raise ValueError(f"unknown scan mode {scan!r}")
-    P = len(inverse_pairs(desc))
-    if scan != "orbit" and P > MAX_PAIRS:
-        raise CensusBudgetError(f"{P} inverse pairs exceed the census budget of {MAX_PAIRS}")
     if scan != "library":
         return _census_leaders(desc, scan, partitions, threads, orbit_budget)
+    total = 1 << len(inverse_pairs(desc))
+    if total > orbit_budget:
+        raise CensusBudgetError(f"{total} pair-subsets exceed the orbit budget of {orbit_budget}")
     hits = []
     connected = 0
-    for lo, hi in _split_ranges(1 << P, partitions):
+    for lo, hi in _split_ranges(total, partitions):
         for bits in range(lo, hi):
             conn, drg = _library_verdict(desc, bits)
             connected += conn

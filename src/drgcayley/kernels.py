@@ -99,14 +99,15 @@ of a (P, P + 1) table of per-pair cosine sums.  By Fourier inversion
 lambda(g) = (1/n) sum_chi F(chi)^2 chi(g), a second (P + 1, P) table weighted
 by class size / n.
 
-Exactness: every table entry is within a few ulps of its true value,
-|F| <= n <= 62 and each product sums at most 62 terms, so the fp64 lambda
-is within 1e-9 of an integer and rint recovers it exactly.  The
-Cauchy-Schwarz terms are integers below 62^4 < 2^24 and so exact in fp64
-as well.  In the pre-test a and b are character sums of pair sets too, so
-|a|, |b| <= n, and since the w_c sum to 1 the terms of the triangle sum
-add up in size to at most sum_c w_c (|a_c| + |b_c|)^3 <= 8 n^3 < 2^21.  The
-computed sum is therefore within 1e-6 of its true value, sum_{g in S}
+Exactness: pair words hold P <= 62 pairs, so n <= 2P + 1 <= 125.  Every table
+entry is within a few ulps of its true value, |F| <= n and each product sums
+at most P + 1 terms, so the fp64 lambda is within 1e-9 of an integer and rint
+recovers it exactly (seeded words of 3^3x3, 5^2x5 and 11^1x11 measured at
+most 1.0e-13).  The Cauchy-Schwarz terms are integers below P^2 n^2 < 2^26
+and so exact in fp64 as well.  In the pre-test a and b are character sums of
+pair sets too, so |a|, |b| <= n, and since the w_c sum to 1 the terms of the
+triangle sum add up in size to at most sum_c w_c (|a_c| + |b_c|)^3 <= 8 n^3
+< 2^24.  So the computed sum is within 1e-6 of its true value, sum_{g in S}
 lambda(g), an integer below n^2, and rint recovers it exactly (1e-9 is
 asserted over every 5^1x5 word; the full 7^1x7 scan measured 6.8e-13).
 Blocks change none of this: each sum has the same terms, and the bound
@@ -166,10 +167,10 @@ class ScanContext:
 
 @lru_cache(maxsize=None)
 def scan_context(desc: GroupDescriptor) -> ScanContext:
-    n = desc.order
-    if n > 62:
-        raise ValueError(f"the census scan handles order <= 62, got {n}")
     pairs = inverse_pairs(desc)
+    if len(pairs) > 62:
+        raise ValueError(f"{desc.spec()} has {len(pairs)} inverse pairs; pair words hold 62")
+    n = desc.order
     out = tuple(
         sum(1 << j for j, cell in enumerate(pairs) if not sub >> cell[0] & 1)
         for sub in maximal_subgroup_masks(desc)
@@ -367,13 +368,12 @@ def _layer(desc: GroupDescriptor, blocks: list[list[list[int]]]) -> Layer:
     """The layer whose points are the pair lists of ``blocks``, block by block.
 
     Every row of ``pair_permutations`` must map each point onto a point.
-    Words are int64, so groups with more than 62 inverse pairs are refused,
-    once the automorphism table's own bound has passed.
+    Words are int64: ``scan_context`` refuses more than 62 inverse pairs,
+    after the automorphism table's own bound.
     """
     perms = pair_permutations(desc)
+    scan_context(desc)
     pairs = perms.shape[1]
-    if pairs > 62:
-        raise ValueError(f"{desc.spec()} has {pairs} inverse pairs; pair words hold 62")
     points = [point for block in blocks for point in block]
     sizes = [len(block) for block in blocks]
     point_of = np.full(pairs, -1)

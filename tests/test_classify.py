@@ -3,7 +3,7 @@ import io
 import json
 import random
 from dataclasses import astuple
-from itertools import combinations
+from itertools import combinations, cycle
 
 import numpy as np
 import pytest
@@ -19,6 +19,13 @@ REPORT_SHA256 = {
     "3^1x3": "3b39457fbd689d637ecaf915657500d50858f69556b4c8b64c231c027b195616",
     "3^2x3": "0842a11f14e33099726dbe138cacfbd074ecf4b005e375ac66cd1c53bb7ade96",
     "5^1x5": "1d2feff09f5ab9d6945ab5ec36fc699bedb5d8a791722558fc1dda6f7e7d2687",
+}
+
+# orders 81 and 125, in kernel mode only: library mode's 2^40 and 2^62
+# subsets and orbit mode's pair-layer orbits exceed the orbit budget
+LARGE_REPORT_SHA256 = {
+    "3^3x3": "de5f52779a842920517ad5f421a7129a5a988b60d58c34cd4b1d9bb27e67ebff",
+    "5^2x5": "e8055449e69764346c417230028b700302c0b09da4a60973715cd522413775b1",
 }
 
 
@@ -120,8 +127,11 @@ def _survivors(d):
 
 def test_census_counts_reconcile_with_subgroup_union_formula():
     """The census hit sets equal the theorem's, built without the census:
-    11 / 9 / 57 / 247 sets on 3^1x3 / 3^2x3 / 5^1x5 / 7^1x7."""
-    for spec, count in (("3^1x3", 11), ("3^2x3", 9), ("5^1x5", 57), ("7^1x7", 247)):
+    11 / 9 / 57 / 247 / 13 / 13 sets on 3^1x3 / 3^2x3 / 5^1x5 / 7^1x7 /
+    3^3x3 / 5^2x5."""
+    for spec, count in (
+        ("3^1x3", 11), ("3^2x3", 9), ("5^1x5", 57), ("7^1x7", 247), ("3^3x3", 13), ("5^2x5", 13)
+    ):
         d = G.parse_group(spec)
         expected = _theorem_hits(d)
         assert len(expected) == count
@@ -153,6 +163,15 @@ def test_census_modes_agree_bytewise():
         assert hashlib.sha256(base.encode()).hexdigest() == digest
         assert CL.census(d, scan="library").to_json() == base
         assert CL.census(d, scan="orbit").to_json() == base
+
+
+@pytest.mark.parametrize("spec", sorted(LARGE_REPORT_SHA256))
+def test_census_past_order_62_matches_its_digest(spec):
+    """The kernel-mode report of 3^3x3 and 5^2x5, at 1 and 4 partitions."""
+    d = G.parse_group(spec)
+    for partitions in (1, 4):
+        report = CL.census(d, partitions=partitions).to_json()
+        assert hashlib.sha256(report.encode()).hexdigest() == LARGE_REPORT_SHA256[spec]
 
 
 def test_census_partitions_and_threads_deterministic():
@@ -268,6 +287,14 @@ def test_census_reports_tampered_hits(monkeypatch, case):
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["5^1x5"]
 
 
+def _endless(leaders):
+    """The leaders, then the first ones again without end; it fails the run
+    past ten times their number, where a DFS left unbounded would hang."""
+    for count, leader in enumerate(cycle(leaders)):
+        assert count < 10 * len(leaders), "the DFS ran past its count"
+        yield leader
+
+
 @pytest.mark.parametrize(
     "scan,tamper,anomaly",
     [
@@ -276,20 +303,27 @@ def test_census_reports_tampered_hits(monkeypatch, case):
         (
             "kernel",
             lambda leaders: leaders + leaders[-2:],
-            "enumeration produced 20 of 18 orbit leaders",
+            "enumeration produced 19 of 18 orbit leaders",
         ),
         (
             "orbit",
             lambda leaders: leaders + leaders[-2:],
-            "enumeration produced 51 of 49 orbit leaders",
+            "enumeration produced 50 of 49 orbit leaders",
         ),
+        ("kernel", _endless, "enumeration produced 19 of 18 orbit leaders"),
+        ("orbit", _endless, "enumeration produced 50 of 49 orbit leaders"),
     ],
-    ids=["short-count", "short-count-orbit", "repeated-words", "repeated-words-orbit"],
+    ids=[
+        "short-count", "short-count-orbit", "repeated-words", "repeated-words-orbit",
+        "endless", "endless-orbit",
+    ],
 )
 def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anomaly):
     """The leaders must number the layers' Burnside count, in both modes: one
-    leader dropped from the first layer, or two repeated, is an anomaly.
-    Dropping the first leader of 5^1x5 loses no hit, and repeats add none."""
+    leader dropped from the first layer is an anomaly, and so are two
+    repeated or an endless DFS, which the census cuts one leader past the
+    layer's count.  Dropping the first leader of 5^1x5 loses no hit, and
+    repeats add none."""
     leaders = CL.orbit_leaders
     layers = []
 
@@ -466,12 +500,17 @@ def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
 def test_census_rejects_non_pair_groups_and_big_groups(monkeypatch):
     with pytest.raises(ValueError):
         CL.census(G.cyclic_group(27))
-    with pytest.raises(CL.CensusBudgetError):
-        CL.census(G.pair_group(3, 3))  # 40 inverse pairs
 
-    def no_work(layer):
-        raise AssertionError("the DFS ran")
+    def no_work(*args):
+        raise AssertionError("the DFS or a BFS ran")
 
+    # library mode's 2^P subsets meet the orbit budget before any BFS:
+    # 2^40 on 3^3x3 against the default, 2^13 on 3^2x3 against 50
+    monkeypatch.setattr(CL, "_library_verdict", no_work)
+    with pytest.raises(CL.CensusBudgetError, match="1099511627776 pair-subsets exceed"):
+        CL.census(G.pair_group(3, 3), scan="library")
+    with pytest.raises(CL.CensusBudgetError, match="8192 pair-subsets exceed the orbit budget of 50"):
+        CL.census(G.pair_group(3, 2), scan="library", orbit_budget=50)
     # the budget bounds the Burnside count, 17,793 and 119 orbits, before the DFS
     monkeypatch.setattr(CL, "orbit_leaders", no_work)
     with pytest.raises(CL.CensusBudgetError, match="17793 Aut.G. orbits exceed"):

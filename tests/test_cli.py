@@ -214,25 +214,25 @@ def test_budget_exit_65(monkeypatch, capsys):
         raise AssertionError("the DFS ran")
 
     monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
-    code, text = run(["census", "--group", "3^3x3"])
+    code, text = run(["census", "--group", "3^3x3", "--orbit-budget", "100"])
     assert (code, text) == (65, "")
     assert capsys.readouterr().err == (
-        "budget exceeded: 40 inverse pairs exceed the census budget of 24\n"
+        "budget exceeded: 345 Aut(G) orbits exceed the orbit budget of 100\n"
     )
 
 
-def test_orbit_first_census_past_the_scan_order_exits_64(monkeypatch, capsys):
-    """3^3x3 has 40 pairs, so its layer builds, but the scan context refuses
-    order 81 before any leader is made or decided."""
+def test_orbit_first_census_past_the_orbit_budget_exits_65(monkeypatch, capsys):
+    """3^3x3's layer of all 40 pairs holds 6,794,936,703 Aut(G) orbits, so
+    the default budget refuses it before any leader is made or decided."""
     def no_work(*args):
         raise AssertionError("a leader was made or decided")
 
     monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
     monkeypatch.setattr(cli.classify, "_assemble_report", no_work)
     code, text = run(["census", "--group", "3^3x3", "--orbit-first"])
-    assert (code, text) == (64, "")
+    assert (code, text) == (65, "")
     assert capsys.readouterr().err == (
-        "usage error: the census scan handles order <= 62, got 81\n"
+        "budget exceeded: 6794936703 Aut(G) orbits exceed the orbit budget of 2000000\n"
     )
 
 
@@ -262,8 +262,12 @@ def test_check_non_negation_closed_set_exits_64(capsys):
 
 
 def test_census_past_the_pair_word_exits_64(monkeypatch, capsys):
-    # with the pair budget lifted, the generator itself refuses 84 pairs
-    monkeypatch.setattr(cli.classify, "MAX_PAIRS", 100)
+    """13^1x13's Aut(G) table builds (order 169), and its 84 pairs are then
+    refused before any leader is made."""
+    def no_work(*args):
+        raise AssertionError("a leader was made")
+
+    monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
     code, text = run(["census", "--group", "13^1x13"])
     assert (code, text) == (64, "")
     assert "84 inverse pairs; pair words hold 62" in capsys.readouterr().err

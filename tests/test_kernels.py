@@ -203,6 +203,25 @@ def test_triangle_count_residual_over_every_5x5_word():
     assert residual < 1e-9
 
 
+@pytest.mark.parametrize("spec", ["3^3x3", "5^2x5", "11^1x11"])
+def test_lambda_residual_at_orders_81_to_125(spec):
+    """Before rounding, lambda lies within 1e-9 of an integer on 20,000
+    seeded words of each group (1.0e-13 measured), as the module docstring
+    bounds it for n <= 125; ``common_neighbors`` on the first words gives
+    the common-neighbour counts."""
+    d = G.parse_group(spec)
+    ctx = K.scan_context(d)
+    words = np.random.default_rng(29).integers(0, 1 << ctx.pair_count, size=20_000)
+    sel = K._pair_bits(words, ctx.pair_count)
+    F = sel @ ctx.spectrum
+    lam = (F * F) @ ctx.inverse
+    assert np.abs(lam - np.rint(lam)).max() < 1e-9
+    reps = [cell[0] for cell in G.inverse_pairs(d)]
+    for word, row in zip(words[:5].tolist(), K.common_neighbors(ctx, sel[:5]).tolist()):
+        adj = C.build(d, C.SymmetricSet.from_pair_bits(d, word)).adjacency
+        assert row == [(adj[0] & adj[g]).bit_count() for g in reps]
+
+
 def test_partitioned_scan_equals_whole_scan():
     d = G.pair_group(3, 2)
     total = 1 << 13
@@ -248,8 +267,9 @@ def test_connected_count_matches_library():
 
 
 def test_scan_context_rejects_large_orders():
-    with pytest.raises(ValueError):
-        K.scan_context(G.pair_group(3, 4))  # order 243 exceeds the 62-bit scan word
+    # order 243 has 121 pairs, past the 62 of an int64 pair word
+    with pytest.raises(ValueError, match="121 inverse pairs; pair words hold 62"):
+        K.scan_context(G.pair_group(3, 4))
 
 
 # -- multiplier layers ----------------------------------------------------------
@@ -355,16 +375,16 @@ def test_constant_on_matches_a_per_row_reference():
     assert (sel.sum(axis=1) == 0).sum() > 50
 
 
-# Aut(G) orbits of the multiplier layers (the Burnside count) past the scan
+# Aut(G) orbits of the multiplier layers (the Burnside count) at orders 81 and 125
 LAYER_ORBITS = {"3^3x3": 345, "5^2x5": 1600}
 
 
 @pytest.mark.parametrize("spec,count", [("3^3x3", 6117), ("5^2x5", 348018)])
 def test_every_generator_index_is_a_distinct_candidate_beyond_the_scan(spec, count):
-    """Orders 81 and 125 lie past ``scan_context``'s bound, but the layers
-    and their leaders need only P <= 62 pair bits (40 and 62 here).  The
-    leaders number the Burnside count, and their orbits are disjoint and
-    hold every candidate of the closed form."""
+    """Orders 81 and 125 are past any full scan of their 2^P subsets, but
+    the layers and their leaders need only P <= 62 pair bits (40 and 62
+    here).  The leaders number the Burnside count, and their orbits are
+    disjoint and hold every candidate of the closed form."""
     d = G.parse_group(spec)
     layers = K.multiplier_layers(d)
     leaders = _leader_words(layers)
