@@ -1,6 +1,6 @@
 import random
 import warnings
-from itertools import product
+from itertools import islice, product
 from math import prod
 
 import numpy as np
@@ -295,11 +295,12 @@ FUNNEL = {
 
 
 def _leader_words(layers):
-    """The pair word of every orbit leader of ``layers``, in DFS order."""
+    """The pair word of every orbit leader of ``layers``, in DFS order, cut
+    one leader past each layer's Burnside count as the census cuts it."""
     return [
         int(layer.words[list(leader)].sum())
         for layer in layers
-        for leader in CL.orbit_leaders(layer)
+        for leader in islice(CL.orbit_leaders(layer), CL.orbit_count(layer) + 1)
     ]
 
 
