@@ -16,7 +16,7 @@ from .cayley import (
     is_connected,
     to_graph6,
 )
-from .classify import CensusReport, census, construct_family, orbit_canonical
+from .classify import CensusReport, census, construct_family
 from .drg import FamilyTag, IntersectionArray, SrgParams, check_drg, recognize, srg_params
 from .groups import (
     GroupDescriptor,
@@ -54,7 +54,6 @@ __all__ = [
     "edge_list",
     "inverse_pairs",
     "is_connected",
-    "orbit_canonical",
     "pair_group",
     "parse_group",
     "product_group",

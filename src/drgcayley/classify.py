@@ -90,20 +90,26 @@ def _pair_orbit(desc: GroupDescriptor, bits: int) -> set[int]:
     return set((1 << images).sum(axis=1).tolist())
 
 
+def _lex_least(images) -> int:
+    """The lex-least of pair-bit sets with equally many pairs.
+
+    By the lex rule it has the largest bit string read from pair 0 up.
+    """
+    return max(images, key=lambda image: f"{image:b}"[::-1])
+
+
 def orbit_canonical(sset: SymmetricSet) -> tuple[SymmetricSet, int]:
     """Lexicographically minimal Aut(G) image and the orbit size.
 
     Images in one orbit have equally many pairs, and pairs are ordered by
     their minimum rank, so the lex-least pair-index tuple is also the
-    lex-least element-rank tuple.
+    lex-least element-rank tuple.  No census path calls it; the benchmark
+    traces it.
     """
     desc = sset.group
-    perms = pair_layer(desc).action
-    rev = 1 << (perms.shape[1] - 1 - perms)
-    members = [j for j, cell in enumerate(inverse_pairs(desc)) if sset.mask >> cell[0] & 1]
-    words = rev[:, members].sum(axis=1)
-    best = perms[words.argmax(), members]
-    return SymmetricSet.from_pair_bits(desc, int((1 << best).sum())), len(set(words.tolist()))
+    bits = sum(1 << j for j, cell in enumerate(inverse_pairs(desc)) if sset.mask >> cell[0] & 1)
+    orbit = _pair_orbit(desc, bits)
+    return SymmetricSet.from_pair_bits(desc, _lex_least(orbit)), len(orbit)
 
 
 @dataclass(frozen=True)
@@ -290,9 +296,7 @@ def _assemble_report(
             continue
         orbit = _pair_orbit(desc, bits)
         grouped |= orbit
-        # images have equally many pairs, so by the lex rule the lex-least
-        # present one has the largest bit string read from pair 0 up
-        lead = max(orbit & present, key=lambda image: f"{image:b}"[::-1])
+        lead = _lex_least(orbit & present)
         sset = SymmetricSet.from_pair_bits(desc, lead)
         graph = build(desc, sset)
         if not is_connected(graph):
@@ -416,7 +420,8 @@ def _census_leaders(
     exactly that count; a layer's DFS stops one leader past its count, so an
     overrun is reported, not run to its end.  They split into ``partitions``
     index ranges, one funnel call per nonempty range, run on ``threads``
-    threads.  The connected count is the Moebius sum ``connected_count``.
+    threads (see ``census``).  The connected count is the Moebius sum
+    ``connected_count``.
     """
     tick = time.perf_counter()
     layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
@@ -474,10 +479,16 @@ def census(
     scan="library" runs the full exact check on every one of the 2^P
     subsets with no pruning, within ``orbit_budget`` as the other modes'
     orbits are.  The report then decides one lead per orbit of what the
-    enumeration passed.  All three give the same report bytes.
+    enumeration passed.  All three give the same report bytes, at every
+    ``partitions`` and ``threads``; library mode ignores both.
     The report's ``funnel`` holds the count and seconds of each stage run;
     library mode's exhaustive loop is not a stage, so its funnel is the
     report's hits and orbits.
+
+    The command line runs kernel mode on one thread.  ``threads`` and
+    scan="orbit" stay only because the benchmark's census-small ops pass
+    them; they go once the benchmark no longer does.  Threads split only
+    the funnel, and the single-threaded DFS is the work.
     """
     _require_census_group(desc)
     if partitions < 1:
@@ -491,12 +502,11 @@ def census(
         raise CensusBudgetError(f"{total} pair-subsets exceed the orbit budget of {orbit_budget}")
     hits = []
     connected = 0
-    for lo, hi in _split_ranges(total, partitions):
-        for bits in range(lo, hi):
-            conn, drg = _library_verdict(desc, bits)
-            connected += conn
-            if drg:
-                hits.append(bits)
+    for bits in range(total):
+        conn, drg = _library_verdict(desc, bits)
+        connected += conn
+        if drg:
+            hits.append(bits)
     return _assemble_report(desc, hits, connected, [], [])
 
 

@@ -2,7 +2,8 @@
 
 Subcommands: check, census, construct, fourier-audit, bipartite-drg.
 Exit codes: 0 ok, 2 negative verdict or anomalies, 64 usage error,
-65 budget exceeded.
+65 budget exceeded.  ``census`` runs the library's kernel mode on one
+thread; its output paths are checked before the census starts.
 """
 
 from __future__ import annotations
@@ -25,8 +26,6 @@ EXIT_NEGATIVE = 2
 EXIT_USAGE = 64
 EXIT_BUDGET = 65
 
-ENV_THREADS = "DRGCAYLEY_THREADS"
-
 
 class UsageError(Exception):
     pass
@@ -35,23 +34,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise UsageError(message)
-
-
-def _thread_count(flag: int | None) -> int:
-    """--threads, else DRGCAYLEY_THREADS, else 1; anything below 1 is refused."""
-    if flag is not None:
-        source, value = "--threads", flag
-    else:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        if not raw:
-            return 1
-        try:
-            source, value = ENV_THREADS, int(raw)
-        except ValueError:
-            raise UsageError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
-    if value < 1:
-        raise UsageError(f"{source} must be >= 1, got {value}")
-    return value
 
 
 def _require(args, family: str, *names: str) -> None:
@@ -119,13 +101,12 @@ def cmd_check(args, out) -> int:
 
 def cmd_census(args, out) -> int:
     desc = parse_group(args.group)
-    report = classify.census(
-        desc,
-        partitions=args.partitions,
-        threads=_thread_count(args.threads),
-        scan="orbit" if args.orbit_first else "kernel",
-        orbit_budget=args.orbit_budget,
-    )
+    # refuse a missing directory before the census runs, without creating
+    # or truncating the file, so a failed census leaves an old report as it was
+    for flag, path in (("--out", args.out), ("--stats", args.stats)):
+        if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise UsageError(f"{flag} {path}: no such directory")
+    report = classify.census(desc, partitions=args.partitions, orbit_budget=args.orbit_budget)
     start = time.perf_counter()
     text = report.to_json()
     if args.stats:
@@ -277,14 +258,10 @@ def build_parser() -> _Parser:
     )
     p_census.add_argument("--group", required=True)
     p_census.add_argument("--partitions", type=int, default=1)
-    p_census.add_argument(
-        "--threads", type=int, default=None, help=f"worker threads (default: ${ENV_THREADS} or 1)"
-    )
     p_census.add_argument("--out", default=None, help="write the JSON report here")
     p_census.add_argument(
         "--stats", default=None, help="write the per-stage counts and seconds here as JSON"
     )
-    p_census.add_argument("--orbit-first", action="store_true")
     p_census.add_argument(
         "--orbit-budget", type=int, default=classify.DEFAULT_ORBIT_BUDGET
     )

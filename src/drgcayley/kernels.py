@@ -388,7 +388,11 @@ def _layer(desc: GroupDescriptor, blocks: list[list[list[int]]]) -> Layer:
 
 @lru_cache(maxsize=None)
 def pair_layer(desc: GroupDescriptor) -> Layer:
-    """Orbit mode's one layer: every pair is a point and a block of its own."""
+    """Orbit mode's one layer: every pair is a point and a block of its own.
+
+    Only ``classify.census(scan="orbit")`` reads it, which stays while the
+    benchmark's census-small ops run orbit mode.
+    """
     return _layer(desc, [[[j]] for j in range(len(inverse_pairs(desc)))])
 
 

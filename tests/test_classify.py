@@ -163,6 +163,7 @@ def test_census_modes_agree_bytewise():
         base = CL.census(d).to_json()
         assert hashlib.sha256(base.encode()).hexdigest() == digest
         assert CL.census(d, scan="library").to_json() == base
+        assert CL.census(d, scan="library", partitions=4).to_json() == base
         assert CL.census(d, scan="orbit").to_json() == base
 
 
@@ -173,6 +174,29 @@ def test_census_past_order_62_matches_its_digest(spec):
     for partitions in (1, 4):
         report = CL.census(d, partitions=partitions).to_json()
         assert hashlib.sha256(report.encode()).hexdigest() == LARGE_REPORT_SHA256[spec]
+
+
+def test_orbit_mode_matches_the_7x7_digest(monkeypatch):
+    """Orbit mode's one DFS on 7^1x7 walks all 17,793 Aut(G) orbits of its
+    2^24 subsets and gives kernel mode's report, at 1 and 4 partitions.
+    Partitions split the leaders after the DFS, so the second census reads
+    the first one's leaders instead of walking them again."""
+    d = G.pair_group(7, 1)
+    walk, walked = CL.orbit_leaders, {}
+
+    def once(layer):
+        if layer not in walked:
+            walked[layer] = list(islice(walk(layer), CL.orbit_count(layer) + 1))
+        return iter(walked[layer])
+
+    monkeypatch.setattr(CL, "orbit_leaders", once)
+    for partitions in (1, 4):
+        report = CL.census(d, scan="orbit", partitions=partitions)
+        digest = hashlib.sha256(report.to_json().encode()).hexdigest()
+        assert digest == "9d47236b96ffe9ab5076b65eff5273ad46a9cc559d0f0819c51e7364e82a6b7a"
+        counts = {stage: count for stage, count, _ in report.funnel}
+        assert counts["aut"] == counts["leaders"] == 17_793
+        assert (counts["hits"], counts["orbits"]) == (247, 8)
 
 
 def test_census_partitions_and_threads_deterministic():

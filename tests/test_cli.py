@@ -85,25 +85,38 @@ def test_census_stats_file_leaves_the_report_bytes_alone(tmp_path):
     assert all(s["seconds"] > 0 for s in data["stages"] if s["stage"] in ("hits", "orbits"))
 
 
-def test_orbit_first_stats_report_the_leader_funnel(tmp_path):
-    report, stats = tmp_path / "report.json", tmp_path / "stats.json"
-    code, _ = run(["census", "--group", "3^2x3", "--orbit-first",
-                   "--out", str(report), "--stats", str(stats)])
-    assert code == 0
-    stages = json.loads(stats.read_text())["stages"]
-    assert [s["stage"] for s in stages] == FUNNEL_STAGES
-    assert [s["count"] for s in stages] == [287, 287, 274, 12, 5, 9, 5, len(report.read_bytes())]
+def test_orbit_first_stats_report_the_leader_funnel():
+    """Orbit mode, which only the library offers, reports the same
+    funnel stages as the command's kernel mode."""
+    report = cli.classify.census(cli.parse_group("3^2x3"), scan="orbit")
+    assert [stage for stage, *_ in report.funnel] == FUNNEL_STAGES[:-1]
+    assert [count for _, count, _ in report.funnel] == [287, 287, 274, 12, 5, 9, 5]
 
 
-def test_census_thread_counts_byte_identical():
-    outputs = []
-    for threads in ("1", "4", "8"):
-        code, text = run(
-            ["census", "--group", "3^2x3", "--partitions", "8", "--threads", threads]
-        )
-        assert code == 0
-        outputs.append(text)
-    assert outputs[0] == outputs[1] == outputs[2]
+@pytest.mark.parametrize("option", [["--threads", "2"], ["--orbit-first"]])
+def test_removed_census_options_exit_64(option, capsys):
+    code, text = run(["census", "--group", "3^1x3", *option])
+    assert (code, text) == (64, "")
+    assert capsys.readouterr().err.startswith("usage error: unrecognized arguments")
+
+
+def test_census_output_into_a_missing_directory_exits_64_before_any_work(
+    tmp_path, monkeypatch, capsys
+):
+    def no_work(*args):
+        raise AssertionError("the DFS ran")
+
+    monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
+    missing = tmp_path / "no-such-dir"
+    report = tmp_path / "report.json"
+    for argv in (
+        ["--out", str(missing / "r.json")],
+        ["--out", str(report), "--stats", str(missing / "s.json")],
+    ):
+        code, text = run(["census", "--group", "11^1x11", *argv])
+        assert (code, text) == (64, "")
+        assert capsys.readouterr().err.startswith("usage error: --")
+    assert not missing.exists() and not report.exists()
 
 
 def test_construct_command():
@@ -184,10 +197,7 @@ def test_usage_errors_exit_64():
         ["construct", "--family", "td-line", "--r", "2"],
         ["construct", "--family", "multipartite", "--group", "3^1x3"],
         ["construct", "--family", "complete"],
-        ["census", "--group", "3^1x3", "--threads", "0"],
         ["census", "--group", "3^1x3", "--partitions", "0"],
-        ["census", "--group", "3^1x3", "--orbit-first", "--partitions", "0"],
-        ["census", "--group", "3^1x3", "--orbit-first", "--threads", "0"],
         ["construct", "--family", "complete", "--group", "Zn:1"],
         ["bipartite-drg", "--n", "0", "--auto-search"],
         ["bipartite-drg", "--n", "5", "--auto-search"],
@@ -196,44 +206,38 @@ def test_usage_errors_exit_64():
         assert code == 64, argv
 
 
-def test_bad_thread_count_exits_64(monkeypatch, capsys):
-    monkeypatch.setenv(cli.ENV_THREADS, "two")
-    code, _ = run(["census", "--group", "3^1x3"])
-    assert code == 64
-    assert cli.ENV_THREADS in capsys.readouterr().err
-    monkeypatch.setenv(cli.ENV_THREADS, "0")
-    code, _ = run(["census", "--group", "3^1x3"])
-    assert code == 64
-    monkeypatch.setenv(cli.ENV_THREADS, "2")
-    code, _ = run(["census", "--group", "3^1x3"])
-    assert code == 0
-
-
-def test_budget_exit_65(monkeypatch, capsys):
+def test_budget_exit_65(monkeypatch, capsys, tmp_path):
+    """The census fails after its output paths are checked, and leaves an
+    existing report as it was."""
     def no_work(*args):
         raise AssertionError("the DFS ran")
 
     monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
-    code, text = run(["census", "--group", "3^3x3", "--orbit-budget", "100"])
+    report, stats = tmp_path / "report.json", tmp_path / "stats.json"
+    report.write_text("old report\n")
+    code, text = run(["census", "--group", "3^3x3", "--orbit-budget", "100",
+                      "--out", str(report), "--stats", str(stats)])
     assert (code, text) == (65, "")
     assert capsys.readouterr().err == (
         "budget exceeded: 345 Aut(G) orbits exceed the orbit budget of 100\n"
     )
+    assert report.read_text() == "old report\n" and not stats.exists()
 
 
-def test_orbit_first_census_past_the_orbit_budget_exits_65(monkeypatch, capsys):
+def test_orbit_first_census_past_the_orbit_budget_exits_65(monkeypatch):
     """3^3x3's layer of all 40 pairs holds 6,794,936,703 Aut(G) orbits, so
-    the default budget refuses it before any leader is made or decided."""
+    the default budget refuses orbit mode before any leader is made or
+    decided; the command maps that error to exit 65 (``test_budget_exit_65``)."""
     def no_work(*args):
         raise AssertionError("a leader was made or decided")
 
     monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
     monkeypatch.setattr(cli.classify, "_assemble_report", no_work)
-    code, text = run(["census", "--group", "3^3x3", "--orbit-first"])
-    assert (code, text) == (65, "")
-    assert capsys.readouterr().err == (
-        "budget exceeded: 6794936703 Aut(G) orbits exceed the orbit budget of 2000000\n"
-    )
+    with pytest.raises(
+        cli.classify.CensusBudgetError,
+        match=r"^6794936703 Aut\(G\) orbits exceed the orbit budget of 2000000$",
+    ):
+        cli.classify.census(cli.parse_group("3^3x3"), scan="orbit")
 
 
 @pytest.mark.parametrize("n", ["34", "36", "99999998"])
@@ -250,9 +254,13 @@ def test_bipartite_sweep_past_the_budget_exits_65_before_any_work(n, monkeypatch
 
 @pytest.mark.parametrize("spec", ["5^3x5", "7^2x7", "3^5x3"])
 def test_orbit_first_census_past_the_automorphism_bound_exits_65(spec, capsys):
-    code, _ = run(["census", "--group", spec, "--orbit-first"])
+    """The command's kernel mode and the library's orbit mode both build
+    Aut(G) first, and both stop at its bound."""
+    code, _ = run(["census", "--group", spec])
     assert code == 65
     assert capsys.readouterr().err.startswith("budget exceeded: group order")
+    with pytest.raises(cli.AutomorphismBoundError, match="^group order"):
+        cli.classify.census(cli.parse_group(spec), scan="orbit")
 
 
 def test_check_non_negation_closed_set_exits_64(capsys):
