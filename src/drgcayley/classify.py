@@ -354,21 +354,30 @@ def orbit_leaders(layer: Layer) -> Iterator[tuple[int, ...]]:
     Orderly generation (Read, *Every one a winner*, 1978): a lex-least
     sorted tuple stays lex-least after its largest point is removed, so the
     search only ever extends leaders, by a point at or past ``after`` of the
-    last one, and emits every orbit exactly once.  All children of a leader
-    are tested at once: row 0 of the action is the identity, so a child
-    leads when no row's reversed word (point t as bit L - 1 - t) beats row 0's.
+    last one, and emits every orbit exactly once.
+
+    Each stack entry carries its leader, ``base``, the leader's reversed
+    word (point t as bit L - 1 - t) under each of the k rows of the action,
+    and ``start``, the first point a child may add.  ``rev`` holds each
+    point's bit under each row as an (L, k) array, so one add,
+    ``rev[start:] + base``, gives the k words of every child, child
+    start + j in row j, and that row is the child's ``base``: no node
+    re-sums its leader.  Row 0 of the action is the identity, so column 0
+    is each child's own word, and a child leads exactly when no row's word
+    beats it, that is when column 0 holds its row's max.
     """
-    rev = 1 << (len(layer.words) - 1 - layer.action)
+    rev = np.ascontiguousarray(1 << (len(layer.words) - 1 - layer.action.T))
     after = layer.after.tolist()
-    stack: list[tuple[int, ...]] = [()]
+    stack = [((), np.zeros(rev.shape[1], dtype=rev.dtype), 0)]
     while stack:
-        leader = stack.pop()
+        leader, base, start = stack.pop()
         if leader:
             yield leader
-        start = after[leader[-1]] if leader else 0
-        words = rev[:, list(leader)].sum(axis=1)[:, None] + rev[:, start:]
-        leads = np.flatnonzero((words <= words[0]).all(axis=0)) + start
-        stack.extend(leader + (t,) for t in reversed(leads.tolist()))
+        words = rev[start:] + base
+        leads = np.flatnonzero(words.max(axis=1) == words[:, 0]).tolist()
+        stack.extend(
+            (leader + (start + j,), words[j], after[start + j]) for j in reversed(leads)
+        )
 
 
 @lru_cache(maxsize=None)

@@ -101,11 +101,14 @@ def cmd_check(args, out) -> int:
 
 def cmd_census(args, out) -> int:
     desc = parse_group(args.group)
-    # refuse a missing directory before the census runs, without creating
-    # or truncating the file, so a failed census leaves an old report as it was
+    # refuse a missing directory, or a directory as the file, before the census
+    # runs, without creating or truncating the file, so a failed census leaves
+    # an old report as it was
     for flag, path in (("--out", args.out), ("--stats", args.stats)):
         if path and not os.path.isdir(os.path.dirname(os.path.abspath(path))):
             raise UsageError(f"{flag} {path}: no such directory")
+        if path and os.path.isdir(path):
+            raise UsageError(f"{flag} {path}: is a directory")
     report = classify.census(desc, partitions=args.partitions, orbit_budget=args.orbit_budget)
     start = time.perf_counter()
     text = report.to_json()

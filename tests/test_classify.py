@@ -3,7 +3,7 @@ import io
 import json
 import random
 from dataclasses import astuple
-from itertools import combinations, cycle, islice
+from itertools import combinations, cycle, islice, product
 
 import numpy as np
 import pytest
@@ -176,20 +176,11 @@ def test_census_past_order_62_matches_its_digest(spec):
         assert hashlib.sha256(report.encode()).hexdigest() == LARGE_REPORT_SHA256[spec]
 
 
-def test_orbit_mode_matches_the_7x7_digest(monkeypatch):
+def test_orbit_mode_matches_the_7x7_digest():
     """Orbit mode's one DFS on 7^1x7 walks all 17,793 Aut(G) orbits of its
-    2^24 subsets and gives kernel mode's report, at 1 and 4 partitions.
-    Partitions split the leaders after the DFS, so the second census reads
-    the first one's leaders instead of walking them again."""
+    2^24 subsets and gives kernel mode's report, at 1 and 4 partitions;
+    each census runs its own DFS."""
     d = G.pair_group(7, 1)
-    walk, walked = CL.orbit_leaders, {}
-
-    def once(layer):
-        if layer not in walked:
-            walked[layer] = list(islice(walk(layer), CL.orbit_count(layer) + 1))
-        return iter(walked[layer])
-
-    monkeypatch.setattr(CL, "orbit_leaders", once)
     for partitions in (1, 4):
         report = CL.census(d, scan="orbit", partitions=partitions)
         digest = hashlib.sha256(report.to_json().encode()).hexdigest()
@@ -552,9 +543,28 @@ def test_orbit_leader_count_small():
     assert sorted(len(l) for l in leaders) == [1, 2, 3, 4]
 
 
+def _layer_leaders(layer):
+    """The lex-least point tuple of every orbit of nonempty layer sets, in lex
+    order: brute force over every set with at most one point per block, with
+    the orbits taken from ``layer.action``."""
+    after = layer.after.tolist()
+    blocks = [range(start, after[start]) for start in sorted({0, *after})[:-1]]
+    rows = layer.action.tolist()
+    seen: set[tuple[int, ...]] = set()
+    leaders = []
+    for choice in product(*[(None, *block) for block in blocks]):
+        points = tuple(t for t in choice if t is not None)
+        if points and points not in seen:
+            orbit = {tuple(sorted(row[t] for t in points)) for row in rows}
+            seen |= orbit
+            leaders.append(min(orbit))
+    return sorted(leaders)
+
+
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2"])
 def test_orbit_leaders_are_the_lex_least_member_of_every_orbit(spec):
-    """Brute force over every nonempty pair-subset; 6x2 has singleton pairs."""
+    """Brute force over every nonempty pair-subset; 6x2 has singleton pairs.
+    The DFS emits the leaders in lex order of their point tuples."""
     d = G.parse_group(spec)
     seen: set[int] = set()
     expected = []
@@ -564,11 +574,24 @@ def test_orbit_leaders_are_the_lex_least_member_of_every_orbit(spec):
             orbit = _element_orbit(sset)
             seen |= orbit
             expected.append(_lex_least(orbit))
-    leaders = [
-        C.SymmetricSet.from_pair_bits(d, sum(1 << j for j in leader)).mask
-        for leader in CL.orbit_leaders(K.pair_layer(d))
-    ]
-    assert sorted(leaders) == sorted(expected)
+    layer = K.pair_layer(d)
+    leaders = list(CL.orbit_leaders(layer))
+    assert leaders == _layer_leaders(layer)
+    masks = [C.SymmetricSet.from_pair_bits(d, sum(1 << j for j in leader)).mask for leader in leaders]
+    assert sorted(masks) == sorted(expected)
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5"])
+def test_orbit_leaders_of_every_multiplier_layer_in_lex_order(spec):
+    for layer in K.multiplier_layers(G.parse_group(spec)):
+        assert list(CL.orbit_leaders(layer)) == _layer_leaders(layer)
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7", "3^3x3", "5^2x5", "11^1x11"])
+def test_layer_action_row_0_is_the_identity(spec):
+    """``orbit_leaders`` reads column 0 of its row sums as the set itself."""
+    for layer in K.multiplier_layers(G.parse_group(spec)):
+        assert layer.action[0].tolist() == list(range(len(layer.words)))
 
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2", "Zn:9"])

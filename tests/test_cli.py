@@ -119,6 +119,22 @@ def test_census_output_into_a_missing_directory_exits_64_before_any_work(
     assert not missing.exists() and not report.exists()
 
 
+def test_census_output_at_a_directory_exits_64_before_any_work(tmp_path, monkeypatch, capsys):
+    def no_work(*args):
+        raise AssertionError("the DFS ran")
+
+    monkeypatch.setattr(cli.classify, "orbit_leaders", no_work)
+    report = tmp_path / "report.json"
+    for argv in (
+        ["--out", str(tmp_path)],
+        ["--out", str(report), "--stats", str(tmp_path)],
+    ):
+        code, text = run(["census", "--group", "5^1x5", *argv])
+        assert (code, text) == (64, "")
+        assert capsys.readouterr().err == f"usage error: {argv[-2]} {tmp_path}: is a directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_command():
     code, text = run(["--format", "json", "construct", "--family", "td-line", "--p", "5", "--r", "3"])
     assert code == 0
