@@ -366,18 +366,20 @@ def orbit_leaders(layer: Layer) -> Iterator[tuple[int, ...]]:
     is each child's own word, and a child leads exactly when no row's word
     beats it, that is when column 0 holds its row's max.
     """
-    rev = np.ascontiguousarray(1 << (len(layer.words) - 1 - layer.action.T))
+    points = len(layer.words)
+    rev = np.ascontiguousarray(1 << (points - 1 - layer.action.T))
     after = layer.after.tolist()
     stack = [((), np.zeros(rev.shape[1], dtype=rev.dtype), 0)]
     while stack:
         leader, base, start = stack.pop()
         if leader:
             yield leader
+        if start == points:  # the last block is taken: no child
+            continue
         words = rev[start:] + base
-        leads = np.flatnonzero(words.max(axis=1) == words[:, 0]).tolist()
-        stack.extend(
-            (leader + (start + j,), words[j], after[start + j]) for j in reversed(leads)
-        )
+        leads = (words.max(axis=1) == words[:, 0]).nonzero()[0].tolist()
+        for j in reversed(leads):
+            stack.append((leader + (start + j,), words[j], after[start + j]))
 
 
 @lru_cache(maxsize=None)
