@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import islice
@@ -181,16 +180,6 @@ def _require_census_group(desc: GroupDescriptor) -> None:
         raise ValueError(
             f"census runs over Z_(p^s) + Z_p with odd prime p; got {desc.spec()}"
         )
-
-
-def _split_ranges(total: int, partitions: int) -> list[tuple[int, int]]:
-    """The nonempty ones of ``partitions`` equal index ranges of [0, total).
-
-    Past ``total`` partitions every range holds at most one index, so the
-    nonempty ones are the ``total`` single indices.
-    """
-    parts = min(partitions, total)
-    return [(total * i // parts, total * (i + 1) // parts) for i in range(parts)]
 
 
 def _library_verdict(desc: GroupDescriptor, bits: int) -> tuple[bool, bool]:
@@ -418,21 +407,17 @@ def orbit_count(layer: Layer) -> int:
     return fixed // len(layer.action)
 
 
-def _census_leaders(
-    desc: GroupDescriptor, scan: str, partitions: int, threads: int, budget: int
-) -> CensusReport:
+def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusReport:
     """Kernel and orbit mode: the orbit leaders of the mode's layers pass
-    ``word_funnel``, and each c_2 survivor's whole orbit goes to the report,
-    which decides it.
+    ``word_funnel`` in one call, and each c_2 survivor's whole orbit goes to
+    the report, which decides it.
 
     The ``aut`` stage times the one-off builds: Aut(G) and its action on the
     layers, the scan context and the layers' Burnside count, which the
     budget bounds before any leader is made.  The leaders must number
     exactly that count; a layer's DFS stops one leader past its count, so an
-    overrun is reported, not run to its end.  They split into ``partitions``
-    index ranges, one funnel call per nonempty range, run on ``threads``
-    threads (see ``census``).  The connected count is the Moebius sum
-    ``connected_count``.
+    overrun is reported, not run to its end.  The connected count is the
+    Moebius sum ``connected_count``.
     """
     tick = time.perf_counter()
     layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
@@ -451,25 +436,9 @@ def _census_leaders(
     checks = []
     if len(words) != expected:
         checks.append(f"enumeration produced {len(words)} of {expected} orbit leaders")
-    ranges = _split_ranges(len(words), partitions)
-
-    def run(bounds: tuple[int, int]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        return word_funnel(desc, words[bounds[0]:bounds[1]])
-
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, ranges))
-    else:
-        results = [run(bounds) for bounds in ranges]
-    seconds = sum((stage_s for _, stage_s in results), np.zeros(len(FUNNEL_STAGES)))
-    for i, (stage, stage_s) in enumerate(zip(FUNNEL_STAGES, seconds.tolist())):
-        funnel.append((stage, sum(len(passed[i]) for passed, _ in results), stage_s))
-    images = [
-        image
-        for passed, _ in results
-        for bits in passed[-1].tolist()
-        for image in _pair_orbit(desc, bits)
-    ]
+    passed, seconds = word_funnel(desc, words)
+    funnel += zip(FUNNEL_STAGES, map(len, passed), seconds.tolist())
+    images = [image for bits in passed[-1].tolist() for image in _pair_orbit(desc, bits)]
     return _assemble_report(desc, images, connected_count(desc), checks, funnel)
 
 
@@ -490,16 +459,16 @@ def census(
     scan="library" runs the full exact check on every one of the 2^P
     subsets with no pruning, within ``orbit_budget`` as the other modes'
     orbits are.  The report then decides one lead per orbit of what the
-    enumeration passed.  All three give the same report bytes, at every
-    ``partitions`` and ``threads``; library mode ignores both.
+    enumeration passed, and all three give the same report bytes.
     The report's ``funnel`` holds the count and seconds of each stage run;
     library mode's exhaustive loop is not a stage, so its funnel is the
     report's hits and orbits.
 
-    The command line runs kernel mode on one thread.  ``threads`` and
-    scan="orbit" stay only because the benchmark's census-small ops pass
-    them; they go once the benchmark no longer does.  Threads split only
-    the funnel, and the single-threaded DFS is the work.
+    ``partitions`` (at least 1) and ``threads`` change no work in any mode:
+    the funnel takes every leader in one call.  They, and scan="orbit",
+    stay only because the benchmark's census-small ops pass them; all three
+    go once the benchmark no longer does (ROADMAP item 1).  The command
+    line runs kernel mode.
     """
     _require_census_group(desc)
     if partitions < 1:
@@ -507,7 +476,7 @@ def census(
     if scan not in ("kernel", "orbit", "library"):
         raise ValueError(f"unknown scan mode {scan!r}")
     if scan != "library":
-        return _census_leaders(desc, scan, partitions, threads, orbit_budget)
+        return _census_leaders(desc, scan, orbit_budget)
     total = 1 << len(inverse_pairs(desc))
     if total > orbit_budget:
         raise CensusBudgetError(f"{total} pair-subsets exceed the orbit budget of {orbit_budget}")

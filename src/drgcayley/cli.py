@@ -2,8 +2,8 @@
 
 Subcommands: check, census, construct, fourier-audit, bipartite-drg.
 Exit codes: 0 ok, 2 negative verdict or anomalies, 64 usage error,
-65 budget exceeded.  ``census`` runs the library's kernel mode on one
-thread; its output paths are checked before the census starts.
+65 budget exceeded.  ``census`` runs the library's kernel mode; its
+output paths are checked before the census starts.
 """
 
 from __future__ import annotations
@@ -109,7 +109,7 @@ def cmd_census(args, out) -> int:
             raise UsageError(f"{flag} {path}: no such directory")
         if path and os.path.isdir(path):
             raise UsageError(f"{flag} {path}: is a directory")
-    report = classify.census(desc, partitions=args.partitions, orbit_budget=args.orbit_budget)
+    report = classify.census(desc, orbit_budget=args.orbit_budget)
     start = time.perf_counter()
     text = report.to_json()
     if args.stats:
@@ -260,7 +260,6 @@ def build_parser() -> _Parser:
         "census", help="find every distance-regular symmetric set of a group"
     )
     p_census.add_argument("--group", required=True)
-    p_census.add_argument("--partitions", type=int, default=1)
     p_census.add_argument("--out", default=None, help="write the JSON report here")
     p_census.add_argument(
         "--stats", default=None, help="write the per-stage counts and seconds here as JSON"

@@ -323,8 +323,10 @@ def _multiplier_action(desc: GroupDescriptor) -> np.ndarray:
     Row k is the pair permutation of x -> g^k x, for a primitive root g mod
     p^s.  g has order 2|M| and g^|M| = -1 fixes every pair, so the rows are
     M in order, row 0 is the identity, and the subgroup of order d is every
-    (|M|/d)-th row.
+    (|M|/d)-th row.  The pairs are read first, so that ``group_tables``
+    refuses a group past its bound before the root search runs.
     """
+    firsts = [cell[0] for cell in inverse_pairs(desc)]
     p, _ = desc.prime_power_pair
     ps = desc.first_modulus
     order = ps // p * (p - 1) // 2
@@ -333,7 +335,6 @@ def _multiplier_action(desc: GroupDescriptor) -> np.ndarray:
         if len({pow(u, k, ps) for k in range(2 * order)}) == 2 * order
     )
     units = np.array([pow(g, k, ps) for k in range(order)])
-    firsts = [cell[0] for cell in inverse_pairs(desc)]
     images = linear_map(desc, desc, units * desc.second_modulus, units % desc.second_modulus)
     return pair_of_rank(desc)[images[:, firsts]]
 

@@ -213,31 +213,41 @@ def _count_funnel_calls(monkeypatch):
 
 @pytest.mark.parametrize("spec", ["3^2x3", "5^1x5"])
 def test_orbit_mode_honours_partitions_and_threads(monkeypatch, spec):
-    """Orbit mode splits its leaders (287 and 49) into ``partitions`` index
-    ranges, one funnel call each, and gives the same bytes for every split."""
+    """Orbit mode passes all its leaders (287 and 49) to one funnel call at
+    every ``partitions`` and ``threads``, and gives the same bytes."""
     d = G.parse_group(spec)
     calls = _count_funnel_calls(monkeypatch)
     base = CL.census(d, scan="orbit").to_json()
     assert hashlib.sha256(base.encode()).hexdigest() == REPORT_SHA256[spec]
-    leaders = calls[0]
+    assert calls == [{"3^2x3": 287, "5^1x5": 49}[spec]]
+    leaders = list(calls)
     for partitions, threads in ((4, 1), (4, 4), (8, 2), (8, 4)):
         calls.clear()
         report = CL.census(d, scan="orbit", partitions=partitions, threads=threads)
         assert report.to_json() == base
-        assert sorted(calls) == sorted(
-            leaders * (i + 1) // partitions - leaders * i // partitions for i in range(partitions)
-        )
+        assert calls == leaders
 
 
 @pytest.mark.parametrize("scan", ["kernel", "orbit"])
 def test_partitions_past_the_leaders_cost_no_work(monkeypatch, scan):
-    """Ranges left empty by more partitions than leaders are neither listed
-    nor funnelled: 3^1x3 has 4 leaders, so 1,000 partitions make 4 calls."""
+    """More partitions than leaders change nothing: 3^1x3's 4 leaders pass
+    one funnel call at 1,000 partitions."""
     d = G.parse_group("3^1x3")
     calls = _count_funnel_calls(monkeypatch)
     report = CL.census(d, scan=scan, partitions=1000)
-    assert calls == [1, 1, 1, 1]
+    assert calls == [4]
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["3^1x3"]
+
+
+def test_census_past_the_table_bound_is_refused_before_the_root_search(monkeypatch):
+    """3^16x3 (order 3^17) is refused by the group-table bound before the
+    multipliers' primitive root mod 3^16 is sought."""
+    def no_root_search(*args):
+        raise AssertionError("the primitive-root search ran")
+
+    monkeypatch.setattr(K, "pow", no_root_search, raising=False)
+    with pytest.raises(ValueError, match="exceeds the table bound 1024"):
+        CL.census(G.parse_group("3^16x3"))
 
 
 def test_census_json_shape():

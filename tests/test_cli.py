@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from drgcayley import cli
+from drgcayley import cli, kernels
 
 
 def run(argv):
@@ -93,7 +93,9 @@ def test_orbit_first_stats_report_the_leader_funnel():
     assert [count for _, count, _ in report.funnel] == [287, 287, 274, 12, 5, 9, 5]
 
 
-@pytest.mark.parametrize("option", [["--threads", "2"], ["--orbit-first"]])
+@pytest.mark.parametrize(
+    "option", [["--threads", "2"], ["--orbit-first"], ["--partitions", "4"]]
+)
 def test_removed_census_options_exit_64(option, capsys):
     code, text = run(["census", "--group", "3^1x3", *option])
     assert (code, text) == (64, "")
@@ -213,7 +215,6 @@ def test_usage_errors_exit_64():
         ["construct", "--family", "td-line", "--r", "2"],
         ["construct", "--family", "multipartite", "--group", "3^1x3"],
         ["construct", "--family", "complete"],
-        ["census", "--group", "3^1x3", "--partitions", "0"],
         ["construct", "--family", "complete", "--group", "Zn:1"],
         ["bipartite-drg", "--n", "0", "--auto-search"],
         ["bipartite-drg", "--n", "5", "--auto-search"],
@@ -295,6 +296,20 @@ def test_census_past_the_pair_word_exits_64(monkeypatch, capsys):
     code, text = run(["census", "--group", "13^1x13"])
     assert (code, text) == (64, "")
     assert "84 inverse pairs; pair words hold 62" in capsys.readouterr().err
+
+
+def test_census_past_the_table_bound_exits_64_at_once(monkeypatch, capsys):
+    """3^16x3 is refused by the group-table bound before the primitive-root
+    search over its 2 * 3^15 multipliers runs."""
+    def no_root_search(*args):
+        raise AssertionError("the primitive-root search ran")
+
+    monkeypatch.setattr(kernels, "pow", no_root_search, raising=False)
+    code, text = run(["census", "--group", "3^16x3"])
+    assert (code, text) == (64, "")
+    assert capsys.readouterr().err == (
+        "usage error: group order 129140163 exceeds the table bound 1024\n"
+    )
 
 
 def test_check_past_the_table_bound_exits_64(capsys):
