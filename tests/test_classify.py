@@ -526,6 +526,8 @@ def test_orbit_mode_reports_a_disconnected_survivor(monkeypatch):
 def test_census_rejects_non_pair_groups_and_big_groups(monkeypatch):
     with pytest.raises(ValueError):
         CL.census(G.cyclic_group(27))
+    with pytest.raises(ValueError, match="partitions must be >= 1"):
+        CL.census(G.pair_group(3, 1), partitions=0)
 
     def no_work(*args):
         raise AssertionError("the DFS or a BFS ran")
