@@ -14,7 +14,8 @@ records two things, each side in fresh interpreters with the program
 imported from that checkout's ``src``:
 
 - ``census``: wall time of ``census()`` per census group on both sides, and
-  of the full ``census_scan`` oracle.  The first call in a fresh process is
+  of the full ``census_scan`` oracle on the groups with at most 2^24
+  subsets (``SCAN_PAIRS``).  The first call in a fresh process is
   reported as ``cold_s``; the median of the later calls as ``warm_s``.
   Each of ``CENSUS_ROUNDS`` rounds runs one fresh process per side, parent
   first in even rounds (parent, change, change, parent, ...), and the
@@ -42,21 +43,22 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7")
+GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7", "3^3x3", "5^2x5")
+SCAN_PAIRS = 24  # the full census_scan is timed only up to 2^24 subsets
 WORKLOADS = ("census-small", "census-7x7", "certify-large")
 METRICS = ("sets_per_s", "op_p50_ms", "op_p90_ms", "setup_s", "peak_rss_mb")
 CENSUS_METRICS = ("warm_s", "census_scan_s")
 CENSUS_ROUNDS = 6
 HIGHER_IS_BETTER = {"sets_per_s"}
 
-# Times census() and the full census_scan oracle for each group, in one
-# fresh interpreter per side.
+# Times census() for each group, and the full census_scan oracle where it
+# has at most 2^SCAN_PAIRS subsets, in one fresh interpreter per side.
 TIMER = r"""
 import json, statistics, sys, time
 from drgcayley import classify, groups, kernels
-reps = int(sys.argv[1])
+reps, scan_pairs = int(sys.argv[1]), int(sys.argv[2])
 out = {}
-for spec in sys.argv[2:]:
+for spec in sys.argv[3:]:
     desc = groups.parse_group(spec)
     runs = []
     for _ in range(reps):
@@ -64,13 +66,16 @@ for spec in sys.argv[2:]:
         report = classify.census(desc)
         runs.append(time.perf_counter() - t0)
     entry = {"cold_s": runs[0], "warm_s": statistics.median(runs[1:]), "drg_sets": report.drg_sets}
+    out[spec] = entry
+    pairs = len(groups.inverse_pairs(desc))
+    if pairs > scan_pairs:
+        continue
     scans = []
-    for _ in range(2 if spec == "7^1x7" else reps):
+    for _ in range(2 if pairs == scan_pairs else reps):
         t0 = time.perf_counter()
-        kernels.census_scan(desc, 0, 1 << len(groups.inverse_pairs(desc)))
+        kernels.census_scan(desc, 0, 1 << pairs)
         scans.append(time.perf_counter() - t0)
     entry["census_scan_s"] = statistics.median(scans)
-    out[spec] = entry
 print(json.dumps(out))
 """
 
@@ -97,7 +102,7 @@ def describe(checkout: Path) -> str:
 
 
 def time_census(checkout: Path, reps: int) -> dict:
-    return json.loads(_python(checkout, ["-c", TIMER, str(reps), *GROUPS]))
+    return json.loads(_python(checkout, ["-c", TIMER, str(reps), str(SCAN_PAIRS), *GROUPS]))
 
 
 def census_rounds(sides: dict[str, Path], rounds: int, reps: int) -> dict:
@@ -110,6 +115,8 @@ def census_rounds(sides: dict[str, Path], rounds: int, reps: int) -> dict:
     for spec in GROUPS:
         summary[spec] = {}
         for name in CENSUS_METRICS:
+            if name not in runs[0]["groups"][spec]:
+                continue
             by_side = {
                 side: [r["groups"][spec][name] for r in runs if r["side"] == side]
                 for side in sides

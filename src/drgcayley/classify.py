@@ -11,17 +11,18 @@ every pair as a point and a block.  Aut(G) commutes with the multipliers,
 so it maps each layer onto itself and permutes its points (``kernels``
 docstring).  ``orbit_count`` counts a layer's orbits by Burnside's lemma
 before the DFS runs; ``orbit_budget`` bounds that count, and the leaders
-must number exactly it.  The leaders pass one filter funnel
-(``kernels.word_funnel``), and the whole orbit of each c_2 survivor goes to
-the report; the connected count is a Moebius sum over the subgroup lattice.
-``scan="library"`` decides all 2^P subsets with the exact library check and
-passes its hits.  The exhaustive ``kernels.census_scan`` stays outside
+must number exactly it.  The DFS yields each leader's pair word; the words
+pass one filter funnel (``kernels.word_funnel``), and the Aut(G) orbit of
+each c_2 survivor goes to the report; the connected count is a Moebius sum
+over the subgroup lattice.  ``scan="library"`` decides all 2^P subsets with
+the exact library check and passes its hits' orbits, which must hold
+exactly its hits.  The exhaustive ``kernels.census_scan`` stays outside
 ``census`` as the oracle the tests hold the enumeration to.
 
-The report groups the sets it is given into Aut(G) orbits under the pair
-action ``groups.pair_permutations``, as pair bits.  Connectivity,
+The report takes Aut(G) orbits under the pair action
+``groups.pair_permutations``, as sets of pair words.  Connectivity,
 distance-regularity and every field of a record are orbit invariants.  So
-only the lead of each orbit, its lex-least member present, is built as a
+only the lead of each orbit, its lex-least member, is built as a
 ``SymmetricSet`` and decided, by one BFS, and the lead of each
 distance-regular orbit is classified with that same graph: its family is
 tagged, the Schur ring route and the antipodal quotient cross-checked, and
@@ -257,36 +258,38 @@ def _classify_hit(
     return record, anomalies
 
 
+def _hit_orbits(desc: GroupDescriptor, hits) -> list[set[int]]:
+    """The Aut(G) orbits through the pair words ``hits``, one per orbit."""
+    orbits: list[set[int]] = []
+    for bits in hits:
+        if not any(bits in orbit for orbit in orbits):
+            orbits.append(_pair_orbit(desc, bits))
+    return orbits
+
+
 def _assemble_report(
     desc: GroupDescriptor,
-    survivors: list[int],
+    orbits: list[set[int]],
     connected: int,
     checks: list[str],
     funnel: list[tuple[str, int, float]],
 ) -> CensusReport:
-    """Decide ``survivors`` one Aut(G) orbit at a time and report the hits.
+    """Decide each Aut(G) orbit, a set of pair words, and report the hits.
 
-    Distance-regularity is an orbit invariant, so the lead of each orbit is
-    decided by BFS and stands for every member present: a disconnected lead
-    is an anomaly (the enumeration's connectivity test passed it), a lead
-    that is not distance-regular drops its orbit (c_2 is only necessary),
-    and a distance-regular lead is classified.  ``checks`` are the
-    enumeration's own anomalies and ``funnel`` its stages, to which the hits
-    and orbits stages are added.
+    Distance-regularity is an orbit invariant, so the lead of each orbit,
+    its lex-least member, is decided by BFS and stands for its whole orbit:
+    a disconnected lead is an anomaly (the enumeration's connectivity test
+    passed it), a lead that is not distance-regular drops its orbit (c_2 is
+    only necessary), and a distance-regular lead is classified.  ``checks``
+    are the enumeration's own anomalies and ``funnel`` its stages, to which
+    the hits and orbits stages are added.
     """
     _, s = desc.prime_power_pair
     tick = time.perf_counter()
-    present = set(survivors)
-    grouped: set[int] = set()
     disconnected: list[str] = []
-    orbits = []
-    for bits in survivors:
-        if bits in grouped:
-            continue
-        orbit = _pair_orbit(desc, bits)
-        grouped |= orbit
-        lead = _lex_least(orbit & present)
-        sset = SymmetricSet.from_pair_bits(desc, lead)
+    decided = []
+    for orbit in orbits:
+        sset = SymmetricSet.from_pair_bits(desc, _lex_least(orbit))
         graph = build(desc, sset)
         if not is_connected(graph):
             disconnected.append(f"c2 survivor is disconnected: {sset.member_strs()}")
@@ -294,26 +297,17 @@ def _assemble_report(
         part = distance_partition(graph)
         array = check_drg(graph, part)
         if array is not None:
-            orbits.append((graph, part, array, orbit))
-    hits = sum(len(orbit & present) for *_, orbit in orbits)
+            decided.append((graph, part, array, len(orbit)))
+    hits = sum(size for *_, size in decided)
     funnel.append(("hits", hits, time.perf_counter() - tick))
     tick = time.perf_counter()
     anomalies: list[str] = []
     orbit_records: list[CensusRecord] = []
     # records in lex order of their leads' element ranks
-    for graph, part, array, orbit in sorted(orbits, key=lambda item: item[0].connection.members()):
-        record, probs = _classify_hit(graph, part, array, s, len(orbit))
+    for graph, part, array, size in sorted(decided, key=lambda item: item[0].connection.members()):
+        record, probs = _classify_hit(graph, part, array, s, size)
         anomalies.extend(probs)
-        missing = orbit - present
-        if missing:
-            anomalies.append(
-                f"orbit of {graph.connection.member_strs()} leaves the hit set; "
-                f"{len(missing)} images missing"
-            )
         orbit_records.append(record)
-    total_from_orbits = sum(r.orbit_size for r in orbit_records)
-    if total_from_orbits != hits:
-        anomalies.append(f"orbit sizes sum to {total_from_orbits}, expected {hits}")
     family_sets: dict[str, int] = {}
     family_orbits: dict[str, int] = {}
     param_classes: set[tuple[str, str]] = set()
@@ -337,28 +331,31 @@ def _assemble_report(
     )
 
 
-def orbit_leaders(layer: Layer) -> Iterator[tuple[int, ...]]:
-    """The lex-least point tuple of every Aut(G) orbit of nonempty layer sets.
+def orbit_leaders(layer: Layer) -> Iterator[int]:
+    """The pair word of the lex-least point tuple of every Aut(G) orbit of
+    nonempty layer sets, in lex order of those tuples.
 
     Orderly generation (Read, *Every one a winner*, 1978): a lex-least
     sorted tuple stays lex-least after its largest point is removed, so the
     search only ever extends leaders, by a point at or past ``after`` of the
     last one, and emits every orbit exactly once.
 
-    Each stack entry carries its leader, ``base``, the leader's reversed
-    word (point t as bit L - 1 - t) under each of the k rows of the action,
-    and ``start``, the first point a child may add.  ``rev`` holds each
-    point's bit under each row as an (L, k) array, so one add,
-    ``rev[start:] + base``, gives the k words of every child, child
-    start + j in row j, and that row is the child's ``base``: no node
-    re-sums its leader.  Row 0 of the action is the identity, so column 0
-    is each child's own word, and a child leads exactly when no row's word
-    beats it, that is when column 0 holds its row's max.
+    Each stack entry carries its leader's pair word (a child's is its
+    parent's OR its new point's), ``base``, the leader's reversed word
+    (point t as bit L - 1 - t) under each of the k rows of the action, and
+    ``start``, the first point a child may add.  ``rev`` holds each point's
+    bit under each row as an (L, k) array, so one add, ``rev[start:] +
+    base``, gives the k words of every child, child start + j in row j, and
+    that row is the child's ``base``: no node re-sums its leader.  Row 0 of
+    the action is the identity, so column 0 is each child's own word, and a
+    child leads exactly when no row's word beats it, that is when column 0
+    holds its row's max.
     """
     points = len(layer.words)
     rev = np.ascontiguousarray(1 << (points - 1 - layer.action.T))
     after = layer.after.tolist()
-    stack = [((), np.zeros(rev.shape[1], dtype=rev.dtype), 0)]
+    pair_words = layer.words.tolist()
+    stack = [(0, np.zeros(rev.shape[1], dtype=rev.dtype), 0)]
     while stack:
         leader, base, start = stack.pop()
         if leader:
@@ -368,7 +365,7 @@ def orbit_leaders(layer: Layer) -> Iterator[tuple[int, ...]]:
         words = rev[start:] + base
         leads = (words.max(axis=1) == words[:, 0]).nonzero()[0].tolist()
         for j in reversed(leads):
-            stack.append((leader + (start + j,), words[j], after[start + j]))
+            stack.append((leader | pair_words[start + j], words[j], after[start + j]))
 
 
 @lru_cache(maxsize=None)
@@ -408,9 +405,8 @@ def orbit_count(layer: Layer) -> int:
 
 
 def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusReport:
-    """Kernel and orbit mode: the orbit leaders of the mode's layers pass
-    ``word_funnel`` in one call, and each c_2 survivor's whole orbit goes to
-    the report, which decides it.
+    """Kernel and orbit mode: the leaders' pair words pass ``word_funnel``
+    in one call, and the report decides the orbit of each c_2 survivor.
 
     The ``aut`` stage times the one-off builds: Aut(G) and its action on the
     layers, the scan context and the layers' Burnside count, which the
@@ -428,9 +424,7 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
     tick = time.perf_counter()
     leaders = []
     for layer in layers:
-        points = layer.words.tolist()
-        bounded = islice(orbit_leaders(layer), orbit_count(layer) + 1)
-        leaders += [sum(points[t] for t in leader) for leader in bounded]
+        leaders += islice(orbit_leaders(layer), orbit_count(layer) + 1)
     words = np.array(leaders, dtype=np.int64)
     funnel.append(("leaders", len(words), time.perf_counter() - tick))
     checks = []
@@ -438,8 +432,8 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
         checks.append(f"enumeration produced {len(words)} of {expected} orbit leaders")
     passed, seconds = word_funnel(desc, words)
     funnel += zip(FUNNEL_STAGES, map(len, passed), seconds.tolist())
-    images = [image for bits in passed[-1].tolist() for image in _pair_orbit(desc, bits)]
-    return _assemble_report(desc, images, connected_count(desc), checks, funnel)
+    orbits = [_pair_orbit(desc, bits) for bits in passed[-1].tolist()]
+    return _assemble_report(desc, orbits, connected_count(desc), checks, funnel)
 
 
 def census(
@@ -455,11 +449,11 @@ def census(
     scan="kernel" takes one lex-leader per Aut(G) orbit of each multiplier
     layer (``kernels.multiplier_layers``), scan="orbit" one per Aut(G)
     orbit of all pair-subsets (``kernels.pair_layer``); both pass the
-    leaders through one filter funnel and expand each survivor's orbit.
-    scan="library" runs the full exact check on every one of the 2^P
-    subsets with no pruning, within ``orbit_budget`` as the other modes'
-    orbits are.  The report then decides one lead per orbit of what the
-    enumeration passed, and all three give the same report bytes.
+    leaders through one filter funnel and hand the report each survivor's
+    orbit.  scan="library" runs the full exact check on every one of the
+    2^P subsets with no pruning, within ``orbit_budget`` as the other modes'
+    orbits are, and hands the report its hits' orbits.  The report decides
+    one lead per orbit, and all three give the same report bytes.
     The report's ``funnel`` holds the count and seconds of each stage run;
     library mode's exhaustive loop is not a stage, so its funnel is the
     report's hits and orbits.
@@ -487,7 +481,10 @@ def census(
         connected += conn
         if drg:
             hits.append(bits)
-    return _assemble_report(desc, hits, connected, [], [])
+    orbits = _hit_orbits(desc, hits)  # Aut(G)-closed hits fill their orbits
+    size = sum(map(len, orbits))
+    checks = [] if size == len(hits) else [f"orbit sizes sum to {size}, expected {len(hits)}"]
+    return _assemble_report(desc, orbits, connected, checks, [])
 
 
 # -- family constructors -----------------------------------------------------

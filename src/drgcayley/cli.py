@@ -36,10 +36,24 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _require(args, family: str, *names: str) -> None:
-    missing = [f"--{n}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise UsageError(f"--family {family} needs {', '.join(missing)}")
+# per construct family: the options it needs, then the others it reads
+FAMILY_OPTIONS = {
+    "complete": (("group",), ()),
+    "multipartite": (("group", "t", "m"), ()),
+    "td-line": (("p", "r"), ("design_out",)),
+}
+
+
+def _family_options(args) -> None:
+    """Refuse an option the family needs and lacks, or one it does not read."""
+    needs, reads = FAMILY_OPTIONS[args.family]
+    missing = [n for n in needs if getattr(args, n) is None]
+    stray = [n for n in ("group", "t", "m", "p", "r", "design_out")
+             if n not in needs + reads and getattr(args, n) is not None]
+    for problem, names in (("needs", missing), ("does not take", stray)):
+        if names:
+            flags = ", ".join("--" + n.replace("_", "-") for n in names)
+            raise UsageError(f"--family {args.family} {problem} {flags}")
 
 
 def _emit(payload: dict, fmt: str, out) -> None:
@@ -130,24 +144,18 @@ def cmd_census(args, out) -> int:
 
 
 def cmd_construct(args, out) -> int:
-    if args.design_out and args.family != "td-line":
-        raise UsageError("--design-out applies to --family td-line only")
+    _family_options(args)
     if args.family == "td-line":
-        _require(args, "td-line", "p", "r")
         desc = pair_group(args.p, 1)
         graph, array = classify.construct_family(desc, "td-line", r=args.r)
         pcp = next(designs.pcp_enumerate(desc, args.r))
         design = designs.td_from_pcp(pcp)
     elif args.family == "complete":
-        _require(args, "complete", "group")
         desc = parse_group(args.group)
         graph, array = classify.construct_family(desc, "complete")
-    elif args.family == "multipartite":
-        _require(args, "multipartite", "group", "t", "m")
+    else:
         desc = parse_group(args.group)
         graph, array = classify.construct_family(desc, "multipartite", t=args.t, m=args.m)
-    else:
-        raise UsageError(f"unknown family {args.family}")
     params = srg_params(array)
     payload = {
         "group": graph.group.spec(),

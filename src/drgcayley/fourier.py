@@ -40,6 +40,7 @@ import numpy as np
 from .groups import (
     GroupDescriptor,
     _prime_power,
+    atom_partition,
     cyclic_group,
     is_transversal,
     subgroups_of_order,
@@ -222,33 +223,25 @@ def transversal_zeros(p: int, s: int, subset: Iterable[int], r: int) -> bool:
     return not table.coeffs[m[m % r != 0] * (n // r) % n].any()
 
 
-def unit_orbit(n: int, divisor: int) -> tuple[int, ...]:
-    """O_r = elements of additive order r in Z_n (one multiplicative orbit)."""
-    return tuple(x for x in range(n) if n // gcd(x, n) == divisor)
-
-
 def rational_image_orbits(
     p: int, s: int, subset: Iterable[int]
 ) -> tuple[tuple[int, tuple[int, ...]], ...] | None:
     """Orbit decomposition of the subset when its transform is rational.
 
     Lemma checked (Bridges and Mena, J. Combin. Theory A 32, 1982): the
-    transform is rational exactly when the subset is a union of unit orbits.
-    Rationality is decided exactly from canonical forms, and the lemma is
-    asserted both ways.
+    transform is rational exactly when the subset is a union of unit orbits,
+    the cells of ``groups.atom_partition`` of Z_n, each named by the
+    additive order of its elements.  Rationality is decided exactly from
+    canonical forms, and the lemma is asserted both ways.
     """
     ctx = FourierContext(p, s)
     n = ctx.n
     aset = {x % n for x in subset}
     table = ctx.transform_subset(aset)
     rational = not table.coeffs[:, 1:].any()
-    divisors = [d for d in range(1, n + 1) if n % d == 0]
-    orbits = {d: unit_orbit(n, d) for d in divisors}
-    used = [d for d in divisors if set(orbits[d]) <= aset and orbits[d]]
-    covered = set()
-    for d in used:
-        covered |= set(orbits[d])
-    is_union = covered == aset
+    orbits = sorted((n // gcd(cell[0], n), cell) for cell in atom_partition(cyclic_group(n)))
+    used = [(d, cell) for d, cell in orbits if set(cell) <= aset]
+    is_union = set().union(*(cell for _, cell in used)) == aset
     if rational != is_union:
         raise AssertionError(
             "rational transform and union-of-orbits disagree; "
@@ -256,7 +249,7 @@ def rational_image_orbits(
         )
     if not rational:
         return None
-    return tuple((d, orbits[d]) for d in used if orbits[d])
+    return tuple(used)
 
 
 @dataclass(frozen=True)

@@ -34,9 +34,9 @@ M-orbits and H-orbits, with Stab_M(sigma x) = Stab_M(x): each layer is
 Aut(G)-invariant, and ``action`` holds each row of
 ``groups.pair_permutations`` as a permutation of the points.  Orbit mode's
 ``pair_layer`` is the layer of all P pairs, one point and one block each.
-``classify.orbit_leaders`` walks one lex-leader per Aut(G) orbit of a
-layer's nonempty sets, and ``classify.orbit_count`` counts those orbits by
-Burnside's lemma.
+``classify.orbit_leaders`` yields the pair word of one lex-leader per
+Aut(G) orbit of a layer's nonempty sets, and ``classify.orbit_count``
+counts those orbits by Burnside's lemma.
 
 The leaders then pass one vectorized funnel, ``word_funnel``:
 connected (S meets the complement of every maximal subgroup; a pair lies

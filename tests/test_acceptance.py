@@ -107,11 +107,7 @@ def test_a04_census_z7_z7_by_multiplier_classes():
     funnel = {stage: count for stage, count, _ in rep.funnel}
     assert funnel["aut"] == funnel["leaders"] == 119
     d = G.parse_group("7^1x7")
-    leaders = [
-        int(layer.words[list(leader)].sum())
-        for layer in K.multiplier_layers(d)
-        for leader in CL.orbit_leaders(layer)
-    ]
+    leaders = [word for layer in K.multiplier_layers(d) for word in CL.orbit_leaders(layer)]
     candidates = sum(len(CL._pair_orbit(d, bits)) for bits in leaders)
     assert candidates == 65_790
     assert elapsed < 2.0

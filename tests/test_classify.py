@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import io
 import json
 import random
 from dataclasses import astuple
 from itertools import combinations, cycle, islice, product
+from math import prod
 
 import numpy as np
 import pytest
@@ -109,21 +111,15 @@ def _theorem_hits(d):
     }
 
 
-def _leader_words(layers):
-    """The pair word of every orbit leader of ``layers``, in DFS order, cut
-    one leader past each layer's Burnside count as the census cuts it."""
-    return [
-        int(layer.words[list(leader)].sum())
-        for layer in layers
-        for leader in islice(CL.orbit_leaders(layer), CL.orbit_count(layer) + 1)
+def _survivor_orbits(d):
+    """The Aut(G) orbits of the kernel leaders that pass the funnel."""
+    words = [
+        word
+        for layer in K.multiplier_layers(d)
+        for word in islice(CL.orbit_leaders(layer), CL.orbit_count(layer) + 1)
     ]
-
-
-def _survivors(d):
-    """The sets of the Aut(G) orbits of the kernel leaders that pass the funnel."""
-    words = np.array(_leader_words(K.multiplier_layers(d)), dtype=np.int64)
-    passed, _ = K.word_funnel(d, words)
-    return sorted(image for bits in passed[-1].tolist() for image in CL._pair_orbit(d, bits))
+    passed, _ = K.word_funnel(d, np.array(words, dtype=np.int64))
+    return [CL._pair_orbit(d, bits) for bits in passed[-1].tolist()]
 
 
 def test_census_counts_reconcile_with_subgroup_union_formula():
@@ -136,7 +132,7 @@ def test_census_counts_reconcile_with_subgroup_union_formula():
         d = G.parse_group(spec)
         expected = _theorem_hits(d)
         assert len(expected) == count
-        survivors = _survivors(d)
+        survivors = set().union(*_survivor_orbits(d))
         assert {C.SymmetricSet.from_pair_bits(d, bits).mask for bits in survivors} == expected
         rep = CL.census(d)
         assert rep.drg_sets == count and rep.anomalies == ()
@@ -263,51 +259,44 @@ def test_census_json_shape():
     assert all(r["flags"]["schurVerified"] for r in data["records"])
 
 
-def _tamper_survivors(monkeypatch, add=(), drop=()):
-    """The enumeration hands the report its true survivors with ``add`` put
-    in and ``drop`` taken out.  The seam is the report's input: the census
-    expands every c_2 survivor to its whole orbit before that, so a set
-    missing from an orbit can only arrive there."""
+def _tamper(monkeypatch, scan, words):
+    """In kernel and orbit mode the report gets the Aut(G) orbit of each of
+    ``words`` beside the enumeration's own orbits; the report's input is the
+    seam.  In library mode the exact verdict rejects ``words``."""
+    if scan == "library":
+        verdict = CL._library_verdict
+
+        def rejecting(desc, bits):
+            return (True, False) if bits in words else verdict(desc, bits)
+
+        monkeypatch.setattr(CL, "_library_verdict", rejecting)
+        return
     assemble = CL._assemble_report
 
-    def tampered(desc, survivors, *args):
-        return assemble(desc, sorted(set(survivors) - set(drop) | set(add)), *args)
+    def tampered(desc, orbits, *args):
+        return assemble(desc, orbits + [CL._pair_orbit(desc, bits) for bits in words], *args)
 
     monkeypatch.setattr(CL, "_assemble_report", tampered)
 
 
 # pair bits over 5^1x5: 5 is connected but not distance-regular, so the exact
-# decision drops it, or its whole orbit of 60, and the report is the
-# untampered one; 1 spans the subgroup <(0,1)> only, and so do 8 and 512 in
-# its orbit, which lead as one orbit, named by 8, the lex-least of the two;
-# and 135 is the lex-least set of a TD line graph orbit of 15, so the next
-# member of that orbit leads its record
+# decision drops its orbit of 60, in kernel and in orbit mode, and the report
+# is the untampered one; 1 spans the subgroup <(0,1)> only, and leads its
+# orbit; and 135 is the lex-least set of a TD line graph orbit of 15, so
+# rejecting it leaves library mode's hits one short of their orbits
 TAMPERED_HITS = {
-    "non-drg": ((5,), (), ()),
-    "non-drg-orbit": (tuple(CL._pair_orbit(G.pair_group(5, 1), 5)), (), ()),
-    "disconnected": ((1,), (), ("c2 survivor is disconnected: ['(0,1)', '(0,4)']",)),
-    "disconnected-orbit": (
-        (8, 512),
-        (),
-        ("c2 survivor is disconnected: ['(1,1)', '(4,4)']",),
-    ),
-    "missing-image": (
-        (),
-        (135,),
-        (
-            "orbit of ['(0,1)', '(0,2)', '(0,3)', '(0,4)', '(1,1)', '(2,2)', '(3,3)', "
-            "'(4,4)'] leaves the hit set; 1 images missing",
-            "orbit sizes sum to 57, expected 56",
-        ),
-    ),
+    "non-drg": ("kernel", (5,), ()),
+    "non-drg-orbit": ("orbit", (5,), ()),
+    "disconnected": ("kernel", (1,), ("c2 survivor is disconnected: ['(0,1)', '(0,4)']",)),
+    "missing-image": ("library", (135,), ("orbit sizes sum to 57, expected 56",)),
 }
 
 
 @pytest.mark.parametrize("case", sorted(TAMPERED_HITS))
 def test_census_reports_tampered_hits(monkeypatch, case):
-    add, drop, anomalies = TAMPERED_HITS[case]
-    _tamper_survivors(monkeypatch, add, drop)
-    report = CL.census(G.pair_group(5, 1))
+    scan, words, anomalies = TAMPERED_HITS[case]
+    _tamper(monkeypatch, scan, words)
+    report = CL.census(G.pair_group(5, 1), scan=scan)
     assert report.anomalies == anomalies
     if case.startswith("non-drg"):
         assert hashlib.sha256(report.to_json().encode()).hexdigest() == REPORT_SHA256["5^1x5"]
@@ -365,8 +354,18 @@ def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anom
 
 
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
-    add, drop, anomalies = TAMPERED_HITS["disconnected"]
-    _tamper_survivors(monkeypatch, add, drop)
+    scan, words, anomalies = TAMPERED_HITS["disconnected"]
+    _tamper(monkeypatch, scan, words)
+    out = io.StringIO()
+    assert cli.main(["census", "--group", "5^1x5"], out=out) == 2
+    assert tuple(json.loads(out.getvalue())["anomalies"]) == anomalies
+
+
+def test_census_command_exits_2_when_library_hits_leave_an_orbit(monkeypatch):
+    """Library mode's closure anomaly fails the command like any other."""
+    scan, words, anomalies = TAMPERED_HITS["missing-image"]
+    _tamper(monkeypatch, scan, words)
+    monkeypatch.setattr(CL, "census", functools.partial(CL.census, scan=scan))
     out = io.StringIO()
     assert cli.main(["census", "--group", "5^1x5"], out=out) == 2
     assert tuple(json.loads(out.getvalue())["anomalies"]) == anomalies
@@ -421,7 +420,7 @@ REPORT_SETS = {"3^2x3": (9, 5), "5^1x5": (57, 5)}
 @pytest.mark.parametrize("spec", sorted(REPORT_SETS))
 def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
     d = G.parse_group(spec)
-    survivors = _survivors(d)
+    orbits = _survivor_orbits(d)
     made = []
 
     class Counted(C.SymmetricSet):
@@ -430,8 +429,8 @@ def test_report_builds_one_symmetric_set_per_orbit(monkeypatch, spec):
             super().__post_init__()
 
     monkeypatch.setattr(CL, "SymmetricSet", Counted)
-    report = CL._assemble_report(d, survivors, K.connected_count(d), [], [])
-    assert (len(survivors), report.orbit_count) == REPORT_SETS[spec]
+    report = CL._assemble_report(d, orbits, K.connected_count(d), [], [])
+    assert (sum(map(len, orbits)), report.orbit_count) == REPORT_SETS[spec]
     assert report.anomalies == ()
     assert len(made) == len(set(made)) == report.orbit_count
     assert sorted(list(r.set_strs) for r in report.records) == sorted(
@@ -483,7 +482,7 @@ def test_orbit_mode_funnel_loses_no_hit(monkeypatch, spec):
     """The leaders the library verdict calls distance-regular, each leader
     decided, are the leads the report's BFS calls distance-regular."""
     d = G.parse_group(spec)
-    leaders = [sum(1 << j for j in leader) for leader in CL.orbit_leaders(K.pair_layer(d))]
+    leaders = list(CL.orbit_leaders(K.pair_layer(d)))
     expected = {
         C.SymmetricSet.from_pair_bits(d, bits).mask
         for bits in leaders
@@ -548,11 +547,20 @@ def test_census_rejects_non_pair_groups_and_big_groups(monkeypatch):
 
 
 def test_orbit_leader_count_small():
-    d = G.pair_group(3, 1)
-    leaders = list(CL.orbit_leaders(K.pair_layer(d)))
+    layer = K.pair_layer(G.pair_group(3, 1))
+    leaders = list(CL.orbit_leaders(layer))
     # pair action is S_4: one orbit per nonempty subset size
     assert len(leaders) == 4
-    assert sorted(len(l) for l in leaders) == [1, 2, 3, 4]
+    assert sorted(len(_points(layer, word)) for word in leaders) == [1, 2, 3, 4]
+
+
+def _points(layer, word):
+    """The point tuple of a layer set, from its pair word: the points of a
+    layer are disjoint sets of pairs."""
+    words = layer.words.tolist()
+    points = tuple(t for t, point in enumerate(words) if word & point)
+    assert sum(words[t] for t in points) == word
+    return points
 
 
 def _layer_leaders(layer):
@@ -588,15 +596,16 @@ def test_orbit_leaders_are_the_lex_least_member_of_every_orbit(spec):
             expected.append(_lex_least(orbit))
     layer = K.pair_layer(d)
     leaders = list(CL.orbit_leaders(layer))
-    assert leaders == _layer_leaders(layer)
-    masks = [C.SymmetricSet.from_pair_bits(d, sum(1 << j for j in leader)).mask for leader in leaders]
+    assert [_points(layer, word) for word in leaders] == _layer_leaders(layer)
+    masks = [C.SymmetricSet.from_pair_bits(d, word).mask for word in leaders]
     assert sorted(masks) == sorted(expected)
 
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5"])
 def test_orbit_leaders_of_every_multiplier_layer_in_lex_order(spec):
     for layer in K.multiplier_layers(G.parse_group(spec)):
-        assert list(CL.orbit_leaders(layer)) == _layer_leaders(layer)
+        leaders = [_points(layer, word) for word in CL.orbit_leaders(layer)]
+        assert leaders == _layer_leaders(layer)
 
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7", "3^3x3", "5^2x5", "11^1x11"])
@@ -604,6 +613,66 @@ def test_layer_action_row_0_is_the_identity(spec):
     """``orbit_leaders`` reads column 0 of its row sums as the set itself."""
     for layer in K.multiplier_layers(G.parse_group(spec)):
         assert layer.action[0].tolist() == list(range(len(layer.words)))
+
+
+# the groups whose every kernel-mode layer the order-free invariants cover
+KERNEL_GROUPS = ("3^1x3", "3^2x3", "5^1x5", "7^1x7", "3^3x3", "5^2x5")
+
+
+def _leader_images(d, layer):
+    """The leaders of ``layer``, as pair words, and their images under every
+    row of ``pair_permutations``, one row of images per leader."""
+    leaders = np.array(list(CL.orbit_leaders(layer)), dtype=np.int64)
+    perms = G.pair_permutations(d)
+    bits = leaders[:, None] >> np.arange(perms.shape[1]) & 1
+    return leaders, bits @ (1 << perms.T.astype(np.int64))
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_kernel_leaders_lie_in_distinct_orbits(spec):
+    """Whatever order the DFS takes: the least image of each leader under
+    all of Aut(G), a brute-force canonical form, differs from every other
+    leader's, over all layers of the group."""
+    d = G.parse_group(spec)
+    forms = [
+        form
+        for layer in K.multiplier_layers(d)
+        for form in _leader_images(d, layer)[1].min(axis=1).tolist()
+    ]
+    assert len(set(forms)) == len(forms)
+
+
+@pytest.mark.parametrize("spec", KERNEL_GROUPS)
+def test_kernel_leaders_orbits_fill_each_layer(spec):
+    """Orbit-stabilizer, in any order: |A| / |Stab(L)| over the leaders L
+    of a layer sums to its prod(1 + t_B) - 1 nonempty sets, t_B the points
+    of block B; Stab(L) is the rows that map L onto itself."""
+    d = G.parse_group(spec)
+    for layer in K.multiplier_layers(d):
+        leaders, images = _leader_images(d, layer)
+        stabilizers = (images == leaders[:, None]).sum(axis=1)
+        assert (len(images[0]) % stabilizers == 0).all()
+        sets = prod(1 + t for t in np.unique(layer.after, return_counts=True)[1].tolist()) - 1
+        assert (len(images[0]) // stabilizers).sum() == sets
+
+
+@pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "7^1x7"])
+def test_census_forms_one_orbit_per_c2_survivor(monkeypatch, spec):
+    """Kernel and orbit mode call ``_pair_orbit`` once per c_2 survivor, and
+    the report forms no orbit of its own."""
+    d = G.parse_group(spec)
+    calls = []
+    pair_orbit = CL._pair_orbit
+
+    def counted(desc, bits):
+        calls.append(bits)
+        return pair_orbit(desc, bits)
+
+    monkeypatch.setattr(CL, "_pair_orbit", counted)
+    for scan in ("kernel", "orbit"):
+        calls.clear()
+        counts = {stage: count for stage, count, _ in CL.census(d, scan=scan).funnel}
+        assert len(calls) == counts["c2"] > 0
 
 
 @pytest.mark.parametrize("spec", ["3^1x3", "3^2x3", "5^1x5", "6x2", "Zn:9"])

@@ -181,6 +181,33 @@ def test_design_out_outside_td_line_writes_nothing(tmp_path):
     assert not edges.exists() and not design.exists()
 
 
+@pytest.mark.parametrize(
+    "options,message",
+    [
+        ("--family td-line --p 3 --r 2 --group 5^1x5", "--family td-line does not take --group"),
+        ("--family complete --group 3^1x3 --t 3 --m 3", "--family complete does not take --t, --m"),
+        (
+            "--family multipartite --group 3^2x3 --t 3 --m 9 --p 3 --r 2",
+            "--family multipartite does not take --p, --r",
+        ),
+        ("--family complete --group 3^1x3 --design-out d.json",
+         "--family complete does not take --design-out"),
+        ("--family td-line --r 2", "--family td-line needs --p"),
+        ("--family multipartite --group 3^1x3 --p 3", "--family multipartite needs --t, --m"),
+    ],
+)
+def test_construct_refuses_missing_and_stray_options(
+    capsys, monkeypatch, tmp_path, options, message
+):
+    """Each family needs and reads its own options; any other is refused,
+    not dropped, before anything is built or written."""
+    monkeypatch.chdir(tmp_path)
+    code, text = run(["construct", *options.split()])
+    assert (code, text) == (64, "")
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_fourier_audit_command():
     code, text = run(
         ["fourier-audit", "--group", "3^1x3", "--set", "(1,0),(2,0),(0,1),(0,2)"]

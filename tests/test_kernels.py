@@ -298,9 +298,9 @@ def _leader_words(layers):
     """The pair word of every orbit leader of ``layers``, in DFS order, cut
     one leader past each layer's Burnside count as the census cuts it."""
     return [
-        int(layer.words[list(leader)].sum())
+        word
         for layer in layers
-        for leader in islice(CL.orbit_leaders(layer), CL.orbit_count(layer) + 1)
+        for word in islice(CL.orbit_leaders(layer), CL.orbit_count(layer) + 1)
     ]
 
 
@@ -338,7 +338,8 @@ def test_generator_hits_equal_the_full_scan(spec):
     scan = K.census_scan(d, 0, 1 << len(G.inverse_pairs(d)))
     assert K.connected_count(d) == scan.connected
     assert _survivors(d) == scan.hits.tolist()
-    from_scan = CL._assemble_report(d, scan.hits.tolist(), scan.connected, [], []).to_json()
+    orbits = CL._hit_orbits(d, scan.hits.tolist())
+    from_scan = CL._assemble_report(d, orbits, scan.connected, [], []).to_json()
     for partitions in (1, 4):
         assert CL.census(d, partitions=partitions).to_json() == from_scan
 
