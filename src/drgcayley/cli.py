@@ -278,7 +278,7 @@ def build_parser() -> _Parser:
     p_census.set_defaults(fn=cmd_census)
 
     p_con = subs.add_parser("construct", help="build a named family member")
-    p_con.add_argument("--family", required=True, choices=("complete", "multipartite", "td-line"))
+    p_con.add_argument("--family", required=True, choices=tuple(FAMILY_OPTIONS))
     p_con.add_argument("--group", default=None)
     p_con.add_argument("--t", type=int, default=None)
     p_con.add_argument("--m", type=int, default=None)
