@@ -118,8 +118,10 @@ class CayleyGraph:
     def layers(self) -> tuple[int, ...]:
         """BFS layer masks N_0, N_1, ... from the identity, over its component only.
 
-        The search stops as soon as every vertex is reached, so a connected
-        graph never expands its last layer.
+        The search stops as soon as every vertex is reached: a frontier stops
+        expanding at the first vertex whose neighbors complete the group, as
+        the rest of it can add no vertex, and a connected graph never expands
+        its last layer.
         """
         adjacency = self.adjacency
         full = (1 << self.group.order) - 1
@@ -127,14 +129,16 @@ class CayleyGraph:
         visited = 1
         frontier = 1
         while visited != full:
-            nxt = 0
+            reached = visited
             for v in iter_bits(frontier):
-                nxt |= adjacency[v]
-            nxt &= ~visited
+                reached |= adjacency[v]
+                if reached == full:
+                    break
+            nxt = reached ^ visited
             if not nxt:
                 break
             layers.append(nxt)
-            visited |= nxt
+            visited = reached
             frontier = nxt
         return tuple(layers)
 
@@ -149,6 +153,13 @@ def _block_masks(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
         low = sum(1 << (a * q + b) for a in range(m) for b in range(q - b0))
         out.append((low, full ^ low))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _row_shifts(group: GroupDescriptor) -> tuple[int, ...]:
+    """Per a0, the shift n - a0 q that rotates a doubled word left by a0 blocks."""
+    n = group.order
+    return tuple(n - k for k in range(0, n, group.second_modulus))
 
 
 @lru_cache(maxsize=None)
@@ -187,15 +198,14 @@ def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
         raise ValueError("connection set belongs to a different group")
     n, q = group.order, group.second_modulus
     mask = connection.mask
-    # (0, b0) + S: rotate each q-bit block by b0
-    columns = [
-        (mask & low) << b0 | (mask & high) >> (q - b0)
-        for b0, (low, high) in enumerate(_block_masks(group))
-    ]
+    # (0, b0) + S: rotate each q-bit block by b0, then double the word
+    doubled = []
+    for b0, (low, high) in enumerate(_block_masks(group)):
+        t = (mask & low) << b0 | (mask & high) >> (q - b0)
+        doubled.append(t << n | t)
     # (a0, b0) + S: rotate the whole word by a0 * q; rank a0 * q + b0 is row-major
     full = (1 << n) - 1
-    doubled = [t << n | t for t in columns]
-    adjacency = tuple(w >> (n - k) & full for k in range(0, n, q) for w in doubled)
+    adjacency = tuple([w >> s & full for s in _row_shifts(group) for w in doubled])
     return CayleyGraph(group, connection, adjacency)
 
 

@@ -412,8 +412,10 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
     layers, the scan context and the layers' Burnside count, which the
     budget bounds before any leader is made.  The leaders must number
     exactly that count; a layer's DFS stops one leader past its count, so an
-    overrun is reported, not run to its end.  The connected count is the
-    Moebius sum ``connected_count``.
+    overrun is reported, not run to its end.  A DFS that repeats one orbit
+    and drops another keeps the count, so the c_2 survivors' orbits must
+    also be pairwise disjoint, or an anomaly is recorded.  The connected
+    count is the Moebius sum ``connected_count``.
     """
     tick = time.perf_counter()
     layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
@@ -433,6 +435,9 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
     passed, seconds = word_funnel(desc, words)
     funnel += zip(FUNNEL_STAGES, map(len, passed), seconds.tolist())
     orbits = [_pair_orbit(desc, bits) for bits in passed[-1].tolist()]
+    size, distinct = sum(map(len, orbits)), len(set().union(*orbits))
+    if distinct != size:
+        checks.append(f"c2 survivor orbits overlap: sizes sum to {size}, {distinct} distinct sets")
     return _assemble_report(desc, orbits, connected_count(desc), checks, funnel)
 
 

@@ -118,6 +118,7 @@ def check_drg(
     if partition is None:
         partition = distance_partition(graph)
     layers = partition.layer_masks
+    adjacency = graph.adjacency
     half = _negation_half(graph.group)
     d = partition.diameter
     b: list[int] = []
@@ -126,24 +127,24 @@ def check_drg(
     for i, layer in enumerate(layers):
         prev = layers[i - 1] if i > 0 else 0
         nxt = layers[i + 1] if i < d else 0
-        ref = None
-        for v in iter_bits(layer & half):
-            adj = graph.adjacency[v]
-            triple = (
-                (adj & prev).bit_count(),
-                (adj & layer).bit_count(),
-                (adj & nxt).bit_count(),
-            )
-            if ref is None:
-                ref = triple
-            elif triple != ref:
+        vertices = iter_bits(layer & half)
+        adj = adjacency[next(vertices)]
+        ci = (adj & prev).bit_count()
+        ai = (adj & layer).bit_count()
+        bi = (adj & nxt).bit_count()
+        for v in vertices:
+            adj = adjacency[v]
+            if (
+                (adj & prev).bit_count() != ci
+                or (adj & layer).bit_count() != ai
+                or (adj & nxt).bit_count() != bi
+            ):
                 return None
-        assert ref is not None
         if i > 0:
-            c.append(ref[0])
-        a.append(ref[1])
+            c.append(ci)
+        a.append(ai)
         if i < d:
-            b.append(ref[2])
+            b.append(bi)
     arr = IntersectionArray(
         b=tuple(b), c=tuple(c), a=tuple(a), k=partition.layer_sizes()
     )

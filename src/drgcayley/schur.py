@@ -57,13 +57,15 @@ def distance_module(graph: CayleyGraph, partition: DistancePartition) -> CellPar
 
 
 @lru_cache(maxsize=None)
-def _half_differences(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """The g with g <= -g, ascending, and the rows sub[g] of the subtraction table."""
+def _half_differences(desc: GroupDescriptor) -> tuple[np.ndarray, np.ndarray, tuple[int, ...]]:
+    """The g with g <= -g, ascending, the rows sub[g] of the subtraction table,
+    and at each such g its position among them."""
     tabs = group_tables(desc)
-    rows = np.flatnonzero(np.arange(desc.order) <= tabs.neg)
+    in_half = np.arange(desc.order) <= tabs.neg
+    rows = np.flatnonzero(in_half)
     diffs = tabs.sub[rows]
     diffs.setflags(write=False)
-    return rows, diffs
+    return rows, diffs, tuple((np.cumsum(in_half) - 1).tolist())
 
 
 def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
@@ -112,14 +114,19 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
             axis=1, count=n, bitorder="little",
         )
         cid = bits.argmax(axis=0)  # the cell of each element
+        reps = [(c & -c).bit_length() - 1 for c in basis.cells]  # each cell's least member
         if (cid[tabs.neg] == cid).all():
-            g, diffs = _half_differences(desc)
+            g, diffs, index = _half_differences(desc)
+            reps = [index[v] for v in reps]
         else:
             g, diffs = np.arange(n), tabs.sub
         e = bits.astype(np.float64)
         # prods[t, x, i] = p(i, keyed[t], g[x]); 0/1 terms, so every sum is exact
-        prods = e[keyed].take(diffs, axis=1) @ e.T
-        at_rep = prods[:, bits[:, g].argmax(axis=1)]  # at each cell's least member
+        if len(keyed) == 1:  # every diameter-2 module: one row gathers faster than take
+            prods = (e[keyed[0]][diffs] @ e.T)[None]
+        else:
+            prods = e[keyed].take(diffs, axis=1) @ e.T
+        at_rep = prods[:, reps]  # at each cell's least member
         if (prods != at_rep[:, cid[g]]).any():
             return None
         constants[keyed] = at_rep.transpose(0, 2, 1)  # p(t, i, k) = p(i, t, k)

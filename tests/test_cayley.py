@@ -153,6 +153,78 @@ def test_one_bfs_per_graph():
     assert fresh == other and hash(fresh) == hash(other)
 
 
+def _dense_sets(d, seed):
+    """The complete graph, every complete multipartite graph (G minus a
+    proper subgroup H, |H| >= 2) and six seeded sets with at least half the
+    inverse pairs, so valency k >= n/2 - 1."""
+    n = d.order
+    full = (1 << n) - 1
+    yield full ^ 1
+    for m in range(2, n):
+        if n % m == 0:
+            yield from (full ^ h.mask for h in G.subgroups_of_order(d, m))
+    pairs = len(G.inverse_pairs(d))
+    rng = random.Random(seed)
+    for _ in range(6):
+        chosen = rng.sample(range(pairs), rng.randint((pairs + 1) // 2, pairs))
+        yield C.SymmetricSet.from_pair_bits(d, sum(1 << j for j in chosen)).mask
+
+
+class _CountedRows:
+    """An adjacency sequence that counts the rows read from it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, v):
+        self.reads += 1
+        return self.rows[v]
+
+
+DENSE_GROUPS = ["3^3x3", "11^1x11", "5^2x5"]
+
+
+@pytest.mark.parametrize("spec", DENSE_GROUPS)
+def test_layers_of_dense_sets_match_plain_bfs(spec):
+    """The early stop in a frontier loses no vertex of any layer."""
+    d = G.parse_group(spec)
+    for seed, mask in enumerate(_dense_sets(d, 32)):
+        g = C.build(d, C.SymmetricSet(d, mask))
+        dist = dict_bfs(g.adjacency, 0)
+        want = [0] * (max(dist.values()) + 1)
+        for v, j in dist.items():
+            want[j] |= 1 << v
+        assert g.layers == tuple(want), (spec, seed)
+
+
+@pytest.mark.parametrize("spec", DENSE_GROUPS)
+def test_layers_stop_reading_rows_once_the_group_is_reached(spec):
+    """The last frontier is read only up to the first vertex whose
+    neighbors complete the group: one row for the complete graph, fewer rows
+    than that frontier holds for every diameter-2 dense set."""
+    d = G.parse_group(spec)
+    full = (1 << d.order) - 1
+    for mask in _dense_sets(d, 32):
+        plain = C.build(d, C.SymmetricSet(d, mask))
+        rows = _CountedRows(plain.adjacency)
+        layers = C.CayleyGraph(d, plain.connection, rows).layers
+        assert layers == plain.layers
+        *inner, last, _ = layers
+        reached = sum(inner) | last
+        for stop, v in enumerate(G.iter_bits(last), 1):
+            reached |= plain.adjacency[v]
+            if reached == full:
+                break
+        assert reached == full
+        assert rows.reads == sum(m.bit_count() for m in inner) + stop
+        if len(layers) > 2:
+            assert rows.reads < sum(m.bit_count() for m in layers[:-1])
+
+
 def test_translation_invariant_distance_profile():
     d, s = lattice_set(5)
     g = C.build(d, s)

@@ -353,6 +353,29 @@ def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anom
     assert report.records == CL.census(G.pair_group(5, 1)).records
 
 
+def test_census_reports_overlapping_survivor_orbits(monkeypatch):
+    """A DFS that repeats one orbit and drops another keeps the Burnside
+    count: on 5^1x5 the second layer's last leader, 4095 (the complete
+    graph), is swapped for 135, the lead of a TD line graph orbit of 15
+    already found in that layer.  The two c_2 survivors' orbits then
+    overlap, which the census reports."""
+    leaders = CL.orbit_leaders
+    layers = []
+
+    def tampered(layer):
+        layers.append(layer)
+        found = list(leaders(layer))
+        if len(layers) == 2:
+            assert found[-1] == 4095 and 135 in found
+            found[-1] = 135
+        return iter(found)
+
+    monkeypatch.setattr(CL, "orbit_leaders", tampered)
+    report = CL.census(G.pair_group(5, 1))
+    assert report.drg_sets == 71
+    assert report.anomalies == ("c2 survivor orbits overlap: sizes sum to 71, 56 distinct sets",)
+
+
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):
     scan, words, anomalies = TAMPERED_HITS["disconnected"]
     _tamper(monkeypatch, scan, words)
