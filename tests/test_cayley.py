@@ -156,7 +156,7 @@ def test_one_bfs_per_graph():
 def _dense_sets(d, seed):
     """The complete graph, every complete multipartite graph (G minus a
     proper subgroup H, |H| >= 2) and six seeded sets with at least half the
-    inverse pairs, so valency k >= n/2 - 1."""
+    inverse pairs, so valency k >= (n - 1)/2."""
     n = d.order
     full = (1 << n) - 1
     yield full ^ 1
@@ -177,9 +177,6 @@ class _CountedRows:
         self.rows = rows
         self.reads = 0
 
-    def __len__(self):
-        return len(self.rows)
-
     def __getitem__(self, v):
         self.reads += 1
         return self.rows[v]
@@ -192,13 +189,13 @@ DENSE_GROUPS = ["3^3x3", "11^1x11", "5^2x5"]
 def test_layers_of_dense_sets_match_plain_bfs(spec):
     """The early stop in a frontier loses no vertex of any layer."""
     d = G.parse_group(spec)
-    for seed, mask in enumerate(_dense_sets(d, 32)):
+    for i, mask in enumerate(_dense_sets(d, 32)):
         g = C.build(d, C.SymmetricSet(d, mask))
         dist = dict_bfs(g.adjacency, 0)
         want = [0] * (max(dist.values()) + 1)
         for v, j in dist.items():
             want[j] |= 1 << v
-        assert g.layers == tuple(want), (spec, seed)
+        assert g.layers == tuple(want), (spec, i)
 
 
 @pytest.mark.parametrize("spec", DENSE_GROUPS)
