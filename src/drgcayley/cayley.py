@@ -156,13 +156,6 @@ def _block_masks(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _row_shifts(group: GroupDescriptor) -> tuple[int, ...]:
-    """Per a0, the shift n - a0 q that rotates a doubled word left by a0 blocks."""
-    n = group.order
-    return tuple(n - k for k in range(0, n, group.second_modulus))
-
-
-@lru_cache(maxsize=None)
 def _pair_masks(group: GroupDescriptor) -> tuple[int, ...]:
     """The mask of each cell of ``inverse_pairs``, in its order."""
     return tuple(mask_of(cell) for cell in inverse_pairs(group))
@@ -205,7 +198,7 @@ def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
         doubled.append(t << n | t)
     # (a0, b0) + S: rotate the whole word by a0 * q; rank a0 * q + b0 is row-major
     full = (1 << n) - 1
-    adjacency = tuple([w >> s & full for s in _row_shifts(group) for w in doubled])
+    adjacency = tuple([w >> s & full for s in range(n, 0, -q) for w in doubled])
     return CayleyGraph(group, connection, adjacency)
 
 

@@ -413,8 +413,10 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
     budget bounds before any leader is made.  The leaders must number
     exactly that count; a layer's DFS stops one leader past its count, so an
     overrun is reported, not run to its end.  A DFS that repeats one orbit
-    and drops another keeps the count, so the c_2 survivors' orbits must
-    also be pairwise disjoint, or an anomaly is recorded.  The connected
+    and drops another keeps the count.  The c_2 survivors' orbits must also
+    be pairwise disjoint, or an anomaly is recorded; that catches a repeated
+    survivor orbit, not a repeated orbit that an earlier stage rejects while
+    a survivor's orbit goes missing.  The connected
     count is the Moebius sum ``connected_count``.
     """
     tick = time.perf_counter()

@@ -122,10 +122,7 @@ def is_schur_ring(basis: CellPartition) -> np.ndarray | None:
             g, diffs = np.arange(n), tabs.sub
         e = bits.astype(np.float64)
         # prods[t, x, i] = p(i, keyed[t], g[x]); 0/1 terms, so every sum is exact
-        if len(keyed) == 1:  # every diameter-2 module: one row gathers faster than take
-            prods = (e[keyed[0]][diffs] @ e.T)[None]
-        else:
-            prods = e[keyed].take(diffs, axis=1) @ e.T
+        prods = e[keyed].take(diffs, axis=1) @ e.T
         at_rep = prods[:, reps]  # at each cell's least member
         if (prods != at_rep[:, cid[g]]).any():
             return None
