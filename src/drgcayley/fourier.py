@@ -18,12 +18,13 @@ int64 bound.  With M the largest |input| coefficient, no integer on the
 array path exceeds 2 n M in ``transform_function`` and ``transform_table``
 (before reduction each output coefficient is a sum of at most n inputs, and
 reduction subtracts one such sum from another) and n M_a M_b in ``product``.
-``fourier_audit`` forms every product r_i(z) r_{i'}(z) in one int64 matmul
-per z, n products per coefficient, and each sum sum_i r_i(z) r_{j-i}(z) by
-adding p of them (a fold over Z_p); with M the largest |coefficient| of its
-unreduced row transforms (M <= n for the 0/1 rows it reads), no integer it
-forms exceeds p n M^2 + (|lam| + |mu|) M + k.  Each of the four raises
-``ValueError`` when its bound exceeds 2^62, so int64 never wraps.
+``fourier_audit`` forms the polynomials d_j of its docstring once, from
+the 0/1 row indicators, so |d_j| <= p n + |lam| + |mu| + k coefficientwise.
+Substituting x -> x^z sums at most n of those coefficients (k lands on
+coefficient 0 alone), and reduction subtracts one such sum from another,
+so no integer it forms exceeds 2 (n (p n + |lam| + |mu|) + k).  Each of
+the four raises ``ValueError`` when its bound exceeds 2^62, so int64 never
+wraps.
 ``convolution_check``, ``inversion_check``, ``transversal_zeros`` and
 ``rational_image_orbits`` check the lemmas their docstrings state.
 """
@@ -288,36 +289,34 @@ def _orbit_tables(p: int, s: int) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 @lru_cache(maxsize=None)
-def _product_tables(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, fold) for ``_row_products`` over Z_n, n = p^s.
+def _product_tables(p: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(gather, fold) for ``_row_products`` on (p, n) arrays.
 
-    gather, of shape (s+1, n, p n), indexes a flattened (p, s+1, n) array r
-    so that entry (t, e, i n + c) of r.ravel()[gather] is
-    r[i, t, (c - e) mod n].  fold (p, p) holds fold[i, j] = i p + (j - i)
-    mod p.  Built on first use, read-only.
+    gather, of shape (n, p n), indexes a flattened (p, n) array f so that
+    entry (e, i n + c) of f.ravel()[gather] is f[i, (c - e) mod n].  fold
+    (p, p) holds fold[i, j] = i p + (j - i) mod p.  Built on first use,
+    read-only.
     """
-    n = p**s
     shift = _index_tables(n)[1]
-    ap, at = np.arange(p), np.arange(s + 1)
-    gather = (ap[:, None] * (s + 1) + at[:, None, None, None]) * n + shift.T[:, None, :]
-    gather = gather.reshape(s + 1, n, p * n)
+    ap = np.arange(p)
+    gather = (ap[:, None] * n + shift.T[:, None, :]).reshape(n, p * n)
     fold = ap[:, None] * p + (ap - ap[:, None]) % p
     for table in (gather, fold):
         table.setflags(write=False)
     return gather, fold
 
 
-def _row_products(r1: np.ndarray, p: int, s: int) -> np.ndarray:
-    """lhs[j, t] = sum_i r1[i, t] r1[(j - i) mod p, t] mod x^n - 1, for r1 of shape (p, s+1, n).
+def _row_products(f: np.ndarray) -> np.ndarray:
+    """h[j] = sum_i f[i] f[(j - i) mod p] mod x^n - 1, for f of shape (p, n).
 
-    One int64 matmul per t forms the Z_n convolution of every pair of rows:
-    conv[t, i, i2 n + c] = sum_e r1[i, t, e] r1[i2, t, (c - e) mod n].  The
-    fold over Z_p then adds conv[t, i, (j - i) mod p] over i.
+    One int64 matmul forms the Z_n convolution of every pair of rows:
+    conv[i, i2 n + c] = sum_e f[i, e] f[i2, (c - e) mod n].  The fold over
+    Z_p then adds conv[i, (j - i) mod p] over i.
     """
-    gather, fold = _product_tables(p, s)
-    n = p**s
-    conv = np.matmul(r1.transpose(1, 0, 2), r1.reshape(-1)[gather])
-    return conv.reshape(s + 1, p * p, n)[:, fold].sum(axis=1).transpose(1, 0, 2)
+    p, n = f.shape
+    gather, fold = _product_tables(p, n)
+    conv = f @ f.reshape(-1)[gather]
+    return conv.reshape(p * p, n)[fold].sum(axis=0)
 
 
 def fourier_audit(graph, array, partition) -> AuditReport:
@@ -343,6 +342,19 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     failing orbit, so the report, with ``identities_checked`` = j n + z at
     the first failure, is the one an evaluation at all n points gives.
 
+    The products are formed once, as polynomials.  Let F_j and G_j in
+    Z[x]/(x^n - 1) be the 0/1 indicators of R_j and R_{j,2}, and s_z the
+    substitution x -> x^z.  For every integer z, units or not, s_z is a ring
+    endomorphism of Z[x]/(x^n - 1): it sends x^n - 1 to x^{z n} - 1, a
+    multiple of x^n - 1.  Since r_j(z) and r2_j(z) are s_z(F_j) and s_z(G_j)
+    read at x = w, E_j(z) is s_z(d_j) read at x = w, where
+
+        d_j = sum_i F_i F_{(j-i) mod p} - k[j=0] - lam F_j - mu G_j.
+
+    So d is formed once, at z = 1, and one int64 matmul carries it to every
+    representative; the unreduced array at each z equals, element for
+    element, the one formed by multiplying the transforms at that z.
+
     The eps-weighted combinations X_i^2 = k + lam X_i + mu Y_i, with
     eps = w^m, X_i = sum_j eps^{ij} r_j and Y_i = sum_j eps^{ij} r2_j, follow
     and need no check of their own: since eps^{ia} eps^{i(j-a)} = eps^{ij},
@@ -365,13 +377,11 @@ def fourier_audit(graph, array, partition) -> AuditReport:
     mu = array.c[1]
     reps, columns = _orbit_tables(p, s)
     masks = (graph.connection.mask, partition.layer_masks[2])
-    rows = np.concatenate([row_indicators(group, mask) for mask in masks])
-    r = (rows @ columns).reshape(2, p, len(reps), n)
-    r1, r2 = r  # r1[j, t] = r_j(reps[t]), not reduced
-    top = _max_abs(r)
-    _require_int64((p * n * top + abs(lam) + abs(mu)) * top + abs(k))
-    diff = _row_products(r1, p, s) - lam * r1 - mu * r2
-    diff[0, :, 0] -= k
+    f1, f2 = (row_indicators(group, mask) for mask in masks)
+    _require_int64(2 * (n * (p * n + abs(lam) + abs(mu)) + abs(k)))
+    d = _row_products(f1) - lam * f1 - mu * f2
+    d[0, 0] -= k
+    diff = (d @ columns).reshape(p, len(reps), n)  # diff[j, t] = s_{reps[t]}(d[j])
     bad = _first(ctx.canonical(diff).any(axis=-1))
     if bad is not None:
         j, t = divmod(bad, len(reps))

@@ -514,17 +514,15 @@ def test_array_path_matches_cyclotomic_oracle(data):
     assert canonical.tolist() == list(Cyc.from_coeffs(p, s, raw).coeffs)
 
 
-def einsum_row_products(r1, p, s):
-    """The audit's sums sum_i r1[i, t] r1[(j - i) mod p, t] mod x^n - 1 as one
-    einsum over a (p, p, s+1, n, n) gather: the oracle for its matmul and fold."""
+def einsum_row_products(f, p, s):
+    """The audit's sums sum_i f[i] f[(j - i) mod p] mod x^n - 1 at one orbit, as
+    one einsum over a (p, p, n, n) gather: the oracle for its matmul and fold."""
     n = p**s
-    orbits = s + 1
     ar, ap = np.arange(n), np.arange(p)
     shift = (ar[:, None] - ar) % n
     rolled = (ap - ap[:, None]) % p
-    at = np.arange(orbits)
-    gather = (rolled[:, :, None, None, None] * orbits + at[:, None, None]) * n + shift
-    return np.einsum("ite,ijtce->jtc", r1, r1.reshape(-1)[gather])
+    gather = rolled[:, :, None, None] * n + shift
+    return np.einsum("ie,ijce->jc", f, f.reshape(-1)[gather])
 
 
 @pytest.mark.parametrize("p,s", [(2, 3), (3, 1), (3, 3), (5, 2), (7, 1), (11, 1)])
@@ -532,10 +530,30 @@ def test_row_products_match_the_einsum(p, s):
     n = p**s
     rng = np.random.default_rng(100 * p + s)
     for bound in (1, n, 1 << 20):
-        r1 = rng.integers(-bound, bound + 1, size=(p, s + 1, n))
-        got = F._row_products(r1, p, s)
+        f = rng.integers(-bound, bound + 1, size=(p, n))
+        got = F._row_products(f)
         assert got.dtype == np.int64
-        assert np.array_equal(got, einsum_row_products(r1, p, s))
+        assert np.array_equal(got, einsum_row_products(f, p, s))
+
+
+def substitute(f, z):
+    """s_z(f): x -> x^z on the last axis of f, mod x^n - 1, by scatter-add."""
+    n = f.shape[-1]
+    out = np.zeros_like(f)
+    np.add.at(out, (..., np.arange(n) * z % n), f)
+    return out
+
+
+@pytest.mark.parametrize("p,s", ORACLE_RINGS)
+def test_substitution_commutes_with_row_products(p, s):
+    """s_z is a ring endomorphism of Z[x]/(x^n - 1) for every z, units or not,
+    so forming the row products once and substituting equals substituting first."""
+    n = p**s
+    rng = np.random.default_rng(7 * n)
+    f = rng.integers(-9, 10, size=(p, n))
+    products = F._row_products(f)
+    for z in range(n):
+        assert np.array_equal(substitute(products, z), F._row_products(substitute(f, z)))
 
 
 def test_int64_guard_near_2_62():
@@ -559,10 +577,21 @@ def test_int64_guard_near_2_62():
     assert ctx.product(np.full(n, 1 << 28), np.full(n, -(1 << 28))).tolist() == [-n << 56] * n
     with pytest.raises(ValueError, match="int64"):
         ctx.product(np.full(n, 1 << 29), np.full(n, 1 << 29))
-    # the audit bounds its whole sum, lam r_j(z) included
+    # the audit bounds its whole sum, lam r_j(z) and mu r2_j(z) included,
+    # through reduction: 2 (n (p n + |lam| + |mu|) + k) <= 2^62
     graph, arr, part = next(audit_inputs("3^1x3"))
     with pytest.raises(ValueError, match="int64"):
         F.fourier_audit(graph, replace(arr, a=(0, F.INT64_SAFE) + arr.a[2:]), part)
+    with pytest.raises(ValueError, match="int64"):
+        F.fourier_audit(graph, replace(arr, c=(0, F.INT64_SAFE) + arr.c[2:]), part)
+    p, s = graph.group.prime_power_pair
+    n = p**s
+    top = (F.INT64_SAFE // 2 - arr.valency) // n - p * n - abs(arr.c[1])
+    for lam, past in ((top, top + 1), (-top, -top - 1)):
+        edge = replace(arr, a=(0, lam) + arr.a[2:])
+        assert F.fourier_audit(graph, edge, part) == reference_audit(graph, edge, part)
+        with pytest.raises(ValueError, match="int64"):
+            F.fourier_audit(graph, replace(arr, a=(0, past) + arr.a[2:]), part)
 
 
 @pytest.mark.parametrize(
