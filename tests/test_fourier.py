@@ -514,10 +514,10 @@ def test_array_path_matches_cyclotomic_oracle(data):
     assert canonical.tolist() == list(Cyc.from_coeffs(p, s, raw).coeffs)
 
 
-def einsum_row_products(f, p, s):
+def einsum_row_products(f):
     """The audit's sums sum_i f[i] f[(j - i) mod p] mod x^n - 1 at one orbit, as
     one einsum over a (p, p, n, n) gather: the oracle for its matmul and fold."""
-    n = p**s
+    p, n = f.shape
     ar, ap = np.arange(n), np.arange(p)
     shift = (ar[:, None] - ar) % n
     rolled = (ap - ap[:, None]) % p
@@ -533,7 +533,7 @@ def test_row_products_match_the_einsum(p, s):
         f = rng.integers(-bound, bound + 1, size=(p, n))
         got = F._row_products(f)
         assert got.dtype == np.int64
-        assert np.array_equal(got, einsum_row_products(f, p, s))
+        assert np.array_equal(got, einsum_row_products(f))
 
 
 def substitute(f, z):
@@ -583,7 +583,7 @@ def test_int64_guard_near_2_62():
     with pytest.raises(ValueError, match="int64"):
         F.fourier_audit(graph, replace(arr, a=(0, F.INT64_SAFE) + arr.a[2:]), part)
     with pytest.raises(ValueError, match="int64"):
-        F.fourier_audit(graph, replace(arr, c=(0, F.INT64_SAFE) + arr.c[2:]), part)
+        F.fourier_audit(graph, replace(arr, c=(1, F.INT64_SAFE) + arr.c[2:]), part)
     p, s = graph.group.prime_power_pair
     n = p**s
     top = (F.INT64_SAFE // 2 - arr.valency) // n - p * n - abs(arr.c[1])
