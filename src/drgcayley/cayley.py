@@ -11,7 +11,9 @@ rest down by q - b0, two masks per b0); adding (a0, 0) then rotates the whole
 n-bit word by a0*q, which moves block a to block a + a0 mod m.  Each such
 rotation is a window of the doubled word w = t << n | t of the block-rotated
 mask t: t rotated left by k is (w >> (n - k)) & (2^n - 1), one shift and one
-mask per row.  Cyclic groups (q = 1) need the word rotation only.  Each graph
+mask per row.  ``_doubled`` forms the q doubled words and ``_windows`` gives
+each g's word and shift; ``schur.is_schur_ring`` reads translates of a cell
+the same way.  Cyclic groups (q = 1) need the word rotation only.  Each graph
 runs one BFS, cached as ``CayleyGraph.layers``.  No add table is read, so
 ``is_connected`` still cross-checks it against ``closure_mask``, which reads
 the subgroup lattice.
@@ -185,17 +187,33 @@ def _negated(group: GroupDescriptor, mask: int) -> int:
     return (t << q | t >> (n - q)) & ((1 << n) - 1)
 
 
+def _doubled(group: GroupDescriptor, mask: int) -> list[int]:
+    """Per b0, the doubled word t << n | t of (0, b0) + S, S the set ``mask`` holds.
+
+    Each q-bit block of the mask is rotated by b0; (a0, b0) + S is then the
+    window ``_doubled(group, mask)[b0] >> (n - a0 q) & (2^n - 1)``.
+    """
+    n, q = group.order, group.second_modulus
+    doubled = []
+    for b0, (low, high) in enumerate(_block_masks(group)):
+        t = (mask & low) << b0 | (mask & high) >> (q - b0)
+        doubled.append(t << n | t)
+    return doubled
+
+
+@lru_cache(maxsize=None)
+def _windows(group: GroupDescriptor) -> tuple[tuple[int, int], ...]:
+    """Per rank g = a0 q + b0, the (b0, n - a0 q) that picks g + S out of ``_doubled``."""
+    n, q = group.order, group.second_modulus
+    return tuple((g % q, n - g + g % q) for g in range(n))
+
+
 def build(group: GroupDescriptor, connection: SymmetricSet) -> CayleyGraph:
     """Construct the graph; vertex g's neighbors are g + S."""
     if connection.group != group:
         raise ValueError("connection set belongs to a different group")
     n, q = group.order, group.second_modulus
-    mask = connection.mask
-    # (0, b0) + S: rotate each q-bit block by b0, then double the word
-    doubled = []
-    for b0, (low, high) in enumerate(_block_masks(group)):
-        t = (mask & low) << b0 | (mask & high) >> (q - b0)
-        doubled.append(t << n | t)
+    doubled = _doubled(group, connection.mask)
     # (a0, b0) + S: rotate the whole word by a0 * q; rank a0 * q + b0 is row-major
     full = (1 << n) - 1
     adjacency = tuple([w >> s & full for s in range(n, 0, -q) for w in doubled])

@@ -86,17 +86,32 @@ def _first(bad: np.ndarray) -> int | None:
 
 
 @lru_cache(maxsize=None)
-def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(power, shift, onehot) for Z_n: power[z, i] = i z, shift[c, e] = c - e
-    (mod n), onehot[i, z n + c] = [i z = c].  Built on first use, read-only."""
+def _index_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(power, shift) for Z_n: power[z, i] = i z, shift[c, e] = c - e (mod n).
+    Built on first use, read-only."""
     ar = np.arange(n)
     power = np.outer(ar, ar) % n
     shift = (ar[:, None] - ar) % n
-    onehot = np.zeros((n, n * n), np.int64)
-    onehot[ar[None, :], ar[:, None] * n + power] = 1
-    for table in (power, shift, onehot):
+    for table in (power, shift):
         table.setflags(write=False)
-    return power, shift, onehot
+    return power, shift
+
+
+def _one_hot(power: np.ndarray, zs) -> np.ndarray:
+    """(n, len(zs) n) 0/1 array whose entry (i, t n + c) is [i zs[t] = c]."""
+    n = len(power)
+    zs = np.asarray(zs)
+    columns = np.zeros((n, len(zs) * n), np.int64)
+    columns[np.arange(n)[:, None], np.arange(len(zs)) * n + power[:, zs]] = 1
+    columns.setflags(write=False)
+    return columns
+
+
+@lru_cache(maxsize=None)
+def _transform_onehot(n: int) -> np.ndarray:
+    """onehot[i, z n + c] = [i z = c] at every z, (n, n^2); built only for a
+    full transform (``fourier_audit`` reads ``_orbit_tables`` instead)."""
+    return _one_hot(_index_tables(n)[0], range(n))
 
 
 class FourierContext:
@@ -109,7 +124,7 @@ class FourierContext:
         self.p = p
         self.s = s
         self.n = p**s
-        self._power, self._shift, self._onehot = _index_tables(self.n)
+        self._power, self._shift = _index_tables(self.n)
 
     def canonical(self, v: np.ndarray) -> np.ndarray:
         """Canonical forms mod Phi of the coefficient vectors on the last axis.
@@ -127,7 +142,7 @@ class FourierContext:
 
     def _transform(self, f: np.ndarray) -> np.ndarray:
         """sum_i f(i) x^{iz} for f of shape (..., n): shape (..., n, n), not reduced."""
-        return (f @ self._onehot).reshape(f.shape[:-1] + (self.n, self.n))
+        return (f @ _transform_onehot(self.n)).reshape(f.shape[:-1] + (self.n, self.n))
 
     def _table(self, values: np.ndarray) -> TransformTable:
         coeffs = self.canonical(values)
@@ -281,11 +296,8 @@ def _orbit_tables(p: int, s: int) -> tuple[tuple[int, ...], np.ndarray]:
     holds the one-hot columns at them: columns[i, t n + c] = [i reps[t] = c].
     Built on first use, read-only.
     """
-    n = p**s
     reps = (0,) + tuple(p**t for t in range(s))
-    columns = _index_tables(n)[2].reshape(n, n, n)[:, list(reps)].reshape(n, -1)
-    columns.setflags(write=False)
-    return reps, columns
+    return reps, _one_hot(_index_tables(p**s)[0], reps)
 
 
 @lru_cache(maxsize=None)

@@ -556,6 +556,40 @@ def test_substitution_commutes_with_row_products(p, s):
         assert np.array_equal(substitute(products, z), F._row_products(substitute(f, z)))
 
 
+def full_onehot(n):
+    """onehot[i, z n + c] = [i z = c mod n] at every z, entry by entry."""
+    onehot = np.zeros((n, n * n), np.int64)
+    for i in range(n):
+        for z in range(n):
+            onehot[i, z * n + i * z % n] = 1
+    return onehot
+
+
+@pytest.mark.parametrize("p,s", [(3, 1), (3, 3), (5, 2), (11, 1), (5, 3)])
+def test_orbit_columns_are_the_full_onehot_at_the_representatives(p, s):
+    n = p**s
+    reps, columns = F._orbit_tables(p, s)
+    want = full_onehot(n).reshape(n, n, n)[:, list(reps)].reshape(n, -1)
+    assert columns.dtype == np.int64 and not columns.flags.writeable
+    assert np.array_equal(columns, want)
+
+
+def test_fourier_audit_leaves_the_full_onehot_unbuilt():
+    """Only a full transform (``transform_function`` and what calls it) builds
+    the (n, n^2) one-hot; the audit reads the orbit columns alone."""
+    desc = G.pair_group(5, 3)
+    h = G.subgroups_of_order(desc, 5)[0]
+    graph = C.build(desc, C.SymmetricSet(desc, ((1 << desc.order) - 1) ^ h.mask))
+    part = C.distance_partition(graph)
+    F._transform_onehot.cache_clear()
+    assert F.fourier_audit(graph, D.check_drg(graph, part), part).ok
+    assert F._transform_onehot.cache_info().currsize == 0
+    ctx = F.FourierContext(5, 1)
+    ctx.transform_subset([1, 2])
+    assert F._transform_onehot.cache_info().currsize == 1
+    assert np.array_equal(F._transform_onehot(5), full_onehot(5))
+
+
 def test_int64_guard_near_2_62():
     p, s = 3, 3
     n = p**s

@@ -1,9 +1,15 @@
 """Group-algebra layer: convolution, distance modules and Schur-ring checks.
 
-``is_schur_ring`` (one array pass, with two rows of products eliminated and
-only half the group keyed when every cell is negation-closed) is compared
-with a reference that checks the cell list and every product of two class
-sums cell by cell through ``convolve``.  ``ClassSum`` and ``convolve``, the
+``is_schur_ring`` eliminates two rows of products by counting, counts one
+keyed cell's square exactly by popcounts against translates of its negation
+(stopping at the first count that differs from its cell's), and runs a
+float64 matmul only for the other keyed cells of partitions of 4 or more;
+when every cell is negation-closed only half the group is read.  It is
+compared with a reference that checks the cell list and every product of
+two class sums cell by cell through ``convolve``: partitions of 3 cells,
+closed (distance modules) and not (the quadratic-residue rings), exercise
+the popcount column alone, and atom partitions, unit-orbit rings and random
+partitions the matmul beside it.  ``ClassSum`` and ``convolve``, the
 reference's group-algebra arithmetic, live here with it.
 """
 
@@ -375,3 +381,49 @@ def test_random_partitions_with_and_without_negation_closed_cells(spec):
             ties += len(sizes) > 1 and sizes[-1] == sizes[-2]
             assert_matches_reference(basis)
         assert ties >= 10
+
+
+@pytest.mark.parametrize("spec", ("Zn:7", "Zn:12", "3^2x3", "5^1x5", "4x2", "11^1x11"))
+def test_windows_of_the_doubled_words_are_the_translates(spec):
+    """``_doubled``'s word b0, shifted by ``_windows``' entry for g, is g + S:
+    the rotation the Cayley graph is built from and the popcount column reads,
+    cyclic groups (q = 1, one word) included."""
+    desc = G.parse_group(spec)
+    add = G.group_tables(desc).add
+    full = (1 << desc.order) - 1
+    rng = random.Random(desc.order)
+    for mask in (1, full, rng.getrandbits(desc.order), rng.getrandbits(desc.order)):
+        doubled = C._doubled(desc, mask)
+        assert len(doubled) == desc.second_modulus
+        for g, (b0, shift) in enumerate(C._windows(desc)):
+            translate = G.mask_of(int(add[g, x]) for x in G.iter_bits(mask))
+            assert doubled[b0] >> shift & full == translate
+
+
+def quadratic_residue_partition(n):
+    desc = G.parse_group(f"Zn:{n}")
+    squares = G.mask_of({x * x % n for x in range(1, n)})
+    return SR.CellPartition(desc, (1, squares, (1 << n) - 2 ^ squares))
+
+
+@pytest.mark.parametrize("n", (7, 11, 19, 23))
+def test_quadratic_residue_rings_are_decided_by_the_popcount_column(n, monkeypatch):
+    """{0}, QR, QNR of Z_n, n = 3 mod 4, is a Schur ring whose cells are not
+    negation-closed (-QR = QNR).  With three cells the exact column decides
+    it, so the subtraction table the matmul gathers by is never read; moving
+    one residue to the non-residues breaks the ring."""
+    basis = quadratic_residue_partition(n)
+    assert not negation_closed(basis)
+
+    def no_table(desc):
+        raise AssertionError("a partition of three cells read the group tables")
+
+    monkeypatch.setattr(SR, "group_tables", no_table)
+    constants = SR.is_schur_ring(basis)
+    monkeypatch.undo()
+    assert constants is not None
+    assert np.array_equal(assert_matches_reference(basis), constants)
+    _, residues, others = basis.cells
+    moved = residues & -residues
+    swapped = SR.CellPartition(basis.group, (1, residues ^ moved, others | moved))
+    assert assert_matches_reference(swapped) is None
