@@ -413,11 +413,11 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
     budget bounds before any leader is made.  The leaders must number
     exactly that count; a layer's DFS stops one leader past its count, so an
     overrun is reported, not run to its end.  A DFS that repeats one orbit
-    and drops another keeps the count.  The c_2 survivors' orbits must also
-    be pairwise disjoint, or an anomaly is recorded; that catches a repeated
-    survivor orbit, not a repeated orbit that an earlier stage rejects while
-    a survivor's orbit goes missing.  The connected
-    count is the Moebius sum ``connected_count``.
+    and drops another keeps the count, but leaders are lex-least, so a
+    repeated orbit yields a repeated word, which is an anomaly.  The c_2
+    survivors' orbits must also be pairwise disjoint, or an anomaly is
+    recorded; that catches a yield that is not its orbit's least word.  The
+    connected count is the Moebius sum ``connected_count``.
     """
     tick = time.perf_counter()
     layers = multiplier_layers(desc) if scan == "kernel" else (pair_layer(desc),)
@@ -434,6 +434,9 @@ def _census_leaders(desc: GroupDescriptor, scan: str, budget: int) -> CensusRepo
     checks = []
     if len(words) != expected:
         checks.append(f"enumeration produced {len(words)} of {expected} orbit leaders")
+    repeats = len(leaders) - len(set(leaders))
+    if repeats:
+        checks.append(f"enumeration repeated {repeats} orbit leaders")
     passed, seconds = word_funnel(desc, words)
     funnel += zip(FUNNEL_STAGES, map(len, passed), seconds.tolist())
     orbits = [_pair_orbit(desc, bits) for bits in passed[-1].tolist()]

@@ -38,12 +38,14 @@ from .structure import is_antipodal, is_bipartite
 
 
 class SearchBudgetError(RuntimeError):
-    """Candidate count exceeds the configured enumeration budget."""
+    """Candidate count exceeds the enumeration budget."""
 
 
 # bipartite_double_sweep refuses more row pairs than this; the largest n it
 # accepts is 32, with (2^8 - 1)^2 = 65,025 pairs
 SWEEP_BUDGET = 1 << 16
+# diffset_search refuses more candidate subsets C(|G| - 1, k - 1) than this
+DIFFSET_BUDGET = 10_000_000
 
 
 # -- partial congruence partitions and transversal designs ------------------
@@ -234,23 +236,21 @@ def diffset_canonical(
     return min(map(tuple, rows.tolist()))
 
 
-def diffset_search(
-    desc: GroupDescriptor, k: int, budget: int = 10_000_000
-) -> list[DifferenceSetCertificate]:
+def diffset_search(desc: GroupDescriptor, k: int) -> list[DifferenceSetCertificate]:
     """All size-k difference sets up to translation/automorphism equivalence.
 
     Lemma checked, with ``bipartite_double_check``: this exhaustive search is
     the difference-set side of the double-layer construction's equivalence.
     Translation canonicalization pins the identity into every candidate, so
-    the scan is over C(|G|-1, k-1) subsets; the budget guards that count.
+    the scan is over C(|G|-1, k-1) subsets; ``DIFFSET_BUDGET`` guards that count.
     """
     n = desc.order
     if k == 0:
         return []
     candidates = comb(n - 1, k - 1)
-    if candidates > budget:
+    if candidates > DIFFSET_BUDGET:
         raise SearchBudgetError(
-            f"C({n - 1},{k - 1}) = {candidates} exceeds budget {budget}"
+            f"C({n - 1},{k - 1}) = {candidates} exceeds budget {DIFFSET_BUDGET}"
         )
     found: dict[tuple[int, ...], DifferenceSetCertificate] = {}
     for rest in itertools.combinations(range(1, n), k - 1):

@@ -200,10 +200,7 @@ def recognize(graph: CayleyGraph, array: IntersectionArray) -> FamilyTag:
         return FamilyTag(FamilyTag.CYCLE, (n,))
     if d == 3 and n % 2 == 0:
         m = n // 2
-        cocktail = IntersectionArray(
-            b=(m - 1, m - 2, 1), c=(1, m - 2, m - 1), a=(0, 0, 0, 0), k=(1, m - 1, m - 1, 1)
-        )
-        if (array.b, array.c) == (cocktail.b, cocktail.c):
+        if (array.b, array.c) == ((m - 1, m - 2, 1), (1, m - 2, m - 1)):
             return FamilyTag(FamilyTag.COCKTAIL, (m,))
     if params is not None:
         paley = _paley_match(params)

@@ -310,35 +310,38 @@ def _endless(leaders):
         yield leader
 
 
+REPEATED = "enumeration repeated 1 orbit leaders"
+
+
 @pytest.mark.parametrize(
-    "scan,tamper,anomaly",
+    "scan,tamper,anomalies",
     [
-        ("kernel", lambda leaders: leaders[1:], "enumeration produced 17 of 18 orbit leaders"),
-        ("orbit", lambda leaders: leaders[1:], "enumeration produced 48 of 49 orbit leaders"),
+        ("kernel", lambda leaders: leaders[1:], ("enumeration produced 17 of 18 orbit leaders",)),
+        ("orbit", lambda leaders: leaders[1:], ("enumeration produced 48 of 49 orbit leaders",)),
         (
             "kernel",
             lambda leaders: leaders + leaders[-2:],
-            "enumeration produced 19 of 18 orbit leaders",
+            ("enumeration produced 19 of 18 orbit leaders", REPEATED),
         ),
         (
             "orbit",
             lambda leaders: leaders + leaders[-2:],
-            "enumeration produced 50 of 49 orbit leaders",
+            ("enumeration produced 50 of 49 orbit leaders", REPEATED),
         ),
-        ("kernel", _endless, "enumeration produced 19 of 18 orbit leaders"),
-        ("orbit", _endless, "enumeration produced 50 of 49 orbit leaders"),
+        ("kernel", _endless, ("enumeration produced 19 of 18 orbit leaders", REPEATED)),
+        ("orbit", _endless, ("enumeration produced 50 of 49 orbit leaders", REPEATED)),
     ],
     ids=[
         "short-count", "short-count-orbit", "repeated-words", "repeated-words-orbit",
         "endless", "endless-orbit",
     ],
 )
-def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anomaly):
+def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anomalies):
     """The leaders must number the layers' Burnside count, in both modes: one
     leader dropped from the first layer is an anomaly, and so are two
     repeated or an endless DFS, which the census cuts one leader past the
-    layer's count.  Dropping the first leader of 5^1x5 loses no hit, and
-    repeats add none."""
+    layer's count and whose one repeated leader is reported as well.
+    Dropping the first leader of 5^1x5 loses no hit, and repeats add none."""
     leaders = CL.orbit_leaders
     layers = []
 
@@ -349,16 +352,13 @@ def test_census_reports_generator_check_failures(monkeypatch, scan, tamper, anom
 
     monkeypatch.setattr(CL, "orbit_leaders", tampered)
     report = CL.census(G.pair_group(5, 1), scan=scan)
-    assert report.anomalies == (anomaly,)
+    assert report.anomalies == anomalies
     assert report.records == CL.census(G.pair_group(5, 1)).records
 
 
-def test_census_reports_overlapping_survivor_orbits(monkeypatch):
-    """A DFS that repeats one orbit and drops another keeps the Burnside
-    count: on 5^1x5 the second layer's last leader, 4095 (the complete
-    graph), is swapped for 135, the lead of a TD line graph orbit of 15
-    already found in that layer.  The two c_2 survivors' orbits then
-    overlap, which the census reports."""
+def _census_with_last_leader_swapped(monkeypatch, word):
+    """5^1x5's census with the second layer's last leader, 4095 (the complete
+    graph), swapped for ``word``, the lead of an orbit already found there."""
     leaders = CL.orbit_leaders
     layers = []
 
@@ -366,14 +366,32 @@ def test_census_reports_overlapping_survivor_orbits(monkeypatch):
         layers.append(layer)
         found = list(leaders(layer))
         if len(layers) == 2:
-            assert found[-1] == 4095 and 135 in found
-            found[-1] = 135
+            assert found[-1] == 4095 and word in found
+            found[-1] = word
         return iter(found)
 
     monkeypatch.setattr(CL, "orbit_leaders", tampered)
-    report = CL.census(G.pair_group(5, 1))
+    return CL.census(G.pair_group(5, 1))
+
+
+def test_census_reports_overlapping_survivor_orbits(monkeypatch):
+    """A DFS that repeats one orbit and drops another keeps the Burnside
+    count: 135 leads a TD line graph orbit of 15.  The repeated leader is
+    reported, and so is the overlap of the two c_2 survivors' orbits."""
+    report = _census_with_last_leader_swapped(monkeypatch, 135)
     assert report.drg_sets == 71
-    assert report.anomalies == ("c2 survivor orbits overlap: sizes sum to 71, 56 distinct sets",)
+    assert report.anomalies == (
+        REPEATED, "c2 survivor orbits overlap: sizes sum to 71, 56 distinct sets",
+    )
+
+
+def test_census_reports_a_repeated_leader_that_no_survivor_shows(monkeypatch):
+    """3 leads an orbit that the funnel rejects, so no survivor orbit
+    overlaps and the complete graph's orbit is lost: only the repeated
+    leader shows it."""
+    report = _census_with_last_leader_swapped(monkeypatch, 3)
+    assert report.anomalies == (REPEATED,)
+    assert report.drg_sets == CL.census(G.pair_group(5, 1)).drg_sets - 1
 
 
 def test_census_command_exits_2_on_a_tampered_hit(monkeypatch):

@@ -118,7 +118,7 @@ def test_diffset_search_empty_and_budget():
     z9 = G.cyclic_group(9)
     assert DS.diffset_search(z9, 3) == []
     with pytest.raises(DS.SearchBudgetError):
-        DS.diffset_search(G.cyclic_group(30), 15, budget=10)
+        DS.diffset_search(G.cyclic_group(30), 15)
 
 
 def test_diffset_search_z8z2_census():
